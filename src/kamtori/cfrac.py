@@ -51,6 +51,7 @@ class ContinuedFraction:
     p: list[int]
     q: list[int]
     prec_bits: int
+    _frac_cache: dict = field(default_factory=dict, repr=False)
     _phase_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -58,12 +59,12 @@ class ContinuedFraction:
         return len(self.a) - 1
 
     def frac_k(self, k: int) -> float:
-        """k*alpha mod 1, reduced at working precision, in [0,1)."""
-        with mpmath.workprec(self.prec_bits):
-            v = mpmath.frac(self.alpha * k)
-            if v < 0:
-                v += 1
-            return float(v)
+        """k*alpha mod 1, reduced at working precision, in [0,1); memoised."""
+        if k not in self._frac_cache:
+            with mpmath.workprec(self.prec_bits):
+                v = mpmath.frac(self.alpha * k)
+                self._frac_cache[k] = float(v + 1 if v < 0 else v)
+        return self._frac_cache[k]
 
     def small_divisor(self, k: int) -> float:
         """||k alpha||_T via high-precision reduction."""
@@ -73,12 +74,11 @@ class ContinuedFraction:
 
     def phase(self, k: int) -> complex:
         """exp(2 pi i k alpha), accurate to double precision for any k."""
-        c = self._phase_cache.get(k)
-        if c is None:
+        if k not in self._phase_cache:
             t = self.frac_k(k)
-            c = complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-            self._phase_cache[k] = c
-        return c
+            self._phase_cache[k] = complex(math.cos(2 * math.pi * t),
+                                           math.sin(2 * math.pi * t))
+        return self._phase_cache[k]
 
 
 def expand(alpha, max_depth: int = 64, tol: float = 1e-60,

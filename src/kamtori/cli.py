@@ -22,6 +22,7 @@ from . import homological as hm
 from . import kam
 from . import model as md
 from . import weights as wt
+from .reporting import all_passed
 
 EXIT_OK = 0
 EXIT_CERT = 1
@@ -58,7 +59,6 @@ CONFIG_SCHEMA = {
     "lambda.grid_points": (int, 257),
     "run.n_max": (int, 3),
     "run.force": (bool, False),
-    "run.seed": (int, 0),
     "run.stop_at_floor": (bool, False),
     "run.check_substitution": (bool, True),
 }
@@ -158,18 +158,15 @@ def build_run(cfg: dict):
 # -- output helpers --------------------------------------------------------------------
 
 
-def _write_rows_csv(fh, rows):
-    fh.write("check,bound,actual,pass,detail\n")
-    for r in rows:
-        fh.write(r.as_csv() + "\n")
-
-
 def _print_rows(rows, out=None):
-    _write_rows_csv(out if out is not None else sys.stdout, rows)
+    out = sys.stdout if out is None else out
+    out.write("check,bound,actual,pass,detail\n")
+    for r in rows:
+        out.write(r.as_csv() + "\n")
 
 
 def _exit_from_rows(rows) -> int:
-    return EXIT_OK if all(r.passed for r in rows if r.gating) else EXIT_CERT
+    return EXIT_OK if all_passed(rows) else EXIT_CERT
 
 
 # -- subcommands --------------------------------------------------------------------------
@@ -283,8 +280,9 @@ def cmd_kam_run(args) -> int:
                  "excluded_measure\n")
         for rec in summary.records:
             fh.write("%d,%r,%r,%r,%r,%r,%r\n" % (
-                rec.level, rec.r, rec.eps_target, rec.U_norm, rec.W_norm,
-                rec.residual, rec.excluded_measure))
+                rec.level, float(rec.r), float(rec.eps_target),
+                float(rec.U_norm), float(rec.W_norm), float(rec.residual),
+                float(rec.excluded_measure)))
     # wall clock lives in its own file so summary.csv stays byte-identical
     # across reruns and worker counts
     with open(os.path.join(out, "timings.csv"), "w") as fh:
@@ -294,9 +292,9 @@ def cmd_kam_run(args) -> int:
     with open(os.path.join(out, "exclusions.csv"), "w") as fh:
         fh.write("level,interval_lo,interval_hi\n")
         for lvl, lo, hi in summary.exclusion_intervals:
-            fh.write("%d,%r,%r\n" % (lvl, lo, hi))
+            fh.write("%d,%r,%r\n" % (lvl, float(lo), float(hi)))
     with open(os.path.join(out, "certification.csv"), "w") as fh:
-        _write_rows_csv(fh, summary.rows)
+        _print_rows(summary.rows, fh)
     _dump_states(out, summary)
     if summary.stopped:
         print("stopped: %s" % summary.stopped, file=sys.stderr)
@@ -327,7 +325,8 @@ def _dump_states(out: str, summary) -> None:
         fh.write("lambda_index,theta,K1,K2\n")
         for li in range(len(final.lambda_grid)):
             for ti, th in enumerate(thetas):
-                fh.write("%d,%r,%r,%r\n" % (li, th, K[ti, li, 0], K[ti, li, 1]))
+                fh.write("%d,%r,%r,%r\n" % (li, float(th), float(K[ti, li, 0]),
+                                            float(K[ti, li, 1])))
 
 
 def cmd_measure(args) -> int:
@@ -418,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", default=None)
     c.add_argument("--out", default=".")
     c.add_argument("--force", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_kam_run)
 
     c = sub.add_parser("measure", help="parameter-exclusion measure report")
@@ -428,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="run the invariant verification suites")
     c.add_argument("--suite", default="all")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--config", default=None)
     c.set_defaults(func=cmd_verify)
     return p
 

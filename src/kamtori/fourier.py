@@ -309,11 +309,8 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
         raise ValueError("lambda grids differ")
     if a.is_zero() or b.is_zero():
         return zeros(a.lambda_grid, out_kind)
-    bk = sorted(b.coeffs)
-    bmin, bmax = bk[0], bk[-1]
-    bdense = np.zeros((bmax - bmin + 1, b.nlambda) + _COMP_SHAPE[b.kind], complex)
-    for k, v in b.coeffs.items():
-        bdense[k - bmin] = v
+    bmin, bmax = min(b.coeffs), max(b.coeffs)
+    bdense = _dense_modes(b, bmin, bmax)
     ak = sorted(a.coeffs)
     omin = ak[0] + bmin
     omax = ak[-1] + bmax
@@ -322,12 +319,22 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     for k in ak:
         lo = k + bmin - omin
         odense[lo:lo + nb] += np.einsum(ein, a.coeffs[k], bdense)
-    out = {}
-    for idx in range(odense.shape[0]):
-        v = odense[idx]
-        if np.any(v):
-            out[idx + omin] = v
-    return _cleaned(a.lambda_grid, out_kind, out)
+    return _from_dense(a.lambda_grid, out_kind, odense, omin)
+
+
+def _dense_modes(f: FourierSeries, kmin: int, kmax: int) -> np.ndarray:
+    """Modes kmin..kmax as a zero-filled array (kmax - kmin + 1, L, ...)."""
+    out = np.zeros((kmax - kmin + 1, f.nlambda) + _COMP_SHAPE[f.kind], complex)
+    for k, v in f.coeffs.items():
+        if kmin <= k <= kmax:
+            out[k - kmin] = v
+    return out
+
+
+def _from_dense(grid, kind: str, arr: np.ndarray, kmin: int) -> FourierSeries:
+    """Series with mode kmin + i from row i, zero rows dropped, cleaned."""
+    rows = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
+    return _cleaned(grid, kind, {int(i) + kmin: arr[i] for i in rows})
 
 
 # -- structure defects -----------------------------------------------------------
@@ -335,44 +342,34 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
 
 def real_defect(s: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation from f(theta) real, i.e. f_{-k} = conj(f_k)."""
-    worst = 0.0
-    for k in set(s.coeffs) | {-k for k in s.coeffs}:
-        d = np.abs(s.coeff(-k) - np.conj(s.coeff(k)))
-        if active is not None:
-            d = d[active]
-        if d.size:
-            worst = max(worst, float(d.max()))
-    return worst
+    return _mirror_defect(s, active, [((), ())])
 
 
 def c2_pair_defect(v: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation of component 2 from the conjugate of component 1."""
     if v.kind != C2VECTOR:
         raise KindMismatch("c2_pair_defect needs a vector series")
-    worst = 0.0
-    for k in set(v.coeffs) | {-k for k in v.coeffs}:
-        d = np.abs(v.coeff(k)[:, 1] - np.conj(v.coeff(-k)[:, 0]))
-        if active is not None:
-            d = d[active]
-        if d.size:
-            worst = max(worst, float(d.max()))
-    return worst
+    return _mirror_defect(v, active, [((1,), (0,))])
 
 
 def su11_defect(w: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation from the [[a, b], [conj b, conj a]] pattern."""
     if w.kind != SU11MATRIX:
         raise KindMismatch("su11_defect needs a matrix series")
+    return _mirror_defect(w, active, [((1, 1), (0, 0)), ((1, 0), (0, 1))])
+
+
+def _mirror_defect(s: FourierSeries, active, pairs) -> float:
+    """Max over k, active lambda and entry pairs (i, j) of
+    |(f_k)_i - conj((f_{-k})_j)|."""
     worst = 0.0
-    for k in set(w.coeffs) | {-k for k in w.coeffs}:
-        c = w.coeff(k)
-        cr = np.conj(w.coeff(-k))
-        d1 = np.abs(c[:, 1, 1] - cr[:, 0, 0])
-        d2 = np.abs(c[:, 1, 0] - cr[:, 0, 1])
-        if active is not None:
-            d1, d2 = d1[active], d2[active]
-        if d1.size:
-            worst = max(worst, float(d1.max()), float(d2.max()))
+    for k in set(s.coeffs) | {-k for k in s.coeffs}:
+        c, cr = s.coeff(k), np.conj(s.coeff(-k))
+        for i, j in pairs:
+            d = np.abs(c[(slice(None),) + i] - cr[(slice(None),) + j])
+            d = d if active is None else d[active]
+            if d.size:
+                worst = max(worst, float(d.max()))
     return worst
 
 
@@ -406,19 +403,21 @@ class WeightedNormContext:
 
 def _coeff_O(v: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> float:
     """sup over active lambda of (|entry| + |d/dlambda entry|), max over entries."""
+    return float(_modes_O(v[None], grid, ctx)[0])
+
+
+def _modes_O(a: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> np.ndarray:
+    """|a_k|_O of every row of a dense array a[k, lambda, ...]."""
     if ctx.active is not None:
-        v = v[ctx.active]
+        a = a[:, ctx.active]
         grid = grid[ctx.active]
-    if v.size == 0:
-        return 0.0
-    mag = np.abs(v)
+    if a.shape[1] == 0:
+        return np.zeros(len(a))
+    mag = np.abs(a)
     if ctx.include_lambda_derivative and len(grid) >= 2:
-        if ctx.h is not None:
-            dv = np.gradient(v, ctx.h, axis=0)
-        else:
-            dv = np.gradient(v, grid, axis=0)
-        mag = mag + np.abs(dv)
-    return float(mag.max())
+        da = np.gradient(a, grid if ctx.h is None else ctx.h, axis=1)
+        mag = mag + np.abs(da)
+    return mag.reshape(len(a), -1).max(axis=1)
 
 
 def _weight_factor(weight: WeightFunction, x: float) -> float:
@@ -582,11 +581,6 @@ class PowerFourierSeries:
         return PowerFourierSeries(
             self.d_max, self.lambda_grid, self.kind,
             {m: s.scale(factor) for m, s in self.terms.items()})
-
-    def shift_theta(self, phase) -> "PowerFourierSeries":
-        return PowerFourierSeries(
-            self.d_max, self.lambda_grid, self.kind,
-            {m: s.shift(phase) for m, s in self.terms.items()})
 
     def drop_low_degrees(self, min_degree: int = 2) -> "PowerFourierSeries":
         return PowerFourierSeries(

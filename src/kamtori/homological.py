@@ -10,12 +10,20 @@ truncated conjugated equation as a diagonally dominant linear system, one
 dense solve per active lambda-grid point.  Every bound the scheme relies on
 (small divisors, truncation tails, solution size, Neumann dominance) is
 re-measured and reported.
+
+B, its cutoffs and the divisors stay fixed through a KAM level, so one
+SolverLevel per level holds the B-equation's solution, the exponentials of
+B, the divisors l lambda~ - k alpha (from frac(k alpha), memoised on the
+ContinuedFraction) and ||S^{-1}||; every solve of the level shares it.
+DcSet.divisors tabulates the same divisors at the DC set's active points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -24,7 +32,7 @@ from . import fourier as fr
 from .cfrac import ContinuedFraction
 from .fourier import FourierSeries, WeightedNormContext
 from .reporting import CheckRow
-from .weights import WeightFunction, eval_gamma
+from .weights import WeightFunction, _ln_big, eval_gamma, eval_lambda
 
 LAMBDA_DOMAIN = (0.25, 0.75)
 
@@ -90,7 +98,7 @@ class IntervalUnion:
                 if zhi < b:
                     nxt.append([max(zhi, a), b])
             current = [iv for iv in nxt if iv[1] > iv[0]]
-        return IntervalUnion(tuple((a, b) for a, b in current))
+        return IntervalUnion(tuple((float(a), float(b)) for a, b in current))
 
     def contains(self, x) -> np.ndarray:
         pts = np.atleast_1d(np.asarray(x, float))
@@ -161,10 +169,13 @@ def resonance_zones(cf: ContinuedFraction, gamma: float, tau: float,
                             zones.append((c - w, c + w))
                     if g[-1] == 0.0:
                         zones.append((lambda_grid[-1] - w, lambda_grid[-1] + w))
-    return zones, rows
+    return [(float(a), float(b)) for a, b in zones], rows
 
 
 # -- Diophantine sets --------------------------------------------------------------
+
+
+_LS = (1, 2)
 
 
 @dataclass
@@ -186,27 +197,36 @@ class DcSet:
     def omega(self) -> np.ndarray:
         return self.lambda_grid + self.shift
 
+    def divisors(self, k_max: int) -> tuple:
+        """The divisor table at the active points: ks = 0, 1, -1, ...,
+        k_max, -k_max, d[i, l-1] = l Omega - ks[i] alpha and
+        pw[i, l-1] = (|ks[i]| + l)^tau for l = 1, 2."""
+        n = 2 * k_max + 1
+        ks = (np.arange(n) + 1) // 2 * np.where(np.arange(n) % 2, 1, -1)
+        t = np.array([self.cf.frac_k(abs(k)) for k in ks.tolist()])
+        pw = np.array([[(abs(k) + l) ** self.tau for l in _LS]
+                       for k in ks.tolist()])
+        d = np.array(_LS)[:, None] * self.omega()[self.active_mask()] \
+            - (t * np.sign(ks))[:, None, None]
+        return ks, d, pw
+
     def certify(self, k_max: Optional[int] = None) -> list:
         """Sampled certification at every active grid point (k = 0 included)."""
-        km = self.K if k_max is None else k_max
-        mask = self.active_mask()
-        om = self.omega()[mask]
-        worst = math.inf
-        where = ""
-        for k in range(0, km + 1):
-            t = self.cf.frac_k(k) if k else 0.0
-            for sk, tt in ((k, t), (-k, -t)) if k else ((0, 0.0),):
-                for l in (1, 2):
-                    need = self.gamma / (abs(sk) + l) ** self.tau
-                    d = l * om - tt
-                    dist = np.abs(d - np.round(d))
-                    margin = float((dist - need).min()) if dist.size else math.inf
-                    if margin < worst:
-                        worst = margin
-                        where = "k=%d l=%d" % (sk, l)
+        ks, d, pw = self.divisors(self.K if k_max is None else k_max)
+        dist = np.abs(d - np.round(d))
+        worst, where = _first_min(dist - (self.gamma / pw)[:, :, None], ks)
         return [CheckRow("DC certification margin", 0.0,
                          -worst if math.isfinite(worst) else -math.inf,
                          bool(worst >= 0.0), where)]
+
+
+def _first_min(vals: np.ndarray, ks: np.ndarray) -> tuple:
+    """Least vals[i, l-1, point] and its label; ties go to the first (k, l)."""
+    if vals.shape[2] == 0:
+        return math.inf, ""
+    per = vals.min(axis=2)
+    i, j = divmod(int(np.argmin(per)), len(_LS))
+    return float(per[i, j]), "k=%d l=%d" % (ks[i], _LS[j])
 
 
 def dc_from_exclusion(cf: ContinuedFraction, gamma: float, tau: float, K: int,
@@ -229,25 +249,12 @@ def certify_small_divisor(dc: DcSet, q_next: int, qbar_next: int,
     K_lemma = math.isqrt(qbar_next)
     km = K_lemma if k_max is None else min(k_max, K_lemma)
     bound = 4.0 * dc.gamma * _float_pow(q_next, -dc.tau**2)
-    mask = dc.intervals.contains(dc.lambda_grid)
-    om = dc.omega()[mask]
-    rows = []
-    worst = math.inf
-    where = ""
-    for k in range(0, km + 1):
-        t = dc.cf.frac_k(k) if k else 0.0
-        for sk, tt in ((k, t), (-k, -t)) if k else ((0, 0.0),):
-            for l in (1, 2):
-                mags = np.abs(np.exp(2j * np.pi * (l * om - tt)) - 1.0)
-                m = float(mags.min()) if mags.size else math.inf
-                if m < worst:
-                    worst = m
-                    where = "k=%d l=%d" % (sk, l)
+    ks, d, _ = dc.divisors(km)
+    worst, where = _first_min(np.abs(np.exp(2j * np.pi * d) - 1.0), ks)
     case1 = _log_leq(qbar_next, q_next, 2 * dc.tau)
-    rows.append(CheckRow("small divisor |e^{i2pi(lW-ka)}-1| >= 4g Q^{-tau^2}",
-                         bound, worst, bool(worst >= bound),
-                         where + (" case1" if case1 else " case2")))
-    return rows
+    return [CheckRow("small divisor |e^{i2pi(lW-ka)}-1| >= 4g Q^{-tau^2}",
+                     bound, worst, bool(worst >= bound),
+                     where + (" case1" if case1 else " case2"))]
 
 
 def _float_pow(q: int, expo: float) -> float:
@@ -259,7 +266,6 @@ def _float_pow(q: int, expo: float) -> float:
 
 def _log_leq(a: int, b: int, expo: float) -> bool:
     """a <= b**expo via logs (big-int safe)."""
-    from .weights import _ln_big
     return _ln_big(a) <= expo * _ln_big(b)
 
 
@@ -460,6 +466,83 @@ class SolveSetup:
         return WeightedNormContext(self.weight, float(r), active=self.active)
 
 
+class SolverLevel:
+    """What the homological solves of one KAM level share, each computed when
+    first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l)."""
+
+    def __init__(self, B: FourierSeries, cf: ContinuedFraction, qbar_n: int,
+                 K: int, active: Optional[np.ndarray] = None, ls=(1, 2)):
+        self.B, self.cf, self.qbar_n, self.K, self.ls = B, cf, qbar_n, K, ls
+        self.grid = B.lambda_grid
+        self.active = _mask(active, len(self.grid))
+        self.lam_t = self.grid + np.real(B.average())
+        self.ks = np.arange(-K + 1, K)
+        # position of mode k1 - k2 among the modes 2 - 2K .. 2K - 2
+        self.toeplitz = self.ks[:, None] - self.ks[None, :] + 2 * K - 2
+        self._exp_B: dict = {}
+        self._terms: dict = {}
+
+    def check(self, B: FourierSeries, l: int, setup: SolveSetup) -> None:
+        if not (l in self.ls and setup.cf is self.cf and setup.K == self.K
+                and setup.qbar_n == self.qbar_n
+                and B is self.B and np.array_equal(
+                    _mask(setup.active, len(self.grid)), self.active)):
+            raise ValueError("level built for another B, l, K, qbar_n or mask")
+
+    @functools.cached_property
+    def bcal(self) -> FourierSeries:
+        if self.B.is_zero():
+            return fr.zeros(self.grid, fr.SCALAR)
+        return solve_b_equation(self.B, self.qbar_n, self.cf)
+
+    def exp_B(self, l: int) -> FourierSeries:
+        if l not in self._exp_B:
+            self._exp_B[l] = fr.exp_i_scalar(self.B, l)
+        return self._exp_B[l]
+
+    def terms(self, l: int) -> SimpleNamespace:
+        """e_plus, e_minus = e^{+-2 pi i l bcal}, e_minus_shifted = e_minus(.+a),
+        phi = e^{2 pi i l (-T_qbar B + [B])}, exp_lt = e^{2 pi i l lambda~},
+        tail_term = (e^{2 pi i l R_qbar B} - 1) exp_lt, phase_B =
+        e^{2 pi i l (lambda + B)}, diagonal[lambda, k] = exp_lt - e^{2 pi i k a}
+        (|k| < K) and s_inv = ||S^{-1}||."""
+        if l not in self._terms:
+            B, grid = self.B, self.grid
+            lt = np.exp(2j * np.pi * l * self.lam_t)
+            exp_lt = fr.constant(grid, lt, fr.SCALAR)
+            e_minus = fr.exp_i_scalar(self.bcal, -l)
+            mser = B.truncate(self.qbar_n).scale(-1.0) + \
+                fr.constant(grid, B.average(), fr.SCALAR)
+            e_tail = fr.exp_i_scalar(B.project_tail(self.qbar_n), l)
+            phases = np.array([self.cf.phase(k) for k in self.ks.tolist()])
+            diagonal = lt[:, None] - phases[None, :]
+            self._terms[l] = SimpleNamespace(
+                e_plus=fr.exp_i_scalar(self.bcal, l), e_minus=e_minus,
+                e_minus_shifted=e_minus.shift(self.cf.phase),
+                phi=fr.exp_i_scalar(mser, l), exp_lt=exp_lt,
+                tail_term=fr.multiply(e_tail - fr.one(grid), exp_lt),
+                phase_B=fr.multiply(fr.lambda_phase(grid, l), self.exp_B(l)),
+                diagonal=diagonal, s_inv=self._s_inv(diagonal, l))
+        return self._terms[l]
+
+    def _s_inv(self, diagonal: np.ndarray, l: int) -> float:
+        """Measured row-sum norm of S^{-1}, lambda-derivative included."""
+        mask = self.active
+        small = np.abs(diagonal[mask])
+        if small.size == 0:
+            return 0.0
+        davg = 0.0
+        if mask.sum() >= 2:
+            davg = float(np.abs(np.gradient(self.lam_t[mask], self.grid[mask])
+                                - 1.0).max())
+        return float((1.0 / small
+                      + 2 * math.pi * l * (1.0 + davg) / small**2).max())
+
+
+def _mask(active: Optional[np.ndarray], n: int) -> np.ndarray:
+    return np.ones(n, bool) if active is None else active
+
+
 @dataclass
 class SolveResult:
     delta: FourierSeries
@@ -470,50 +553,36 @@ class SolveResult:
     rows: list = field(default_factory=list)
     precondition_rows: list = field(default_factory=list)
 
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
 
 def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
                       l: int, dc: DcSet, setup: SolveSetup,
-                      force: bool = False) -> SolveResult:
+                      force: bool = False,
+                      level: Optional[SolverLevel] = None) -> SolveResult:
     """Approximate solution of
         e^{2 pi i l (lambda + B)} delta + b delta - delta(theta+alpha) = u
     per the two-step pipeline; returns delta, the error term and every
-    certified bound."""
+    certified bound.  Without a SolverLevel one is built for this call."""
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    grid = u.lambda_grid
+    if level is None:
+        level = SolverLevel(B, setup.cf, setup.qbar_n, setup.K, setup.active)
+    level.check(B, l, setup)
     cf = setup.cf
     pre = _preconditions(B, b, dc, setup)
     if not all(r.passed for r in pre) and not force:
         raise PreconditionError(pre)
 
-    bcal = solve_b_equation(B, setup.qbar_n, cf) if not B.is_zero() \
-        else fr.zeros(grid, fr.SCALAR)
-    e_plus = fr.exp_i_scalar(bcal, l)
-    e_minus = fr.exp_i_scalar(bcal, -l)
-
-    shift_avg = np.real(B.average())
-    lam_t = grid + shift_avg
-    exp_lt = fr.constant(grid, np.exp(2j * np.pi * l * lam_t), fr.SCALAR)
-
-    # phi = e^{2 pi i l (-T_qbar B + [B])}; carries the conjugation of the shift
-    mser = B.truncate(setup.qbar_n).scale(-1.0) + \
-        fr.constant(grid, B.average(), fr.SCALAR)
-    phi = fr.exp_i_scalar(mser, l)
-    tail_B = B.project_tail(setup.qbar_n)
-    e_tail = fr.exp_i_scalar(tail_B, l)
-    btilde = fr.multiply(e_tail - fr.one(grid), exp_lt) + fr.multiply(b, phi)
-    utt = fr.multiply(fr.multiply(e_plus, u), phi)
+    t = level.terms(l)
+    btilde = t.tail_term + fr.multiply(b, t.phi)
+    utt = fr.multiply(fr.multiply(t.e_plus, u), t.phi)
 
     rows = []
-    phi_norm = fr.norm_r(phi, setup.ctx(setup.r_tilde))
+    phi_norm = fr.norm_r(t.phi, setup.ctx(setup.r_tilde))
     rows.append(CheckRow("||e^{i2pil(-T B + [B])}||_rt <= 2", 2.0, phi_norm,
                          phi_norm <= 2.0))
 
     # conditioning: measured Neumann dominance of the scaled system
-    s_inv, pe_norm = _conditioning(btilde, lam_t, l, cf, setup)
+    s_inv, pe_norm = _conditioning(btilde, level, l, setup)
     rows.append(CheckRow("||S^{-1}|| measured", math.inf, s_inv, True))
     dom = s_inv * pe_norm
     rows.append(CheckRow("||S^{-1} E P E^{-1}|| < 1/2", 0.5, dom, dom < 0.5,
@@ -522,10 +591,10 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
         raise ConditioningError(
             "scaled perturbation %.3g >= 1/2 in row-sum norm" % dom)
 
-    delta_tilde = _solve_truncated(btilde, utt, lam_t, l, cf, setup)
+    delta_tilde = _solve_truncated(btilde, utt, level, l)
 
     # exact residual of the truncated linear system
-    sys_res = (fr.multiply(exp_lt, delta_tilde)
+    sys_res = (fr.multiply(t.exp_lt, delta_tilde)
                + fr.multiply(btilde, delta_tilde)
                - delta_tilde.shift(cf.phase) - utt).truncate(setup.K)
     u_scale = max(utt.sup_bound(setup.active), 1e-300)
@@ -533,9 +602,9 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
                          1e-10 * u_scale, sys_res.sup_bound(setup.active),
                          sys_res.sup_bound(setup.active) <= 1e-10 * u_scale))
 
-    delta = fr.multiply(e_minus, delta_tilde)
+    delta = fr.multiply(t.e_minus, delta_tilde)
     tail_part = (fr.multiply(btilde, delta_tilde) - utt).project_tail(setup.K)
-    delta_er = fr.multiply(e_minus, tail_part)
+    delta_er = fr.multiply(t.e_minus, tail_part)
 
     ctx_rt = setup.ctx(setup.r_tilde)
     u_norm = fr.norm_r(u, ctx_rt)
@@ -555,16 +624,15 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
                              er_bound, er_norm, er_norm <= er_bound))
 
     # residual of the full (untruncated) equation equals the transported tail
-    full_res = (fr.multiply(fr.multiply(fr.lambda_phase(grid, l),
-                                        fr.exp_i_scalar(B, l)), delta)
+    full_res = (fr.multiply(t.phase_B, delta)
                 + fr.multiply(b, delta) - delta.shift(cf.phase) - u)
-    transported = fr.multiply(e_minus.shift(cf.phase), tail_part)
+    transported = fr.multiply(t.e_minus_shifted, tail_part)
     mismatch = (full_res - transported).sup_bound(setup.active)
     rows.append(CheckRow("full residual = transported tail (1e-10 rel)",
                          1e-10 * u_scale, mismatch, mismatch <= 1e-10 * u_scale))
 
     return SolveResult(delta=delta, delta_er=delta_er, delta_tilde=delta_tilde,
-                       bcal=bcal, btilde=btilde, rows=rows,
+                       bcal=level.bcal, btilde=btilde, rows=rows,
                        precondition_rows=pre)
 
 
@@ -592,79 +660,40 @@ def _preconditions(B, b, dc: DcSet, setup: SolveSetup) -> list:
     return rows
 
 
-def _conditioning(btilde: FourierSeries, lam_t: np.ndarray, l: int,
-                  cf: ContinuedFraction, setup: SolveSetup) -> tuple:
-    """Measured row-sum norms of S^{-1} and E P E^{-1}."""
-    K = setup.K
-    grid = btilde.lambda_grid
-    mask = setup.active if setup.active is not None else np.ones(len(grid), bool)
-    om = lam_t[mask]
-    davg = 0.0
-    if mask.sum() >= 2:
-        davg = float(np.abs(np.gradient(lam_t[mask], grid[mask]) - 1.0).max())
-    s_inv = 0.0
-    for k in range(-K + 1, K):
-        small = np.abs(np.exp(2j * np.pi * (l * om)) - cf.phase(k))
-        if small.size == 0:
-            continue
-        val = (1.0 / small + 2 * math.pi * l * (1.0 + davg) / small**2).max()
-        s_inv = max(s_inv, float(val))
-    # row sums of the width-scaled convolution matrix
-    ctx = setup.ctx(setup.r_tilde)
-    cO = {d: fr._coeff_O(v, grid, ctx) for d, v in btilde.coeffs.items()}
-    lw = {k: _log_weight(setup.weight, k, setup.r_tilde) for k in range(K)}
-    pe = 0.0
-    for k1 in range(-K + 1, K):
-        tot = 0.0
-        for k2 in range(-K + 1, K):
-            c = cO.get(k1 - k2)
-            if c:
-                tot += c * math.exp(min(lw[abs(k1)] - lw[abs(k2)], 700.0))
-        pe = max(pe, tot)
-    return s_inv, pe
-
-
-def _log_weight(weight: WeightFunction, k: int, r: float) -> float:
-    from .weights import eval_lambda
-    return eval_lambda(weight, 2 * math.pi * abs(k) * r)
+def _conditioning(btilde: FourierSeries, level: SolverLevel, l: int,
+                  setup: SolveSetup) -> tuple:
+    """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
+    largest row sum of the width-scaled Toeplitz matrix
+    |btilde_{k1-k2}|_O exp(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r))."""
+    n = len(level.ks)
+    c_O = fr._modes_O(fr._dense_modes(btilde, 1 - n, n - 1),
+                      btilde.lambda_grid, setup.ctx(setup.r_tilde))
+    lw = eval_lambda(setup.weight,
+                     2 * math.pi * np.abs(level.ks) * setup.r_tilde)
+    scale = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
+    pe = float((c_O[level.toeplitz] * scale).sum(axis=1).max())
+    return level.terms(l).s_inv, pe
 
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
-                     lam_t: np.ndarray, l: int, cf: ContinuedFraction,
-                     setup: SolveSetup, chunk: int = 16) -> FourierSeries:
+                     level: SolverLevel, l: int,
+                     chunk: int = 16) -> FourierSeries:
     """Dense partial-pivot solve of (S + P) F = U at each active grid point."""
-    K = setup.K
+    K = level.K
+    n = len(level.ks)
     grid = utt.lambda_grid
-    L = len(grid)
-    mask = setup.active if setup.active is not None else np.ones(L, bool)
-    ks = np.arange(-K + 1, K)
-    n = len(ks)
-    phases = np.array([cf.phase(int(k)) for k in ks])
-    sdiag = np.exp(2j * np.pi * l * lam_t)[:, None] - phases[None, :]  # (L, n)
-    rhs = np.zeros((L, n), complex)
-    for i, k in enumerate(ks):
-        v = utt.coeffs.get(int(k))
-        if v is not None:
-            rhs[:, i] = v
-    sol = np.zeros((L, n), complex)
-    idxs = np.nonzero(mask)[0]
+    sdiag = level.terms(l).diagonal                        # (L, n)
+    rhs = fr._dense_modes(utt, 1 - K, K - 1).T             # (L, n)
+    sol = np.zeros((len(grid), n), complex)
+    idxs = np.nonzero(level.active)[0]
     if btilde.is_zero():
         sol[idxs] = rhs[idxs] / sdiag[idxs]
     else:
-        diffs = np.zeros((2 * n - 1, L), complex)
-        for d, v in btilde.coeffs.items():
-            if -n < d < n:
-                diffs[d + n - 1] = v
-        dmat_idx = (ks[:, None] - ks[None, :]) + n - 1  # (n, n)
+        diffs = fr._dense_modes(btilde, 1 - n, n - 1)      # (2n - 1, L)
         for start in range(0, len(idxs), chunk):
             sel = idxs[start:start + chunk]
-            P = diffs[:, sel][dmat_idx]            # (n, n, m)
-            M = np.moveaxis(P, 2, 0).copy()        # (m, n, n)
+            P = diffs[:, sel][level.toeplitz]              # (n, n, m)
+            M = np.moveaxis(P, 2, 0).copy()                # (m, n, n)
             M[:, np.arange(n), np.arange(n)] += sdiag[sel]
             sol[sel] = np.linalg.solve(M, rhs[sel][:, :, None])[:, :, 0]
-    coeffs = {}
-    for i, k in enumerate(ks):
-        col = sol[:, i]
-        if np.any(col):
-            coeffs[int(k)] = col.copy()
-    return fr._cleaned(grid, fr.SCALAR, coeffs)
+    return fr._from_dense(grid, fr.SCALAR, np.ascontiguousarray(sol.T), 1 - K)

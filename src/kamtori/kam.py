@@ -61,23 +61,17 @@ class Schedule:
     # shifted bridge accessors ------------------------------------------------
 
     def Q(self, n: int) -> int:
-        idx = n + self.n0
-        if not 0 <= idx < self.bridges.levels:
-            raise DepthError("bridge level %d not available (have %d, n0=%d)"
-                             % (n, self.bridges.levels, self.n0))
-        return self.bridges.Q[idx]
+        return self.bridges.Q[self._bridge(n)]
 
     def Qbar(self, n: int) -> int:
+        return self.bridges.Qbar[self._bridge(n)]
+
+    def _bridge(self, n: int) -> int:
         idx = n + self.n0
         if not 0 <= idx < self.bridges.levels:
             raise DepthError("bridge level %d not available (have %d, n0=%d)"
                              % (n, self.bridges.levels, self.n0))
-        return self.bridges.Qbar[idx]
-
-    @property
-    def max_level(self) -> int:
-        """Largest n for which one full step (needs Qbar(n+1)) is possible."""
-        return self.bridges.levels - self.n0 - 2
+        return idx
 
     # main iterative sequences --------------------------------------------------
 
@@ -252,41 +246,30 @@ class LevelContext:
     weight: WeightFunction
     active: np.ndarray
     Vmat: FourierSeries
-    G: FourierSeries
     rho: FourierSeries
-    B: FourierSeries
     dc: DcSet
+    level: hm.SolverLevel           # B and what the level's solves share
     phase_diag: FourierSeries       # diag(e^{2 pi i lambda}, e^{-2 pi i lambda})
     phase1: FourierSeries
     phase2: FourierSeries
-    e1B: FourierSeries              # exp(2 pi i B)
-    e2B: FourierSeries
-    zeta_base: FourierSeries        # e^{2 pi i lambda} + G
-    zetac_base: FourierSeries
+    zetac_base: FourierSeries       # e^{-2 pi i lambda} + conj G
 
     def ctx(self, r) -> WeightedNormContext:
         return WeightedNormContext(self.weight, float(r), active=self.active)
 
 
-def _level_context(state: KamState, cf, weight, dc: DcSet, active) -> LevelContext:
+def _level_context(state: KamState, cf, weight, dc: DcSet, active,
+                   rho: FourierSeries, level: hm.SolverLevel) -> LevelContext:
     grid = state.lambda_grid
-    G = state.V.entry(0, 0)
-    Gc = state.V.entry(1, 1)
-    if G.is_zero():
-        rho = fr.zeros(grid)
-        B = fr.zeros(grid)
-    else:
-        rho, B, defect = hm.polar_decompose(G)
     p1 = fr.lambda_phase(grid, 1)
     pm1 = fr.lambda_phase(grid, -1)
     z = fr.zeros(grid)
     return LevelContext(
-        grid=grid, cf=cf, weight=weight, active=active, Vmat=state.V, G=G,
-        rho=rho, B=B, dc=dc,
+        grid=grid, cf=cf, weight=weight, active=active, Vmat=state.V,
+        rho=rho, dc=dc, level=level,
         phase_diag=fr.matrix_from_scalars(p1, z, z, pm1),
         phase1=p1, phase2=fr.lambda_phase(grid, 2),
-        e1B=fr.exp_i_scalar(B, 1), e2B=fr.exp_i_scalar(B, 2),
-        zeta_base=p1 + G, zetac_base=pm1 + Gc)
+        zetac_base=pm1 + state.V.entry(1, 1))
 
 
 # -- one sub-iteration --------------------------------------------------------------
@@ -316,13 +299,14 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
     zeta_c = ctx.zetac_base + g1c
 
     # offset equation: (e^{2 pi i lambda} + G + g) delta - delta(.+a) = -u
-    b_delta = fr.multiply(fr.multiply(ctx.rho, ctx.phase1), ctx.e1B) + g1
+    b_delta = fr.multiply(fr.multiply(ctx.rho, ctx.phase1),
+                          ctx.level.exp_B(1)) + g1
     u_delta = sub.U.component(0).scale(-1.0)
     if u_delta.is_zero():
         delta = fr.zeros(grid)
     else:
-        sol1 = hm.solve_homological(ctx.B, b_delta, u_delta, 1, ctx.dc, setup,
-                                    force=force)
+        sol1 = hm.solve_homological(ctx.level.B, b_delta, u_delta, 1, ctx.dc,
+                                    setup, force=force, level=ctx.level)
         delta = sol1.delta
         rows += _tag(sol1.precondition_rows + sol1.rows, "l=1")
     Delta = fr.vector_from_scalars(delta, delta.conj())
@@ -334,11 +318,11 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
     else:
         h = fr.multiply(ctx.phase1, zeta_c) - fr.one(grid)
         recip = fr.multiply(ctx.phase1, fr.inverse_one_plus(h))
-        e4pi = fr.multiply(ctx.phase2, ctx.e2B)
+        e4pi = fr.multiply(ctx.phase2, ctx.level.exp_B(2))
         b_gen = fr.multiply(g1 - fr.multiply(e4pi, g1c), recip)
         w_rhs = fr.multiply(W2_01.scale(-1.0), recip)
-        sol2 = hm.solve_homological(ctx.B, b_gen, w_rhs, 2, ctx.dc, setup,
-                                    force=force)
+        sol2 = hm.solve_homological(ctx.level.B, b_gen, w_rhs, 2, ctx.dc,
+                                    setup, force=force, level=ctx.level)
         dgen = sol2.delta
         rows += _tag(sol2.precondition_rows + sol2.rows, "l=2")
     Dmat = fr.matrix_from_scalars(z, dgen, dgen.conj(), z)
@@ -512,11 +496,10 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
     rows: list = []
 
     G = state.V.entry(0, 0)
-    if G.is_zero():
-        beta = np.zeros(len(grid))
-    else:
-        _, Bpre, _ = hm.polar_decompose(G)
-        beta = np.real(Bpre.average())
+    rho = B = fr.zeros(grid)
+    if not G.is_zero():     # the reconstruction defect is not a row yet
+        rho, B, _ = hm.polar_decompose(G)
+    beta = np.real(B.average())
 
     new_omega, zones, zrows, removed = exclude_resonances(state, sched, n, beta)
     rows += zrows
@@ -530,7 +513,8 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
     rows += hm.certify_small_divisor(dc, sched.Q(n + 1), sched.Qbar(n + 1),
                                      k_max=sched.K(n))
 
-    ctx = _level_context(state_ex, cf, weight, dc, active)
+    level = hm.SolverLevel(B, cf, sched.Qbar(n), sched.K(n), active)
+    ctx = _level_context(state_ex, cf, weight, dc, active, rho, level)
 
     L = sched.L(n)
     if sched.L_uncapped(n) > sched.L_cap:
@@ -681,9 +665,6 @@ class RunSummary:
     exclusion_intervals: list       # (level, lo, hi)
     stopped: str = ""
 
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
 
 def run(spec, sched: Schedule, n_max: int, force: bool = False,
         stop_at_floor: bool = False, residual_floor: float = 1e-13,
@@ -714,14 +695,19 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
     hess0 = fr.hessian_norm_bound(state.R, ctx0, sched.s0)
     rows.append(CheckRow("initial ||d2R||_{r,s} <= 1", 1.0, hess0,
                          hess0 <= 1.0))
-    torus = md.reconstruct_torus(state.factors, spec.lambda_grid, level=0)
-    res0, rrows = md.residual(spec, torus, active=state.active_mask())
-    rows += rrows
+
+    def torus_residual(state):
+        mask = state.active_mask()
+        torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
+                                     level=state.n)
+        res, rrows = md.residual(spec, torus, active=mask)
+        rows.extend(rrows)
+        return float(res[mask].max()) if mask.any() else 0.0
+
     records.append(LevelRecord(
         level=0, r=float(sched.r(0)), eps_target=sched.eps(0),
         U_norm=fr.norm_r(state.U, ctx0), W_norm=fr.norm_r(state.W, ctx0),
-        residual=float(res0[state.active_mask()].max()) if state.active_mask().any() else 0.0,
-        excluded_measure=0.0))
+        residual=torus_residual(state), excluded_measure=0.0))
 
     for n in range(n_max):
         t0 = time.monotonic()
@@ -743,16 +729,10 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
         states.append(state)
         for lo, hi in rep.zones:
             exclusions.append((state.n - 1, lo, hi))
-        mask = state.active_mask()
-        torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
-                                     level=state.n)
-        res, rrows = md.residual(spec, torus, active=mask)
-        rows += rrows
         records.append(LevelRecord(
             level=state.n, r=float(sched.r(state.n)),
             eps_target=sched.eps(state.n), U_norm=rep.U_norm,
-            W_norm=rep.W_norm,
-            residual=float(res[mask].max()) if mask.any() else 0.0,
+            W_norm=rep.W_norm, residual=torus_residual(state),
             excluded_measure=rep.removed_measure, wall_ms=wall_ms))
         if stop_at_floor and records[-1].residual <= residual_floor:
             stopped = "residual floor reached at level %d" % state.n

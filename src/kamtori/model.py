@@ -123,7 +123,6 @@ class ConjugatedSystem:
     U: FourierSeries               # c2vector
     W: FourierSeries               # su11matrix
     R: PowerFourierSeries          # c2vector coefficients, degrees >= 2
-    jet_drop_mass: float           # coefficient mass discarded beyond d_max
     rows: list = field(default_factory=list)
 
 
@@ -163,7 +162,7 @@ def conjugate_to_su11(spec: SkewMapSpec) -> ConjugatedSystem:
 
     rows = [CheckRow("R jet degree<=1 vanishes", 0.0, R.low_degree_mass(),
                      R.low_degree_mass() == 0.0)]
-    return ConjugatedSystem(U=U, W=W, R=R, jet_drop_mass=0.0, rows=rows)
+    return ConjugatedSystem(U=U, W=W, R=R, rows=rows)
 
 
 # -- area preservation ----------------------------------------------------------------

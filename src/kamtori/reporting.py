@@ -22,13 +22,12 @@ class CheckRow:
     gating: bool = True
 
     def as_csv(self) -> str:
-        return "%s,%r,%r,%s,%s" % (
-            self.check,
-            self.bound,
-            self.actual,
-            "pass" if self.passed else "FAIL",
-            self.detail,
-        )
+        # a float subclass (numpy's float64) would print its type name
+        bound, actual = (float(x) if isinstance(x, float) else x
+                         for x in (self.bound, self.actual))
+        return "%s,%r,%r,%s,%s" % (self.check, bound, actual,
+                                   "pass" if self.passed else "FAIL",
+                                   self.detail)
 
 
 def all_passed(rows, gating_only: bool = True) -> bool:

@@ -205,7 +205,3 @@ def check_h2_monotone(w: WeightFunction, grid) -> CheckRow:
         passed=bool(worst >= -1e-12),
         detail="%s(%g) grid[%g..%g]" % (w.family, w.param, arr[0], arr[-1]),
     )
-
-
-def weight_from_config(family: str, param: float = 0.0) -> WeightFunction:
-    return WeightFunction(family=family, param=param)

@@ -184,3 +184,19 @@ def test_phase_accuracy_large_k():
 def test_expand_requires_precision():
     with pytest.raises(ValueError):
         cfr.expand("0.618", max_depth=5, prec_bits=128)
+
+
+@pytest.mark.parametrize("cf", [
+    cfr.golden_mean(),
+    cfr.from_quotients([2 ** (2**k) for k in range(1, 8)], prec_bits=1024,
+                       pad_to=90),   # liouville_doubleexp
+], ids=["golden", "liouville_doubleexp"])
+def test_frac_k_memo_matches_fresh_mpmath(cf):
+    for k in range(-300, 301):
+        first = cf.frac_k(k)
+        with mpmath.workprec(cf.prec_bits):
+            v = mpmath.frac(cf.alpha * k)
+            if v < 0:
+                v += 1
+        assert k in cf._frac_cache
+        assert first == cf.frac_k(k) == float(v)

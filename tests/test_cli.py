@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
+import pytest
 
 from kamtori import cli
 from kamtori import fourier as fr
+from kamtori.reporting import CheckRow
 
 
 def run_cli(args):
@@ -154,3 +157,47 @@ def test_exhaustion_exit_code(tmp_path, capsys):
                     "--out", str(tmp_path / "o")])
     assert code == 1
     assert "exhausted" in capsys.readouterr().err
+
+
+def test_exit_code_follows_gating_rows():
+    soft = CheckRow("diagnostic", 1.0, 2.0, False, gating=False)
+    hard = CheckRow("bound", 1.0, 2.0, False)
+    assert cli._exit_from_rows([soft]) == cli.EXIT_OK
+    assert cli._exit_from_rows([soft, hard]) == cli.EXIT_CERT
+
+
+def test_removed_seed_options(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["kam-run", "--seed", "1"])
+    with pytest.raises(SystemExit):
+        run_cli(["verify", "--config", "cfg.json"])
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"run.seed": 0}))
+    assert run_cli(["kam-run", "--config", str(cfgfile),
+                    "--out", str(tmp_path)]) == 2
+    assert "run.seed" in capsys.readouterr().err
+
+
+ROW_RE = re.compile(r"^(.*),([^,]*),([^,]*),(pass|FAIL),(.*)$")
+
+
+def test_kam_run_csv_cells_are_numbers(tmp_path):
+    # the generating preset gives a nonzero DC shift, so the shifted
+    # resonance zones reach exclusions.csv and summary.csv
+    cfg = dict(TINY, **{"model.preset": "generating", "run.force": True})
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    run_cli(["kam-run", "--config", str(cfgfile), "--out", str(out)])
+    for name in ("summary.csv", "timings.csv", "exclusions.csv",
+                 "torus_K.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) > 1
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)
+    lines = (out / "certification.csv").read_text().splitlines()
+    for line in lines[1:]:
+        _, bound, actual, _, _ = ROW_RE.match(line).groups()
+        float(bound)
+        float(actual)

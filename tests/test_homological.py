@@ -7,7 +7,7 @@ from kamtori import cfrac as cfr
 from kamtori import fourier as fr
 from kamtori import homological as hm
 from kamtori.fourier import WeightedNormContext
-from kamtori.weights import WeightFunction
+from kamtori.weights import WeightFunction, eval_lambda
 
 GRID = np.linspace(0.25, 0.75, 9)
 THETAS = np.arange(4096) / 4096.0
@@ -146,6 +146,40 @@ def test_small_divisor_k0_vacuous_at_l1():
     assert np.abs(np.exp(2j * np.pi * om) - 1).min() > 1.0
 
 
+def divisor_rows_oracle(dc, k_max):
+    # the DC margin and the small-divisor minimum as loops over k and l
+    om = dc.omega()[dc.active_mask()]
+    worst_dc, where_dc, worst_sd, where_sd = math.inf, "", math.inf, ""
+    for k in range(0, k_max + 1):
+        t = dc.cf.frac_k(k) if k else 0.0
+        for sk, tt in ((k, t), (-k, -t)) if k else ((0, 0.0),):
+            for l in (1, 2):
+                d = l * om - tt
+                need = dc.gamma / (abs(sk) + l) ** dc.tau
+                margin = float((np.abs(d - np.round(d)) - need).min())
+                if margin < worst_dc:
+                    worst_dc, where_dc = margin, "k=%d l=%d" % (sk, l)
+                m = float(np.abs(np.exp(2j * np.pi * d) - 1.0).min())
+                if m < worst_sd:
+                    worst_sd, where_sd = m, "k=%d l=%d" % (sk, l)
+    return (-worst_dc, where_dc), (worst_sd, where_sd)
+
+
+@pytest.mark.parametrize("cf", [
+    GM, cfr.from_quotients([2 ** (2**k) for k in range(1, 8)], prec_bits=1024,
+                           pad_to=90)], ids=["golden", "liouville_doubleexp"])
+@pytest.mark.parametrize("tau", [2.0, 1.7])
+def test_divisor_table_rows_match_loops(cf, tau):
+    lgrid = np.linspace(0.25, 0.75, 101)
+    shift = 0.004 * np.sin(7 * lgrid)
+    dc = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, shift=shift)
+    dc_row = dc.certify()[0]
+    sd_row = hm.certify_small_divisor(dc, 987, 1597, k_max=30)[0]
+    assert (dc_row.actual, dc_row.detail) == divisor_rows_oracle(dc, 40)[0]
+    assert (sd_row.actual, sd_row.detail.split(" case")[0]) == \
+        divisor_rows_oracle(dc, 30)[1]
+
+
 # -- truncation tails ---------------------------------------------------------------
 
 
@@ -263,7 +297,7 @@ def test_solver_diagonal_division_oracle():
         expect = u.coeff(k) / (np.exp(2j * np.pi * GRID) - GM.phase(k))
         assert np.allclose(v[act], expect[act], rtol=1e-12)
     assert res.delta_er.is_zero()
-    assert res.all_passed()
+    assert all(r.passed for r in res.rows)
 
 
 def test_solver_zero_rhs():
@@ -376,3 +410,85 @@ def test_solver_conditioning_error():
     rows = hm._preconditions(fr.zeros(GRID), b, dc, setup)
     with pytest.raises((hm.ConditioningError, hm.PreconditionError)):
         hm.solve_homological(fr.zeros(GRID), b, u, 2, dc, setup)
+
+
+# -- the per-level solver object ----------------------------------------------------------
+
+
+def conditioning_oracle(btilde, lam_t, l, cf, setup):
+    # the measured norms as one double loop over (k1, k2)
+    K = setup.K
+    grid = btilde.lambda_grid
+    mask = setup.active
+    om = lam_t[mask]
+    davg = 0.0
+    if mask.sum() >= 2:
+        davg = float(np.abs(np.gradient(lam_t[mask], grid[mask]) - 1.0).max())
+    s_inv = 0.0
+    for k in range(-K + 1, K):
+        small = np.abs(np.exp(2j * np.pi * (l * om)) - cf.phase(k))
+        val = (1.0 / small + 2 * math.pi * l * (1.0 + davg) / small**2).max()
+        s_inv = max(s_inv, float(val))
+    ctx = setup.ctx(setup.r_tilde)
+    c_O = {d: fr._coeff_O(v, grid, ctx) for d, v in btilde.coeffs.items()}
+    lw = {k: eval_lambda(setup.weight, 2 * math.pi * k * setup.r_tilde)
+          for k in range(K)}
+    pe = 0.0
+    for k1 in range(-K + 1, K):
+        tot = 0.0
+        for k2 in range(-K + 1, K):
+            c = c_O.get(k1 - k2)
+            if c:
+                tot += c * math.exp(min(lw[abs(k1)] - lw[abs(k2)], 700.0))
+        pe = max(pe, tot)
+    return s_inv, pe
+
+
+@pytest.mark.parametrize("K", [12, 40])
+@pytest.mark.parametrize("weight", [ANALYTIC, WeightFunction("gevrey", 0.5)],
+                         ids=["analytic", "gevrey"])
+def test_conditioning_matches_double_loop(K, weight):
+    rng = np.random.default_rng(60 + K)
+    grid = np.linspace(0.25, 0.75, 33)
+    B = rand_scalar(rng, 5, scale=0.002, real=True, grid=grid)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid,
+                              shift=np.real(B.average()))
+    act = dc.active_mask()
+    assert act.sum() >= 2
+    setup = hm.SolveSetup(cf=GM, weight=weight, gamma=0.01, tau=2.0,
+                          q_next=89, qbar_n=8, qbar_next=144, K=K, r_b=0.05,
+                          r_tilde=0.005, sigma=0.001, r0=0.5, eps0=1e-6,
+                          active=act)
+    level = hm.SolverLevel(B, GM, 8, K, act)
+    for l in (1, 2):
+        b = rand_scalar(rng, 4, scale=1e-3, grid=grid)
+        u = rand_scalar(rng, K - 1, scale=1e-2, grid=grid)
+        res = hm.solve_homological(B, b, u, l, dc, setup, force=True,
+                                   level=level)
+        s_inv, pe = hm._conditioning(res.btilde, level, l, setup)
+        s_ref, pe_ref = conditioning_oracle(res.btilde, level.lam_t, l, GM,
+                                            setup)
+        assert s_inv == s_ref
+        assert pe == pytest.approx(pe_ref, rel=1e-12, abs=0)
+
+
+def test_solver_level_refuses_other_inputs():
+    rng = np.random.default_rng(61)
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    act = dc.active_mask()
+    setup = make_setup(active=act)
+    B = rand_scalar(rng, 5, scale=0.002, real=True)
+    b = rand_scalar(rng, 4, scale=1e-3)
+    u = rand_scalar(rng, 8, scale=1e-2)
+    level = hm.SolverLevel(B, GM, setup.qbar_n, setup.K, act)
+    hm.solve_homological(B, b, u, 2, dc, setup, force=True, level=level)
+    with pytest.raises(ValueError):      # another B
+        hm.solve_homological(B.scale(0.5), b, u, 2, dc, setup, force=True,
+                             level=level)
+    with pytest.raises(ValueError):      # another K
+        hm.solve_homological(B, b, u, 2, dc, make_setup(K=11, active=act),
+                             force=True, level=level)
+    only_l1 = hm.SolverLevel(B, GM, setup.qbar_n, setup.K, act, ls=(1,))
+    with pytest.raises(ValueError):      # another l
+        hm.solve_homological(B, b, u, 2, dc, setup, force=True,
+                             level=only_l1)

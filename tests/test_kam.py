@@ -162,15 +162,21 @@ def _blank_state(grid):
                              grid)
 
 
-def _level_pieces(grid, gamma=0.05, K=12):
-    dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid)
+def _level_pieces(grid, gamma=0.05, K=12, state=None):
+    state = _blank_state(grid) if state is None else state
+    G = state.V.entry(0, 0)
+    rho = B = fr.zeros(grid)
+    if not G.is_zero():
+        rho, B, _ = hm.polar_decompose(G)
+    dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid,
+                              shift=np.real(B.average()))
     act = dc.active_mask()
-    state = _blank_state(grid)
-    ctx = kam._level_context(state, GM, ANALYTIC, dc, act)
     setup = hm.SolveSetup(cf=GM, weight=ANALYTIC, gamma=gamma, tau=2.0,
                           q_next=89, qbar_n=8, qbar_next=144, K=K,
                           r_b=0.05, r_tilde=0.01, sigma=0.002, r0=0.5,
                           eps0=1e-6, active=act)
+    level = hm.SolverLevel(B, GM, setup.qbar_n, K, act)
+    ctx = kam._level_context(state, GM, ANALYTIC, dc, act, rho, level)
     return dc, act, ctx, setup
 
 
@@ -388,3 +394,51 @@ def test_norm_monotone_in_width():
     vals = [fr.norm_r(f, fr.WeightedNormContext(ANALYTIC, r))
             for r in (0.01, 0.05, 0.1, 0.3)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def _same_series(a, b):
+    return a.coeffs.keys() == b.coeffs.keys() and all(
+        np.array_equal(v, b.coeffs[k]) for k, v in a.coeffs.items())
+
+
+def test_shared_solver_level_is_bit_identical(monkeypatch):
+    # a level with a nonzero polar angle B, two sub-steps: every solve with
+    # the level's shared object gives the same bits as a solve that builds
+    # its own
+    rng = np.random.default_rng(55)
+    grid = np.linspace(0.25, 0.75, 9)
+
+    def rando(support, scale):
+        return fr.from_modes(grid, fr.SCALAR, {
+            k: scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            for k in range(-support, support + 1)})
+
+    G = rando(3, 1e-3)
+    z = fr.zeros(grid)
+    state = _blank_state(grid)
+    state.V = fr.matrix_from_scalars(G, z, z, G.conj())
+    dc, act, ctx, setup = _level_pieces(grid, state=state)
+    assert not ctx.level.B.is_zero()
+    U = fr.conjugate_pair(rando(6, 1e-8))
+    w1, w2 = rando(4, 1e-4), rando(4, 1e-4)
+    W = fr.matrix_from_scalars(w1, w2, w2.conj(), w1.conj())
+    R = fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {})
+    start = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX), U, W, R)
+
+    def two_steps():
+        sub, out = start, []
+        for r_j, r_j1 in ((0.01, 0.008), (0.008, 0.006)):
+            sub, E, Delta, rows = kam.sub_iteration_step(
+                ctx, sub, setup, 3e-8, r_j, r_j1, 0.5, 1.0, force=True)
+            out.append((E, Delta, rows))
+        return out
+
+    shared = two_steps()
+    solve = hm.solve_homological
+    monkeypatch.setattr(hm, "solve_homological",
+                        lambda *args, level, **kw: solve(*args, **kw))
+    fresh = two_steps()
+    for (E1, D1, rows1), (E2, D2, rows2) in zip(shared, fresh):
+        assert _same_series(E1, E2) and _same_series(D1, D2)
+        assert rows1 == rows2
+    assert "bcal" in vars(ctx.level)      # the level solved its B-equation
