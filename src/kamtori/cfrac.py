@@ -74,11 +74,12 @@ class ContinuedFraction:
 
     def phase(self, k: int) -> complex:
         """exp(2 pi i k alpha), accurate to double precision for any k."""
-        if k not in self._phase_cache:
+        c = self._phase_cache.get(k)
+        if c is None:
             t = self.frac_k(k)
-            self._phase_cache[k] = complex(math.cos(2 * math.pi * t),
-                                           math.sin(2 * math.pi * t))
-        return self._phase_cache[k]
+            c = complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+            self._phase_cache[k] = c
+        return c
 
 
 def expand(alpha, max_depth: int = 64, tol: float = 1e-60,

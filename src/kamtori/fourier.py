@@ -342,34 +342,44 @@ def _from_dense(grid, kind: str, arr: np.ndarray, kmin: int) -> FourierSeries:
 
 def real_defect(s: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation from f(theta) real, i.e. f_{-k} = conj(f_k)."""
-    return _mirror_defect(s, active, [((), ())])
+    worst = 0.0
+    for k in set(s.coeffs) | {-k for k in s.coeffs}:
+        d = np.abs(s.coeff(-k) - np.conj(s.coeff(k)))
+        if active is not None:
+            d = d[active]
+        if d.size:
+            worst = max(worst, float(d.max()))
+    return worst
 
 
 def c2_pair_defect(v: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation of component 2 from the conjugate of component 1."""
     if v.kind != C2VECTOR:
         raise KindMismatch("c2_pair_defect needs a vector series")
-    return _mirror_defect(v, active, [((1,), (0,))])
+    worst = 0.0
+    for k in set(v.coeffs) | {-k for k in v.coeffs}:
+        d = np.abs(v.coeff(k)[:, 1] - np.conj(v.coeff(-k)[:, 0]))
+        if active is not None:
+            d = d[active]
+        if d.size:
+            worst = max(worst, float(d.max()))
+    return worst
 
 
 def su11_defect(w: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation from the [[a, b], [conj b, conj a]] pattern."""
     if w.kind != SU11MATRIX:
         raise KindMismatch("su11_defect needs a matrix series")
-    return _mirror_defect(w, active, [((1, 1), (0, 0)), ((1, 0), (0, 1))])
-
-
-def _mirror_defect(s: FourierSeries, active, pairs) -> float:
-    """Max over k, active lambda and entry pairs (i, j) of
-    |(f_k)_i - conj((f_{-k})_j)|."""
     worst = 0.0
-    for k in set(s.coeffs) | {-k for k in s.coeffs}:
-        c, cr = s.coeff(k), np.conj(s.coeff(-k))
-        for i, j in pairs:
-            d = np.abs(c[(slice(None),) + i] - cr[(slice(None),) + j])
-            d = d if active is None else d[active]
-            if d.size:
-                worst = max(worst, float(d.max()))
+    for k in set(w.coeffs) | {-k for k in w.coeffs}:
+        c = w.coeff(k)
+        cr = np.conj(w.coeff(-k))
+        d1 = np.abs(c[:, 1, 1] - cr[:, 0, 0])
+        d2 = np.abs(c[:, 1, 0] - cr[:, 0, 1])
+        if active is not None:
+            d1, d2 = d1[active], d2[active]
+        if d1.size:
+            worst = max(worst, float(d1.max()), float(d2.max()))
     return worst
 
 
@@ -403,7 +413,19 @@ class WeightedNormContext:
 
 def _coeff_O(v: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> float:
     """sup over active lambda of (|entry| + |d/dlambda entry|), max over entries."""
-    return float(_modes_O(v[None], grid, ctx)[0])
+    if ctx.active is not None:
+        v = v[ctx.active]
+        grid = grid[ctx.active]
+    if v.size == 0:
+        return 0.0
+    mag = np.abs(v)
+    if ctx.include_lambda_derivative and len(grid) >= 2:
+        if ctx.h is not None:
+            dv = np.gradient(v, ctx.h, axis=0)
+        else:
+            dv = np.gradient(v, grid, axis=0)
+        mag = mag + np.abs(dv)
+    return float(mag.max())
 
 
 def _modes_O(a: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> np.ndarray:

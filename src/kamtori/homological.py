@@ -35,6 +35,7 @@ from .reporting import CheckRow
 from .weights import WeightFunction, _ln_big, eval_gamma, eval_lambda
 
 LAMBDA_DOMAIN = (0.25, 0.75)
+_LS = (1, 2)        # the two l of the equations: e^{2 pi i l (lambda + B)}
 
 
 class PreconditionError(RuntimeError):
@@ -114,8 +115,7 @@ class IntervalUnion:
 def resonance_zones(cf: ContinuedFraction, gamma: float, tau: float,
                     k_values: Iterable[int], domain: IntervalUnion,
                     lambda_grid: Optional[np.ndarray] = None,
-                    shift: Optional[np.ndarray] = None,
-                    ls=(1, 2)) -> tuple:
+                    shift: Optional[np.ndarray] = None) -> tuple:
     """Zones where ||l (lambda + beta(lambda)) - k alpha|| < gamma/(|k|+l)^tau.
 
     k = 0 participates: the truncated system's zeroth divisor is
@@ -141,7 +141,7 @@ def resonance_zones(cf: ContinuedFraction, gamma: float, tau: float,
             max_dbeta = float(np.abs(np.gradient(shift, lambda_grid)).max())
     for k in k_values:
         t = cf.frac_k(k) if k > 0 else (-cf.frac_k(-k) if k else 0.0)
-        for l in ls:
+        for l in _LS:
             slope_lb = l * (1.0 - max_dbeta) if use_shift else float(l)
             if slope_lb < 0.5:
                 rows.append(CheckRow("resonance slope >= 1/2", 0.5, slope_lb,
@@ -175,8 +175,6 @@ def resonance_zones(cf: ContinuedFraction, gamma: float, tau: float,
 # -- Diophantine sets --------------------------------------------------------------
 
 
-_LS = (1, 2)
-
 
 @dataclass
 class DcSet:
@@ -190,6 +188,7 @@ class DcSet:
     intervals: IntervalUnion
     lambda_grid: np.ndarray
     shift: np.ndarray  # [B]_theta per grid point (zeros when B = 0)
+    _table: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def active_mask(self) -> np.ndarray:
         return self.intervals.contains(self.lambda_grid)
@@ -200,19 +199,22 @@ class DcSet:
     def divisors(self, k_max: int) -> tuple:
         """The divisor table at the active points: ks = 0, 1, -1, ...,
         k_max, -k_max, d[i, l-1] = l Omega - ks[i] alpha and
-        pw[i, l-1] = (|ks[i]| + l)^tau for l = 1, 2."""
+        pw[i, l-1] = (|ks[i]| + l)^tau for l = 1, 2.  Built once for the
+        largest k_max asked; smaller tables are its leading rows."""
         n = 2 * k_max + 1
-        ks = (np.arange(n) + 1) // 2 * np.where(np.arange(n) % 2, 1, -1)
-        t = np.array([self.cf.frac_k(abs(k)) for k in ks.tolist()])
-        pw = np.array([[(abs(k) + l) ** self.tau for l in _LS]
-                       for k in ks.tolist()])
-        d = np.array(_LS)[:, None] * self.omega()[self.active_mask()] \
-            - (t * np.sign(ks))[:, None, None]
-        return ks, d, pw
+        if self._table is None or len(self._table[0]) < n:
+            ks = (np.arange(n) + 1) // 2 * np.where(np.arange(n) % 2, 1, -1)
+            t = np.array([self.cf.frac_k(abs(k)) for k in ks.tolist()])
+            pw = np.array([[(abs(k) + l) ** self.tau for l in _LS]
+                           for k in ks.tolist()])
+            d = np.array(_LS)[:, None] * self.omega()[self.active_mask()] \
+                - (t * np.sign(ks))[:, None, None]
+            self._table = ks, d, pw
+        return tuple(a[:n] for a in self._table)
 
-    def certify(self, k_max: Optional[int] = None) -> list:
+    def certify(self) -> list:
         """Sampled certification at every active grid point (k = 0 included)."""
-        ks, d, pw = self.divisors(self.K if k_max is None else k_max)
+        ks, d, pw = self.divisors(self.K)
         dist = np.abs(d - np.round(d))
         worst, where = _first_min(dist - (self.gamma / pw)[:, :, None], ks)
         return [CheckRow("DC certification margin", 0.0,
@@ -471,8 +473,8 @@ class SolverLevel:
     first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l)."""
 
     def __init__(self, B: FourierSeries, cf: ContinuedFraction, qbar_n: int,
-                 K: int, active: Optional[np.ndarray] = None, ls=(1, 2)):
-        self.B, self.cf, self.qbar_n, self.K, self.ls = B, cf, qbar_n, K, ls
+                 K: int, active: Optional[np.ndarray] = None):
+        self.B, self.cf, self.qbar_n, self.K = B, cf, qbar_n, K
         self.grid = B.lambda_grid
         self.active = _mask(active, len(self.grid))
         self.lam_t = self.grid + np.real(B.average())
@@ -482,12 +484,12 @@ class SolverLevel:
         self._exp_B: dict = {}
         self._terms: dict = {}
 
-    def check(self, B: FourierSeries, l: int, setup: SolveSetup) -> None:
-        if not (l in self.ls and setup.cf is self.cf and setup.K == self.K
+    def check(self, B: FourierSeries, setup: SolveSetup) -> None:
+        if not (setup.cf is self.cf and setup.K == self.K
                 and setup.qbar_n == self.qbar_n
                 and B is self.B and np.array_equal(
                     _mask(setup.active, len(self.grid)), self.active)):
-            raise ValueError("level built for another B, l, K, qbar_n or mask")
+            raise ValueError("level built for another B, K, qbar_n or mask")
 
     @functools.cached_property
     def bcal(self) -> FourierSeries:
@@ -562,11 +564,11 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
         e^{2 pi i l (lambda + B)} delta + b delta - delta(theta+alpha) = u
     per the two-step pipeline; returns delta, the error term and every
     certified bound.  Without a SolverLevel one is built for this call."""
-    if l not in (1, 2):
+    if l not in _LS:
         raise ValueError("l must be 1 or 2")
     if level is None:
         level = SolverLevel(B, setup.cf, setup.qbar_n, setup.K, setup.active)
-    level.check(B, l, setup)
+    level.check(B, setup)
     cf = setup.cf
     pre = _preconditions(B, b, dc, setup)
     if not all(r.passed for r in pre) and not force:

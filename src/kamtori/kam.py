@@ -695,19 +695,14 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
     hess0 = fr.hessian_norm_bound(state.R, ctx0, sched.s0)
     rows.append(CheckRow("initial ||d2R||_{r,s} <= 1", 1.0, hess0,
                          hess0 <= 1.0))
-
-    def torus_residual(state):
-        mask = state.active_mask()
-        torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
-                                     level=state.n)
-        res, rrows = md.residual(spec, torus, active=mask)
-        rows.extend(rrows)
-        return float(res[mask].max()) if mask.any() else 0.0
-
+    torus = md.reconstruct_torus(state.factors, spec.lambda_grid, level=0)
+    res0, rrows = md.residual(spec, torus, active=state.active_mask())
+    rows += rrows
     records.append(LevelRecord(
         level=0, r=float(sched.r(0)), eps_target=sched.eps(0),
         U_norm=fr.norm_r(state.U, ctx0), W_norm=fr.norm_r(state.W, ctx0),
-        residual=torus_residual(state), excluded_measure=0.0))
+        residual=float(res0[state.active_mask()].max()) if state.active_mask().any() else 0.0,
+        excluded_measure=0.0))
 
     for n in range(n_max):
         t0 = time.monotonic()
@@ -729,10 +724,16 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
         states.append(state)
         for lo, hi in rep.zones:
             exclusions.append((state.n - 1, lo, hi))
+        mask = state.active_mask()
+        torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
+                                     level=state.n)
+        res, rrows = md.residual(spec, torus, active=mask)
+        rows += rrows
         records.append(LevelRecord(
             level=state.n, r=float(sched.r(state.n)),
             eps_target=sched.eps(state.n), U_norm=rep.U_norm,
-            W_norm=rep.W_norm, residual=torus_residual(state),
+            W_norm=rep.W_norm,
+            residual=float(res[mask].max()) if mask.any() else 0.0,
             excluded_measure=rep.removed_measure, wall_ms=wall_ms))
         if stop_at_floor and records[-1].residual <= residual_floor:
             stopped = "residual floor reached at level %d" % state.n

@@ -180,7 +180,9 @@ def cfrac_suite(seed: int = 0) -> list:
         approx = cfr.alpha_as_fraction(cf, min(40, cf.depth))
         oracle = _euclid_cf(approx, 21)
         match = all(oracle[k] == cf.a[k] for k in range(1, 21))
-        qs = [1, cf.a[1]]
+        qs_ok = True
+        q0, q1 = 1, cf.a[1]
+        qs = [q0, q1]
         for k in range(2, 21):
             qs.append(cf.a[k] * qs[-1] + qs[-2])
         qs_ok = qs == cf.q[:21]

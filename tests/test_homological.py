@@ -178,6 +178,10 @@ def test_divisor_table_rows_match_loops(cf, tau):
     assert (dc_row.actual, dc_row.detail) == divisor_rows_oracle(dc, 40)[0]
     assert (sd_row.actual, sd_row.detail.split(" case")[0]) == \
         divisor_rows_oracle(dc, 30)[1]
+    # the other order: the k_max = 30 table is built first, then grown to K
+    fresh = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, shift=shift)
+    assert hm.certify_small_divisor(fresh, 987, 1597, k_max=30) == [sd_row]
+    assert fresh.certify() == [dc_row]
 
 
 # -- truncation tails ---------------------------------------------------------------
@@ -488,7 +492,5 @@ def test_solver_level_refuses_other_inputs():
     with pytest.raises(ValueError):      # another K
         hm.solve_homological(B, b, u, 2, dc, make_setup(K=11, active=act),
                              force=True, level=level)
-    only_l1 = hm.SolverLevel(B, GM, setup.qbar_n, setup.K, act, ls=(1,))
-    with pytest.raises(ValueError):      # another l
-        hm.solve_homological(B, b, u, 2, dc, setup, force=True,
-                             level=only_l1)
+    with pytest.raises(ValueError, match="l must be 1 or 2"):
+        hm.solve_homological(B, b, u, 3, dc, setup, force=True, level=level)
