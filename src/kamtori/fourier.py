@@ -1,24 +1,31 @@
 """Finite Fourier series over the circle with tabulated parameter dependence.
 
-A series holds a finite map mode -> coefficient, where each coefficient is
-tabulated on an ascending lambda-grid.  Three value kinds share the same
-container: scalars, 2-vectors (conjugate pairs (v, vbar)) and 2x2 matrices
-with the [[a, b], [conj b, conj a]] block pattern.  The kind is a shape tag;
-the structural claims are checked where the scheme requires them, not
+A series is stored as two arrays: `modes`, the sorted integer modes it
+holds, and `data`, one C-contiguous complex array of shape
+(len(modes), L) + comp shape whose row i is the coefficient of mode
+modes[i] tabulated on an ascending lambda-grid of L points.  Every
+operation reads and writes these two arrays; `coeffs` is a read-only
+{k: row} view built on access.  Three value kinds share the store: scalars,
+2-vectors (conjugate pairs (v, vbar)) and 2x2 matrices with the
+[[a, b], [conj b, conj a]] block pattern.  The kind is a shape tag; the
+structural claims are checked where the scheme requires them, not
 enforced by construction.
 
 Weighted norms sum |f_k|_O * exp(L(2 pi |k| r)) where |.|_O is the sup over
 the (active part of the) lambda-grid of value plus central-difference
-lambda-derivative, reduced over vector/matrix entries by maximum.
+lambda-derivative, reduced over vector/matrix entries by maximum.  Norms,
+sup bounds and theta-evaluations sum over the modes in ascending order.
 
-After every algebra operation coefficients below DROP_REL times the largest
-coefficient are removed, which keeps supports finite across the iteration.
+After every algebra operation the rows below DROP_REL times the largest
+coefficient, and the rows that are exactly zero, are removed, which keeps
+supports finite across the iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -43,11 +50,18 @@ class PowerSeriesDiverged(ArithmeticError):
     """The 64-term cap was hit; inputs in the scheme are always small."""
 
 
+def _row_shape(grid: np.ndarray, kind: str) -> tuple:
+    if kind not in _COMP_SHAPE:
+        raise KindMismatch("unknown kind %r" % (kind,))
+    return (len(grid),) + _COMP_SHAPE[kind]
+
+
 @dataclass(frozen=True, eq=False)
 class FourierSeries:
     lambda_grid: np.ndarray
     kind: str
-    coeffs: dict  # int k -> complex ndarray of shape (L,) + comp shape
+    modes: np.ndarray   # sorted distinct int64 modes
+    data: np.ndarray    # complex (len(modes), L) + comp shape; row i: modes[i]
 
     def __post_init__(self):
         if self.kind not in _COMP_SHAPE:
@@ -56,36 +70,54 @@ class FourierSeries:
     # -- basic queries --------------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """Read-only {k: coefficient row} view of the store."""
+        rows = self.data.view()
+        rows.flags.writeable = False
+        return dict(zip(self.modes.tolist(), rows))
+
+    @property
     def nlambda(self) -> int:
         return len(self.lambda_grid)
 
     @property
     def support(self) -> list:
-        return sorted(self.coeffs)
+        return self.modes.tolist()
 
     @property
     def max_mode(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
+        if self.is_zero():
+            return 0
+        return int(max(-self.modes[0], self.modes[-1]))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.modes) == 0
 
     def coeff(self, k: int) -> np.ndarray:
-        shape = (self.nlambda,) + _COMP_SHAPE[self.kind]
-        v = self.coeffs.get(k)
-        return v.copy() if v is not None else np.zeros(shape, complex)
+        i = int(np.searchsorted(self.modes, k))
+        if i < len(self.modes) and self.modes[i] == k:
+            return self.data[i].copy()
+        return np.zeros(self.data.shape[1:], complex)
+
+    def _rows(self, keep: np.ndarray) -> "FourierSeries":
+        return FourierSeries(self.lambda_grid, self.kind, self.modes[keep],
+                             self.data[keep])
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._compat(other)
-        out = {k: v.copy() for k, v in self.coeffs.items()}
-        for k, v in other.coeffs.items():
-            if k in out:
-                out[k] = out[k] + v
-            else:
-                out[k] = v.copy()
-        return _cleaned(self.lambda_grid, self.kind, out)
+        if np.array_equal(self.modes, other.modes):
+            return _cleaned(self.lambda_grid, self.kind, self.modes,
+                            self.data + other.data)
+        modes = np.union1d(self.modes, other.modes)
+        data = np.zeros((len(modes),) + self.data.shape[1:], complex)
+        data[np.searchsorted(modes, self.modes)] = self.data
+        at = np.searchsorted(modes, other.modes)
+        both = np.isin(other.modes, self.modes)
+        data[at[both]] += other.data[both]
+        data[at[~both]] = other.data[~both]
+        return _cleaned(self.lambda_grid, self.kind, modes, data)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + other.scale(-1.0)
@@ -98,32 +130,30 @@ class FourierSeries:
         f = np.asarray(factor)
         if f.ndim == 1:
             f = f.reshape((self.nlambda,) + (1,) * len(_COMP_SHAPE[self.kind]))
-        out = {k: v * f for k, v in self.coeffs.items()}
-        return _cleaned(self.lambda_grid, self.kind, out)
+        return _cleaned(self.lambda_grid, self.kind, self.modes, self.data * f)
 
     def shift(self, phase: Callable[[int], complex]) -> "FourierSeries":
         """theta -> theta + alpha on coefficients: f_k *= exp(2 pi i k alpha)."""
-        out = {k: v * phase(k) for k, v in self.coeffs.items()}
-        return _cleaned(self.lambda_grid, self.kind, out)
+        p = np.array([phase(k) for k in self.modes.tolist()], complex)
+        p = p.reshape((-1,) + (1,) * (self.data.ndim - 1))
+        return _cleaned(self.lambda_grid, self.kind, self.modes, self.data * p)
 
     def conj(self) -> "FourierSeries":
         """Series of theta -> conj(f(theta)) for real theta."""
-        out = {-k: np.conj(v) for k, v in self.coeffs.items()}
-        return FourierSeries(self.lambda_grid, self.kind, out)
+        return FourierSeries(self.lambda_grid, self.kind, -self.modes[::-1],
+                             np.conj(self.data[::-1]))
 
     def truncate(self, K: int) -> "FourierSeries":
         """Keep modes |k| < K."""
         if K < 1:
             raise ValueError("K must be at least 1")
-        out = {k: v.copy() for k, v in self.coeffs.items() if abs(k) < K}
-        return FourierSeries(self.lambda_grid, self.kind, out)
+        return self._rows(np.abs(self.modes) < K)
 
     def project_tail(self, K: int) -> "FourierSeries":
         """Keep modes |k| >= K; truncate + project_tail partitions exactly."""
         if K < 1:
             raise ValueError("K must be at least 1")
-        out = {k: v.copy() for k, v in self.coeffs.items() if abs(k) >= K}
-        return FourierSeries(self.lambda_grid, self.kind, out)
+        return self._rows(np.abs(self.modes) >= K)
 
     def average(self) -> np.ndarray:
         """f_0 per lambda-grid point."""
@@ -132,32 +162,30 @@ class FourierSeries:
     def component(self, i: int) -> "FourierSeries":
         if self.kind != C2VECTOR:
             raise KindMismatch("component() needs a vector series")
-        return _cleaned(self.lambda_grid, SCALAR,
-                        {k: v[:, i].copy() for k, v in self.coeffs.items()})
+        return _cleaned(self.lambda_grid, SCALAR, self.modes,
+                        np.ascontiguousarray(self.data[:, :, i]))
 
     def entry(self, i: int, j: int) -> "FourierSeries":
         if self.kind != SU11MATRIX:
             raise KindMismatch("entry() needs a matrix series")
-        return _cleaned(self.lambda_grid, SCALAR,
-                        {k: v[:, i, j].copy() for k, v in self.coeffs.items()})
+        return _cleaned(self.lambda_grid, SCALAR, self.modes,
+                        np.ascontiguousarray(self.data[:, :, i, j]))
 
     def eval_theta(self, thetas) -> np.ndarray:
         """Values on a theta-grid: shape (T, L) + comp shape."""
         t = np.asarray(thetas, dtype=float)
-        shape = (len(t), self.nlambda) + _COMP_SHAPE[self.kind]
-        out = np.zeros(shape, complex)
-        for k, v in self.coeffs.items():
+        out = np.zeros((len(t),) + self.data.shape[1:], complex)
+        for k, v in zip(self.modes.tolist(), self.data):
             e = np.exp(2j * np.pi * k * t)
             out += e.reshape((len(t),) + (1,) * (v.ndim)) * v[None, ...]
         return out
 
     def sup_bound(self, active: Optional[np.ndarray] = None) -> float:
         """sum_k max|f_k|: an upper bound for the sup over theta."""
-        tot = 0.0
-        for v in self.coeffs.values():
-            vv = v if active is None else v[active]
-            tot += float(np.abs(vv).max()) if vv.size else 0.0
-        return tot
+        d = self.data if active is None else self.data[:, active]
+        if d.size == 0:
+            return 0.0
+        return sum(np.abs(d).reshape(len(d), -1).max(axis=1).tolist(), 0.0)
 
     def _compat(self, other: "FourierSeries"):
         if self.kind != other.kind:
@@ -171,13 +199,15 @@ class FourierSeries:
 
 
 def zeros(lambda_grid, kind: str = SCALAR) -> FourierSeries:
-    return FourierSeries(np.asarray(lambda_grid, float), kind, {})
+    grid = np.asarray(lambda_grid, float)
+    return FourierSeries(grid, kind, np.zeros(0, np.int64),
+                         np.zeros((0,) + _row_shape(grid, kind), complex))
 
 
 def constant(lambda_grid, value, kind: str = SCALAR) -> FourierSeries:
     """Mode-0 series; value is a scalar, a per-lambda array, or a full array."""
     grid = np.asarray(lambda_grid, float)
-    shape = (len(grid),) + _COMP_SHAPE[kind]
+    shape = _row_shape(grid, kind)
     arr = np.asarray(value, complex)
     if arr.shape == shape:
         c = arr.copy()
@@ -190,8 +220,8 @@ def constant(lambda_grid, value, kind: str = SCALAR) -> FourierSeries:
     else:
         raise ValueError("constant(): value shape %s incompatible" % (arr.shape,))
     if not np.any(c):
-        return FourierSeries(grid, kind, {})
-    return FourierSeries(grid, kind, {0: c})
+        return zeros(grid, kind)
+    return FourierSeries(grid, kind, np.zeros(1, np.int64), c[None])
 
 
 def one(lambda_grid) -> FourierSeries:
@@ -205,46 +235,39 @@ def eye(lambda_grid) -> FourierSeries:
 def from_modes(lambda_grid, kind: str, modes: dict) -> FourierSeries:
     """modes: k -> scalar / per-lambda array / full coefficient array."""
     grid = np.asarray(lambda_grid, float)
-    shape = (len(grid),) + _COMP_SHAPE[kind]
-    out = {}
-    for k, value in modes.items():
-        arr = np.asarray(value, complex)
-        if arr.shape == shape:
-            out[int(k)] = arr.copy()
-        elif arr.shape == _COMP_SHAPE[kind]:
-            out[int(k)] = np.broadcast_to(arr, shape).copy()
-        elif arr.ndim == 0:
-            out[int(k)] = np.full(shape, complex(arr))
-        else:
+    shape = _row_shape(grid, kind)
+    ks = sorted(modes, key=int)
+    data = np.zeros((len(ks),) + shape, complex)
+    for row, k in zip(data, ks):
+        arr = np.asarray(modes[k], complex)
+        if arr.shape not in (shape, _COMP_SHAPE[kind]) and arr.ndim != 0:
             raise ValueError("coefficient shape %s incompatible" % (arr.shape,))
-    return _cleaned(grid, kind, out)
+        row[...] = arr
+    return _cleaned(grid, kind, np.array(ks, np.int64), data)
+
+
+def _assemble(kind: str, parts) -> FourierSeries:
+    """A vector or matrix series from (entry index, scalar series) pairs;
+    entries no part names are zero."""
+    grid = parts[0][1].lambda_grid
+    modes = reduce(np.union1d, [s.modes for _, s in parts])
+    data = np.zeros((len(modes),) + _row_shape(grid, kind), complex)
+    for idx, s in parts:
+        data[(np.searchsorted(modes, s.modes), slice(None)) + idx] = s.data
+    return _cleaned(grid, kind, modes, data)
 
 
 def vector_from_scalars(v0: FourierSeries, v1: FourierSeries) -> FourierSeries:
     v0._compat(v1)
-    out = {}
-    for k in set(v0.coeffs) | set(v1.coeffs):
-        c = np.zeros((v0.nlambda, 2), complex)
-        if k in v0.coeffs:
-            c[:, 0] = v0.coeffs[k]
-        if k in v1.coeffs:
-            c[:, 1] = v1.coeffs[k]
-        out[k] = c
-    return _cleaned(v0.lambda_grid, C2VECTOR, out)
+    return _assemble(C2VECTOR, [((0,), v0), ((1,), v1)])
 
 
 def matrix_from_scalars(a: FourierSeries, b: FourierSeries,
                         c: FourierSeries, d: FourierSeries) -> FourierSeries:
     for s in (b, c, d):
         a._compat(s)
-    out = {}
-    for k in set(a.coeffs) | set(b.coeffs) | set(c.coeffs) | set(d.coeffs):
-        m = np.zeros((a.nlambda, 2, 2), complex)
-        for (i, j), s in (((0, 0), a), ((0, 1), b), ((1, 0), c), ((1, 1), d)):
-            if k in s.coeffs:
-                m[:, i, j] = s.coeffs[k]
-        out[k] = m
-    return _cleaned(a.lambda_grid, SU11MATRIX, out)
+    return _assemble(SU11MATRIX, [((0, 0), a), ((0, 1), b), ((1, 0), c),
+                                  ((1, 1), d)])
 
 
 def matrix_from_columns(col0: FourierSeries, col1: FourierSeries) -> FourierSeries:
@@ -272,18 +295,17 @@ def lambda_phase(lambda_grid, l: int = 1) -> FourierSeries:
 # -- the coefficient drop rule --------------------------------------------------
 
 
-def _cleaned(grid, kind, coeffs: dict) -> FourierSeries:
-    gmax = 0.0
-    for v in coeffs.values():
-        if v.size:
-            m = float(np.abs(v).max())
-            if m > gmax:
-                gmax = m
-    if gmax == 0.0:
-        return FourierSeries(np.asarray(grid, float), kind, {})
-    thr = DROP_REL * gmax
-    out = {k: v for k, v in coeffs.items() if float(np.abs(v).max()) >= thr}
-    return FourierSeries(np.asarray(grid, float), kind, out)
+def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
+    """The series without its zero rows and its rows below DROP_REL times
+    the largest coefficient."""
+    grid = np.asarray(grid, float)
+    if data.size == 0:
+        return zeros(grid, kind)
+    rowmax = np.abs(data).reshape(len(data), -1).max(axis=1)
+    keep = (rowmax >= DROP_REL * rowmax.max()) & (rowmax > 0)
+    if keep.all():
+        return FourierSeries(grid, kind, modes, data)
+    return FourierSeries(grid, kind, modes[keep], data[keep])
 
 
 # -- products -------------------------------------------------------------------
@@ -300,7 +322,8 @@ _MUL_RULES = {
 
 
 def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Coefficient convolution with kind dispatch (left factor acts)."""
+    """Coefficient convolution with kind dispatch (left factor acts): each
+    mode k of a adds a_k * b into the output rows k + b.modes."""
     rule = _MUL_RULES.get((a.kind, b.kind))
     if rule is None:
         raise KindMismatch("cannot multiply %s by %s" % (a.kind, b.kind))
@@ -309,78 +332,55 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
         raise ValueError("lambda grids differ")
     if a.is_zero() or b.is_zero():
         return zeros(a.lambda_grid, out_kind)
-    bmin, bmax = min(b.coeffs), max(b.coeffs)
-    bdense = _dense_modes(b, bmin, bmax)
-    ak = sorted(a.coeffs)
-    omin = ak[0] + bmin
-    omax = ak[-1] + bmax
-    odense = np.zeros((omax - omin + 1, a.nlambda) + _COMP_SHAPE[out_kind], complex)
-    nb = bdense.shape[0]
-    for k in ak:
-        lo = k + bmin - omin
-        odense[lo:lo + nb] += np.einsum(ein, a.coeffs[k], bdense)
-    return _from_dense(a.lambda_grid, out_kind, odense, omin)
-
-
-def _dense_modes(f: FourierSeries, kmin: int, kmax: int) -> np.ndarray:
-    """Modes kmin..kmax as a zero-filled array (kmax - kmin + 1, L, ...)."""
-    out = np.zeros((kmax - kmin + 1, f.nlambda) + _COMP_SHAPE[f.kind], complex)
-    for k, v in f.coeffs.items():
-        if kmin <= k <= kmax:
-            out[k - kmin] = v
-    return out
-
-
-def _from_dense(grid, kind: str, arr: np.ndarray, kmin: int) -> FourierSeries:
-    """Series with mode kmin + i from row i, zero rows dropped, cleaned."""
-    rows = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
-    return _cleaned(grid, kind, {int(i) + kmin: arr[i] for i in rows})
+    omin = int(a.modes[0] + b.modes[0])
+    nout = int(a.modes[-1] + b.modes[-1]) - omin + 1
+    out = np.zeros((nout,) + _row_shape(a.lambda_grid, out_kind), complex)
+    rows = b.modes - b.modes[0]
+    for k, v in zip((a.modes - a.modes[0]).tolist(), a.data):
+        out[rows + k] += np.einsum(ein, v, b.data)
+    return _cleaned(a.lambda_grid, out_kind, np.arange(omin, omin + nout), out)
 
 
 # -- structure defects -----------------------------------------------------------
 
 
+def _mirrored(s: FourierSeries) -> tuple:
+    """Zero-filled rows of s at the modes M = supp s | -supp s (ascending),
+    and the same rows at -M."""
+    modes = np.union1d(s.modes, -s.modes)
+    rows = np.zeros((len(modes),) + s.data.shape[1:], complex)
+    rows[np.searchsorted(modes, s.modes)] = s.data
+    return rows, rows[::-1]
+
+
+def _worst(d: np.ndarray, active: Optional[np.ndarray]) -> float:
+    if active is not None:
+        d = d[:, active]
+    return float(d.max()) if d.size else 0.0
+
+
 def real_defect(s: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation from f(theta) real, i.e. f_{-k} = conj(f_k)."""
-    worst = 0.0
-    for k in set(s.coeffs) | {-k for k in s.coeffs}:
-        d = np.abs(s.coeff(-k) - np.conj(s.coeff(k)))
-        if active is not None:
-            d = d[active]
-        if d.size:
-            worst = max(worst, float(d.max()))
-    return worst
+    f, f_neg = _mirrored(s)
+    return _worst(np.abs(f_neg - np.conj(f)), active)
 
 
 def c2_pair_defect(v: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation of component 2 from the conjugate of component 1."""
     if v.kind != C2VECTOR:
         raise KindMismatch("c2_pair_defect needs a vector series")
-    worst = 0.0
-    for k in set(v.coeffs) | {-k for k in v.coeffs}:
-        d = np.abs(v.coeff(k)[:, 1] - np.conj(v.coeff(-k)[:, 0]))
-        if active is not None:
-            d = d[active]
-        if d.size:
-            worst = max(worst, float(d.max()))
-    return worst
+    f, f_neg = _mirrored(v)
+    return _worst(np.abs(f[:, :, 1] - np.conj(f_neg[:, :, 0])), active)
 
 
 def su11_defect(w: FourierSeries, active: Optional[np.ndarray] = None) -> float:
     """Max deviation from the [[a, b], [conj b, conj a]] pattern."""
     if w.kind != SU11MATRIX:
         raise KindMismatch("su11_defect needs a matrix series")
-    worst = 0.0
-    for k in set(w.coeffs) | {-k for k in w.coeffs}:
-        c = w.coeff(k)
-        cr = np.conj(w.coeff(-k))
-        d1 = np.abs(c[:, 1, 1] - cr[:, 0, 0])
-        d2 = np.abs(c[:, 1, 0] - cr[:, 0, 1])
-        if active is not None:
-            d1, d2 = d1[active], d2[active]
-        if d1.size:
-            worst = max(worst, float(d1.max()), float(d2.max()))
-    return worst
+    f, f_neg = _mirrored(w)
+    # (d_k, c_k) against (conj a_{-k}, conj b_{-k})
+    return _worst(np.abs(f[:, :, 1, ::-1] - np.conj(f_neg[:, :, 0, :])),
+                  active)
 
 
 def det_minus_one(m: FourierSeries) -> FourierSeries:
@@ -398,92 +398,71 @@ class WeightedNormContext:
     weight: WeightFunction
     r: float
     include_lambda_derivative: bool = True
-    h: Optional[float] = None              # spacing override; grid coords otherwise
     active: Optional[np.ndarray] = None    # bool mask over the lambda-grid
 
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("width r must be nonnegative")
-        if self.include_lambda_derivative and self.h is not None and self.h <= 0:
-            raise ValueError("finite-difference step must be positive")
 
     def with_r(self, r) -> "WeightedNormContext":
         return replace(self, r=float(r))
 
 
-def _coeff_O(v: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> float:
-    """sup over active lambda of (|entry| + |d/dlambda entry|), max over entries."""
-    if ctx.active is not None:
-        v = v[ctx.active]
-        grid = grid[ctx.active]
-    if v.size == 0:
-        return 0.0
-    mag = np.abs(v)
-    if ctx.include_lambda_derivative and len(grid) >= 2:
-        if ctx.h is not None:
-            dv = np.gradient(v, ctx.h, axis=0)
-        else:
-            dv = np.gradient(v, grid, axis=0)
-        mag = mag + np.abs(dv)
-    return float(mag.max())
-
-
 def _modes_O(a: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> np.ndarray:
-    """|a_k|_O of every row of a dense array a[k, lambda, ...]."""
+    """|a_k|_O of every row of a[k, lambda, ...]: sup over active lambda of
+    |entry| + |d/dlambda entry|, max over entries."""
     if ctx.active is not None:
         a = a[:, ctx.active]
         grid = grid[ctx.active]
-    if a.shape[1] == 0:
+    if a.size == 0:
         return np.zeros(len(a))
     mag = np.abs(a)
     if ctx.include_lambda_derivative and len(grid) >= 2:
-        da = np.gradient(a, grid if ctx.h is None else ctx.h, axis=1)
-        mag = mag + np.abs(da)
+        mag = mag + np.abs(np.gradient(a, grid, axis=1))
     return mag.reshape(len(a), -1).max(axis=1)
 
 
-def _weight_factor(weight: WeightFunction, x: float) -> float:
+def _exp(y: float) -> float:
     try:
-        return math.exp(eval_lambda(weight, x))
+        return math.exp(y)
     except OverflowError:
         return math.inf
+
+
+def _weighted_sum(f: FourierSeries, ctx: WeightedNormContext,
+                  exponent) -> float:
+    """sum_k |f_k|_O exp(exponent(2 pi |k| r)) in ascending k, over the
+    modes with |f_k|_O != 0."""
+    c = _modes_O(f.data, f.lambda_grid, ctx)
+    nz = c != 0
+    y = exponent(2 * math.pi * np.abs(f.modes[nz]) * float(ctx.r))
+    return sum((ci * _exp(yi) for ci, yi in zip(c[nz].tolist(), y.tolist())),
+               0.0)
 
 
 def norm_r(f: FourierSeries, ctx: WeightedNormContext) -> float:
     """sum_k |f_k|_O exp(L(2 pi |k| r))."""
     if f.nlambda == 0:
         raise ValueError("empty lambda grid")
-    tot = 0.0
-    for k, v in f.coeffs.items():
-        c = _coeff_O(v, f.lambda_grid, ctx)
-        if c:
-            tot += c * _weight_factor(ctx.weight, 2 * math.pi * abs(k) * ctx.r)
-    return tot
+    return _weighted_sum(f, ctx, lambda y: eval_lambda(ctx.weight, y))
 
 
 def analytic_norm(f: FourierSeries, ctx: WeightedNormContext) -> float:
     """sum_k |f_k|_O exp(2 pi |k| r): the trig-polynomial analytic majorant."""
-    tot = 0.0
-    for k, v in f.coeffs.items():
-        c = _coeff_O(v, f.lambda_grid, ctx)
-        if c:
-            x = 2 * math.pi * abs(k) * ctx.r
-            tot += c * (math.exp(x) if x < 700 else math.inf)
-    return tot
+    return _weighted_sum(f, ctx, lambda y: np.where(y < 700, y, np.inf))
 
 
 # -- exponentials -------------------------------------------------------------------
 
 
-def exp_i_scalar(B: FourierSeries, l: int = 1,
-                 require_real: bool = True) -> FourierSeries:
-    """exp(2 pi i l B) by power series in the coefficient algebra."""
+def exp_i_scalar(B: FourierSeries, l: int = 1) -> FourierSeries:
+    """exp(2 pi i l B) by power series in the coefficient algebra; B must
+    be real-valued."""
     if B.kind != SCALAR:
         raise KindMismatch("exp_i_scalar needs a scalar series")
-    if require_real:
-        scale = max(B.sup_bound(), 1.0)
-        if real_defect(B) > 1e-12 * scale:
-            raise ValueError("exp_i_scalar: series is not real-valued")
+    scale = max(B.sup_bound(), 1.0)
+    if real_defect(B) > 1e-12 * scale:
+        raise ValueError("exp_i_scalar: series is not real-valued")
     S = B.scale(2j * math.pi * l)
     acc = one(B.lambda_grid)
     term = one(B.lambda_grid)
@@ -495,20 +474,18 @@ def exp_i_scalar(B: FourierSeries, l: int = 1,
     raise PowerSeriesDiverged("exp_i_scalar: term cap hit; input too large")
 
 
-def exp_su11(D: FourierSeries) -> FourierSeries:
-    """exp(D) for D = [[0, d], [dbar, 0]] via D^2 = (d*dbar) I:
+def exp_su11(D: FourierSeries) -> tuple:
+    """(exp(D), exp(-D)) for D = [[0, d], [dbar, 0]] via D^2 = (d*dbar) I:
 
-    exp(D) = A I + B D with A = cosh-type, B = sinh-type series in d*dbar,
-    so det(exp D) = A^2 - B^2 d dbar = 1 identically in the algebra.
+    exp(+-D) = A I +- B D with A = cosh-type, B = sinh-type series in
+    d*dbar, so det(exp(+-D)) = A^2 - B^2 d dbar = 1 identically in the
+    algebra; both signs share A and B.
     """
     if D.kind != SU11MATRIX:
         raise KindMismatch("exp_su11 needs a matrix series")
-    dscale = max(1e-300, max((float(np.abs(v).max()) for v in D.coeffs.values()),
-                             default=0.0))
-    diag_mass = 0.0
-    for v in D.coeffs.values():
-        diag_mass = max(diag_mass, float(np.abs(v[:, 0, 0]).max()),
-                        float(np.abs(v[:, 1, 1]).max()))
+    mag = np.abs(D.data)
+    dscale = max(1e-300, float(mag.max()) if mag.size else 0.0)
+    diag_mass = float(mag[..., [0, 1], [0, 1]].max()) if mag.size else 0.0
     if diag_mass > 1e-14 * dscale:
         raise ValueError("exp_su11: diagonal must vanish")
     b = D.entry(0, 1)
@@ -529,11 +506,13 @@ def exp_su11(D: FourierSeries) -> FourierSeries:
             break
     else:
         raise PowerSeriesDiverged("exp_su11: term cap hit; input too large")
-    return matrix_from_scalars(A, multiply(Bs, b), multiply(Bs, c), A)
+    E = matrix_from_scalars(A, multiply(Bs, b), multiply(Bs, c), A)
+    E_inv = matrix_from_scalars(A, multiply(Bs, b.scale(-1.0)),
+                                multiply(Bs, c.scale(-1.0)), A)
+    return E, E_inv
 
 
-def inverse_one_plus(h: FourierSeries, max_terms: int = EXP_SERIES_MAX_TERMS
-                     ) -> FourierSeries:
+def inverse_one_plus(h: FourierSeries) -> FourierSeries:
     """(1 + h)^{-1} by Neumann series; needs sup bound of h below 1."""
     if h.kind != SCALAR:
         raise KindMismatch("inverse_one_plus needs a scalar series")
@@ -541,7 +520,7 @@ def inverse_one_plus(h: FourierSeries, max_terms: int = EXP_SERIES_MAX_TERMS
         raise PowerSeriesDiverged("inverse_one_plus: perturbation too large")
     acc = one(h.lambda_grid)
     term = one(h.lambda_grid)
-    for _ in range(max_terms):
+    for _ in range(EXP_SERIES_MAX_TERMS):
         term = multiply(term, h).scale(-1.0)
         acc = acc + term
         if term.sup_bound() < 1e-16 * max(1.0, acc.sup_bound()):
@@ -747,8 +726,7 @@ def write_coeff_dump(path, s: FourierSeries):
     if s.kind != SCALAR:
         raise KindMismatch("dump format is per scalar component")
     with open(path, "w") as fh:
-        for k in sorted(s.coeffs):
-            v = s.coeffs[k]
+        for k, v in zip(s.modes.tolist(), s.data):
             for li in range(s.nlambda):
                 fh.write("%d %d %r %r\n" % (li, k, float(v[li].real),
                                             float(v[li].imag)))
@@ -767,4 +745,4 @@ def read_coeff_dump(path, lambda_grid) -> FourierSeries:
             if k not in coeffs:
                 coeffs[k] = np.zeros(len(grid), complex)
             coeffs[k][li] = re + 1j * im
-    return FourierSeries(grid, SCALAR, coeffs)
+    return from_modes(grid, SCALAR, coeffs)

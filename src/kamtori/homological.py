@@ -288,15 +288,14 @@ def solve_b_equation(B: FourierSeries, qbar: int, cf: ContinuedFraction) -> Four
     scale = max(B.sup_bound(), 1e-300)
     if fr.real_defect(B) > 1e-12 * max(scale, 1.0):
         raise ValueError("B must be real-valued")
-    coeffs = {}
-    for k, v in B.coeffs.items():
-        if k == 0 or abs(k) >= qbar:
-            continue
-        div = cf.phase(k) - 1.0
-        if abs(div) < 1e-300:
-            raise ZeroDivisionError("vanishing divisor at k=%d" % k)
-        coeffs[k] = -v / div
-    bcal = FourierSeries(B.lambda_grid, fr.SCALAR, coeffs)
+    keep = (B.modes != 0) & (np.abs(B.modes) < qbar)
+    ks = B.modes[keep]
+    div = np.array([cf.phase(k) for k in ks.tolist()], complex) - 1.0
+    small = np.abs(div) < 1e-300
+    if small.any():
+        raise ZeroDivisionError("vanishing divisor at k=%d" % ks[small][0])
+    bcal = FourierSeries(B.lambda_grid, fr.SCALAR, ks,
+                         -B.data[keep] / div[:, None])
     resid = bcal.shift(cf.phase) - bcal + B.truncate(qbar) \
         - fr.constant(B.lambda_grid, B.average(), fr.SCALAR)
     if resid.max_mode >= qbar and not resid.is_zero():
@@ -355,13 +354,12 @@ def tail_bound(f: FourierSeries, K: int, r: float, sigma: float,
 # -- polar decomposition -----------------------------------------------------------------
 
 
-def polar_decompose(G: FourierSeries, min_modulus: float = 0.5,
-                    oversample: int = 4) -> tuple:
+def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
     """Real rho, B with (1 + rho) e^{2 pi i (lambda + B)} = e^{2 pi i lambda} + G.
 
     The argument is unwrapped continuously in theta from the principal
     branch at theta = 0 (zero winding for small G keeps B periodic), then
-    rho and B are re-expanded on an oversampled theta-grid.  Returns
+    rho and B are re-expanded on a theta-grid oversampled 4 times.  Returns
     (rho, B, pointwise reconstruction defect).
     """
     if G.kind != fr.SCALAR:
@@ -370,7 +368,7 @@ def polar_decompose(G: FourierSeries, min_modulus: float = 0.5,
     if G.is_zero():
         z = fr.zeros(grid, fr.SCALAR)
         return z, z, 0.0
-    n = max(256, _next_pow2(oversample * (2 * G.max_mode + 1)))
+    n = max(256, _next_pow2(4 * (2 * G.max_mode + 1)))
     n = min(n, 1 << 14)
     thetas = np.arange(n) / n
     vals = G.eval_theta(thetas)  # (n, L)
@@ -418,28 +416,15 @@ def _series_from_grid(vals: np.ndarray, lambda_grid: np.ndarray) -> FourierSerie
     if gmax == 0.0:
         return fr.zeros(lambda_grid, fr.SCALAR)
     floor = 32.0 * n * 2.2e-16 * gmax
-    by_absk = {}
-    for idx in range(n):
-        k = idx if idx <= n // 2 else idx - n
-        if k == n // 2:
-            continue  # unmatched Nyquist mode
-        by_absk[abs(k)] = max(by_absk.get(abs(k), 0.0), float(mag[idx]))
-    kcut = 0
-    running = 0.0
-    for a in sorted(by_absk, reverse=True):
-        running = max(running, by_absk[a])
-        if running >= floor:
-            kcut = a + 1
-            break
-    coeffs = {}
-    for idx in range(n):
-        k = idx if idx <= n // 2 else idx - n
-        if k == n // 2 or abs(k) >= max(kcut, 1):
-            continue
-        coeffs[k] = fhat[idx].astype(complex)
-    if 0 not in coeffs and kcut >= 1:
-        coeffs[0] = fhat[0].astype(complex)
-    return fr._cleaned(lambda_grid, fr.SCALAR, coeffs)
+    idx = np.arange(n)
+    k = np.where(idx <= n // 2, idx, idx - n)
+    valid = idx != n // 2           # the unmatched Nyquist mode
+    above = np.abs(k[valid & (mag >= floor)])
+    kcut = int(above.max()) + 1 if above.size else 0
+    sel = valid & (np.abs(k) < max(kcut, 1))
+    order = np.argsort(k[sel])
+    return fr._cleaned(lambda_grid, fr.SCALAR, k[sel][order],
+                       fhat[sel][order])
 
 
 # -- the truncated solver -------------------------------------------------------------------
@@ -470,26 +455,38 @@ class SolveSetup:
 
 class SolverLevel:
     """What the homological solves of one KAM level share, each computed when
-    first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l)."""
+    first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l)
+    and the norms of the B hypotheses.  Built from any setup of the level;
+    every solve of the level has its B, cf, K, qbar_n, r_b, weight and mask."""
 
-    def __init__(self, B: FourierSeries, cf: ContinuedFraction, qbar_n: int,
-                 K: int, active: Optional[np.ndarray] = None):
-        self.B, self.cf, self.qbar_n, self.K = B, cf, qbar_n, K
+    def __init__(self, B: FourierSeries, setup: SolveSetup):
+        self.B, self.setup = B, setup
+        self.cf, self.qbar_n, self.K = setup.cf, setup.qbar_n, setup.K
         self.grid = B.lambda_grid
-        self.active = _mask(active, len(self.grid))
+        self.active = _mask(setup.active, len(self.grid))
         self.lam_t = self.grid + np.real(B.average())
-        self.ks = np.arange(-K + 1, K)
+        self.ks = np.arange(-self.K + 1, self.K)
         # position of mode k1 - k2 among the modes 2 - 2K .. 2K - 2
-        self.toeplitz = self.ks[:, None] - self.ks[None, :] + 2 * K - 2
+        self.toeplitz = self.ks[:, None] - self.ks[None, :] + 2 * self.K - 2
         self._exp_B: dict = {}
         self._terms: dict = {}
 
     def check(self, B: FourierSeries, setup: SolveSetup) -> None:
-        if not (setup.cf is self.cf and setup.K == self.K
-                and setup.qbar_n == self.qbar_n
-                and B is self.B and np.array_equal(
-                    _mask(setup.active, len(self.grid)), self.active)):
-            raise ValueError("level built for another B, K, qbar_n or mask")
+        own = self.setup
+        if not (B is self.B and setup.cf is own.cf
+                and (setup.K, setup.qbar_n, setup.r_b, setup.weight)
+                == (own.K, own.qbar_n, own.r_b, own.weight)
+                and np.array_equal(_mask(setup.active, len(self.grid)),
+                                   self.active)):
+            raise ValueError("level built for another B, K, qbar_n, r_b, "
+                             "weight or mask")
+
+    @functools.cached_property
+    def b_norms(self) -> tuple:
+        """||B||_{r_b} and ||R_Qbar B||_{r_b/2}."""
+        s = self.setup
+        return (fr.norm_r(self.B, s.ctx(s.r_b)),
+                fr.norm_r(self.B.project_tail(s.qbar_n), s.ctx(s.r_b / 2)))
 
     @functools.cached_property
     def bcal(self) -> FourierSeries:
@@ -567,10 +564,10 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
     if l not in _LS:
         raise ValueError("l must be 1 or 2")
     if level is None:
-        level = SolverLevel(B, setup.cf, setup.qbar_n, setup.K, setup.active)
+        level = SolverLevel(B, setup)
     level.check(B, setup)
     cf = setup.cf
-    pre = _preconditions(B, b, dc, setup)
+    pre = _preconditions(B, b, dc, setup, level)
     if not all(r.passed for r in pre) and not force:
         raise PreconditionError(pre)
 
@@ -638,15 +635,14 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
                        precondition_rows=pre)
 
 
-def _preconditions(B, b, dc: DcSet, setup: SolveSetup) -> list:
+def _preconditions(B, b, dc: DcSet, setup: SolveSetup,
+                   level: SolverLevel) -> list:
     # theoretical-constant hypotheses: enforced by raising unless forced,
-    # reported as non-gating rows either way
+    # reported as non-gating rows either way; the B norms are the level's
     rows = []
-    ctx_rb = setup.ctx(setup.r_b)
-    nB = fr.norm_r(B, ctx_rb)
+    nB, tail = level.b_norms
     rows.append(CheckRow("||B||_r <= eps0^(1/3)", setup.eps0 ** (1 / 3), nB,
                          nB <= setup.eps0 ** (1 / 3), gating=False))
-    tail = fr.norm_r(B.project_tail(setup.qbar_n), setup.ctx(setup.r_b / 2))
     tb = setup.gamma**2 / (480 * math.pi**2) * _float_pow(setup.q_next,
                                                           -2 * setup.tau**2)
     rows.append(CheckRow("||R_Qbar B||_{r/2} <= g^2/(480pi^2 Q^{2tau^2})", tb,
@@ -667,9 +663,8 @@ def _conditioning(btilde: FourierSeries, level: SolverLevel, l: int,
     """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
     largest row sum of the width-scaled Toeplitz matrix
     |btilde_{k1-k2}|_O exp(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r))."""
-    n = len(level.ks)
-    c_O = fr._modes_O(fr._dense_modes(btilde, 1 - n, n - 1),
-                      btilde.lambda_grid, setup.ctx(setup.r_tilde))
+    c_O = fr._modes_O(_dense(btilde, len(level.ks)), btilde.lambda_grid,
+                      setup.ctx(setup.r_tilde))
     lw = eval_lambda(setup.weight,
                      2 * math.pi * np.abs(level.ks) * setup.r_tilde)
     scale = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
@@ -685,17 +680,25 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
     n = len(level.ks)
     grid = utt.lambda_grid
     sdiag = level.terms(l).diagonal                        # (L, n)
-    rhs = fr._dense_modes(utt, 1 - K, K - 1).T             # (L, n)
+    rhs = _dense(utt, K).T                                 # (L, n)
     sol = np.zeros((len(grid), n), complex)
     idxs = np.nonzero(level.active)[0]
     if btilde.is_zero():
         sol[idxs] = rhs[idxs] / sdiag[idxs]
     else:
-        diffs = fr._dense_modes(btilde, 1 - n, n - 1)      # (2n - 1, L)
+        diffs = _dense(btilde, n)                          # (2n - 1, L)
         for start in range(0, len(idxs), chunk):
             sel = idxs[start:start + chunk]
             P = diffs[:, sel][level.toeplitz]              # (n, n, m)
             M = np.moveaxis(P, 2, 0).copy()                # (m, n, n)
             M[:, np.arange(n), np.arange(n)] += sdiag[sel]
             sol[sel] = np.linalg.solve(M, rhs[sel][:, :, None])[:, :, 0]
-    return fr._from_dense(grid, fr.SCALAR, np.ascontiguousarray(sol.T), 1 - K)
+    return fr._cleaned(grid, fr.SCALAR, level.ks, np.ascontiguousarray(sol.T))
+
+
+def _dense(s: FourierSeries, n: int) -> np.ndarray:
+    """The modes |k| < n of s, zero-filled: row k + n - 1 of (2n - 1, L)."""
+    near = s.truncate(n)
+    out = np.zeros((2 * n - 1,) + near.data.shape[1:], complex)
+    out[near.modes + n - 1] = near.data
+    return out

@@ -11,6 +11,7 @@ engine's value is certifying the mechanism at reachable scales.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import fourier as fr
 from . import homological as hm
+from . import model as md
 from .cfrac import BridgeSelection, ContinuedFraction
 from .fourier import FourierSeries, PowerFourierSeries, WeightedNormContext
 from .homological import DcSet, IntervalUnion, SolveSetup
@@ -327,8 +329,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
         rows += _tag(sol2.precondition_rows + sol2.rows, "l=2")
     Dmat = fr.matrix_from_scalars(z, dgen, dgen.conj(), z)
 
-    E = fr.exp_su11(Dmat)
-    Einv = fr.exp_su11(Dmat.scale(-1.0))
+    E, Einv = fr.exp_su11(Dmat)
     EinvS = Einv.shift(phase)
 
     det_dev = fr.det_minus_one(E).sup_bound(ctx.active)
@@ -513,9 +514,6 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
     rows += hm.certify_small_divisor(dc, sched.Q(n + 1), sched.Qbar(n + 1),
                                      k_max=sched.K(n))
 
-    level = hm.SolverLevel(B, cf, sched.Qbar(n), sched.K(n), active)
-    ctx = _level_context(state_ex, cf, weight, dc, active, rho, level)
-
     L = sched.L(n)
     if sched.L_uncapped(n) > sched.L_cap:
         rows.append(CheckRow("L capped at L_cap", float(sched.L_cap),
@@ -525,6 +523,14 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
     sigma_abs = rt0 / (2 * L)
     st0 = sched.s(n)
     eps_t = sched.eps(n)
+    setup0 = SolveSetup(cf=cf, weight=weight, gamma=sched.gamma(n),
+                        tau=sched.tau, q_next=sched.Q(n + 1),
+                        qbar_n=sched.Qbar(n), qbar_next=sched.Qbar(n + 1),
+                        K=sched.K(n), r_b=float(sched.r(n)),
+                        r_tilde=float(rt0), sigma=float(sigma_abs),
+                        r0=float(sched.r0), eps0=sched.eps0, active=active)
+    level = hm.SolverLevel(B, setup0)
+    ctx = _level_context(state_ex, cf, weight, dc, active, rho, level)
 
     sub = SubState(0, fr.zeros(grid, fr.SU11MATRIX), state.U, state.W, state.R)
     hess_prev = fr.hessian_norm_bound(state.R, ctx.ctx(rt0), st0)
@@ -538,12 +544,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
         r_j1 = rt0 - (j + 1) * sigma_abs
         s_j1 = s_j - Schedule.eta(n) * Schedule.eta(j) * st0
         eps_j = eps_t * math.exp(-j)
-        setup = SolveSetup(cf=cf, weight=weight, gamma=sched.gamma(n),
-                           tau=sched.tau, q_next=sched.Q(n + 1),
-                           qbar_n=sched.Qbar(n), qbar_next=sched.Qbar(n + 1),
-                           K=sched.K(n), r_b=float(sched.r(n)),
-                           r_tilde=float(r_j), sigma=float(sigma_abs),
-                           r0=float(sched.r0), eps0=sched.eps0, active=active)
+        setup = dataclasses.replace(setup0, r_tilde=float(r_j))
         sub_old = sub
         sub, E, Delta, sub_rows = sub_iteration_step(
             ctx, sub, setup, eps_j, r_j, r_j1, s_j1, hess_prev, force=force)
@@ -671,10 +672,7 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
         check_substitution: bool = True) -> RunSummary:
     """Iterate kam_step from the conjugated model, recording per-level
     certification and the invariance residual of the reconstructed torus."""
-    import dataclasses
     import time
-
-    from . import model as md
 
     conj = md.conjugate_to_su11(spec)
     state = initial_state(conj.U, conj.W, conj.R, spec.lambda_grid)
@@ -695,14 +693,12 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
     hess0 = fr.hessian_norm_bound(state.R, ctx0, sched.s0)
     rows.append(CheckRow("initial ||d2R||_{r,s} <= 1", 1.0, hess0,
                          hess0 <= 1.0))
-    torus = md.reconstruct_torus(state.factors, spec.lambda_grid, level=0)
-    res0, rrows = md.residual(spec, torus, active=state.active_mask())
+    res0, rrows = _torus_residual(spec, state)
     rows += rrows
     records.append(LevelRecord(
         level=0, r=float(sched.r(0)), eps_target=sched.eps(0),
         U_norm=fr.norm_r(state.U, ctx0), W_norm=fr.norm_r(state.W, ctx0),
-        residual=float(res0[state.active_mask()].max()) if state.active_mask().any() else 0.0,
-        excluded_measure=0.0))
+        residual=res0, excluded_measure=0.0))
 
     for n in range(n_max):
         t0 = time.monotonic()
@@ -724,16 +720,12 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
         states.append(state)
         for lo, hi in rep.zones:
             exclusions.append((state.n - 1, lo, hi))
-        mask = state.active_mask()
-        torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
-                                     level=state.n)
-        res, rrows = md.residual(spec, torus, active=mask)
+        res, rrows = _torus_residual(spec, state)
         rows += rrows
         records.append(LevelRecord(
             level=state.n, r=float(sched.r(state.n)),
             eps_target=sched.eps(state.n), U_norm=rep.U_norm,
-            W_norm=rep.W_norm,
-            residual=float(res[mask].max()) if mask.any() else 0.0,
+            W_norm=rep.W_norm, residual=res,
             excluded_measure=rep.removed_measure, wall_ms=wall_ms))
         if stop_at_floor and records[-1].residual <= residual_floor:
             stopped = "residual floor reached at level %d" % state.n
@@ -743,3 +735,13 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
                          sched.gamma0, sched.tau)
     return RunSummary(records=records, rows=rows, states=states,
                       exclusion_intervals=exclusions, stopped=stopped)
+
+
+def _torus_residual(spec, state: KamState) -> tuple:
+    """(max over the active lambda of the invariance residual of the torus
+    reconstructed from state's factors, its rows)."""
+    mask = state.active_mask()
+    torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
+                                 level=state.n)
+    res, rows = md.residual(spec, torus, active=mask)
+    return (float(res[mask].max()) if mask.any() else 0.0), rows

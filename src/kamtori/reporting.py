@@ -30,5 +30,6 @@ class CheckRow:
                                    self.detail)
 
 
-def all_passed(rows, gating_only: bool = True) -> bool:
-    return all(r.passed for r in rows if r.gating or not gating_only)
+def all_passed(rows) -> bool:
+    """Every gating row passed."""
+    return all(r.passed for r in rows if r.gating)

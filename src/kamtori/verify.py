@@ -1,7 +1,9 @@
 """Invariant verification suites behind `kamtori verify`.
 
 Each suite returns CheckRow lists; one row per certified property, built
-from deterministic seeded instances so reruns are bit-identical.
+from deterministic seeded instances so reruns are bit-identical.  The
+random series, the full-pivot solve and the dense rebuild of the solver's
+truncated system are the oracles the test suite shares.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .reporting import CheckRow
 GRID5 = np.linspace(0.25, 0.75, 5)
 
 
-def _rand_scalar(rng, grid, support, scale=1.0, real=False,
-                 lam_linear=True) -> fr.FourierSeries:
-    """Random trig polynomial; lambda-dependence at most linear so the
-    finite-difference norm calculus stays exact."""
+def rand_scalar(rng, grid, support, scale=1.0, real=False,
+                lam_linear=True) -> fr.FourierSeries:
+    """Random trig polynomial on modes |k| <= support; lambda-dependence
+    linear (or none without lam_linear) so the finite-difference norm
+    calculus stays exact."""
     modes = {}
     slope = rng.standard_normal() if lam_linear else 0.0
     lam = np.asarray(grid)
@@ -96,8 +99,8 @@ def fourier_suite(seed: int = 0) -> list:
         ctx = fr.WeightedNormContext(w, 0.05)
         worst = 0.0
         for _ in range(200):
-            f = _rand_scalar(rng, grid, rng.integers(1, 33))
-            g = _rand_scalar(rng, grid, rng.integers(1, 33))
+            f = rand_scalar(rng, grid, rng.integers(1, 33))
+            g = rand_scalar(rng, grid, rng.integers(1, 33))
             num = fr.norm_r(fr.multiply(f, g), ctx)
             den = fr.norm_r(f, ctx) * fr.norm_r(g, ctx)
             if den > 0:
@@ -106,7 +109,7 @@ def fourier_suite(seed: int = 0) -> list:
                              1.0 + 1e-10, worst, worst <= 1.0 + 1e-10,
                              "200 trials"))
 
-    f = _rand_scalar(rng, grid, 10)
+    f = rand_scalar(rng, grid, 10)
     t, tail = f.truncate(5), f.project_tail(5)
     part = (t + tail) - f
     rows.append(CheckRow("truncate/tail exact partition", 0.0,
@@ -117,17 +120,17 @@ def fourier_suite(seed: int = 0) -> list:
     dev = float(np.abs(favg - quad).max())
     rows.append(CheckRow("average equals quadrature", 1e-12, dev, dev <= 1e-12))
 
-    g = _rand_scalar(rng, grid, 8)
+    g = rand_scalar(rng, grid, 8)
     prod = fr.multiply(f, g)
     pw = f.eval_theta(thetas) * g.eval_theta(thetas)
     fhat = np.fft.fft(pw, axis=0) / len(thetas)
     worst = 0.0
-    for k, v in prod.coeffs.items():
+    for k, v in zip(prod.modes.tolist(), prod.data):
         worst = max(worst, float(np.abs(fhat[k % len(thetas)] - v).max()))
     rows.append(CheckRow("multiply matches quadrature re-extraction", 1e-10,
                          worst, worst <= 1e-10))
 
-    B = _rand_scalar(rng, grid, 4, scale=0.02, real=True)
+    B = rand_scalar(rng, grid, 4, scale=0.02, real=True)
     eB = fr.exp_i_scalar(B, 1)
     mod_dev = float(np.abs(np.abs(eB.eval_theta(thetas[::16])) - 1.0).max())
     rows.append(CheckRow("exp_i_scalar unit modulus", 1e-10, mod_dev,
@@ -137,8 +140,8 @@ def fourier_suite(seed: int = 0) -> list:
     invn = fr.norm_r(inv, ctx)
     rows.append(CheckRow("exp(B) exp(-B) = 1", 1e-10, invn, invn <= 1e-10))
 
-    d = _rand_scalar(rng, grid, 4, scale=0.03)
-    E = fr.exp_su11(fr.off_diagonal(d))
+    d = rand_scalar(rng, grid, 4, scale=0.03)
+    E, _ = fr.exp_su11(fr.off_diagonal(d))
     det_dev = fr.det_minus_one(E).sup_bound()
     rows.append(CheckRow("exp_su11 determinant 1", 1e-12, det_dev,
                          det_dev <= 1e-12))
@@ -150,7 +153,7 @@ def fourier_suite(seed: int = 0) -> list:
     ctxg = fr.WeightedNormContext(wt.WeightFunction("gevrey", 0.5), 0.2)
     worst = 0.0
     for _ in range(100):
-        f = _rand_scalar(rng, grid, rng.integers(1, 20))
+        f = rand_scalar(rng, grid, rng.integers(1, 20))
         n1 = fr.norm_r(f, ctxg)
         n2 = fr.analytic_norm(f, ctxg)
         if n2 > 0:
@@ -220,7 +223,9 @@ def cfrac_suite(seed: int = 0) -> list:
 # -- homological ---------------------------------------------------------------------
 
 
-def _full_pivot(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def full_pivot(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with full pivoting: a dense oracle independent
+    of LAPACK."""
     A = A.astype(complex).copy()
     rhs = rhs.astype(complex).copy()
     n = A.shape[0]
@@ -246,6 +251,32 @@ def _full_pivot(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_system(B, u, res, l: int, setup) -> tuple:
+    """The truncated system (S + P) F = U of one solve, rebuilt densely per
+    lambda-grid point from its inputs and the solver's btilde and bcal:
+    (A, rhs, F) with A[li] the (2K-1)^2 matrix over the modes |k| < K, rhs[li]
+    the modes of U and F[li] those of the solver's delta_tilde."""
+    grid = u.lambda_grid
+    mser = B.truncate(setup.qbar_n).scale(-1.0) + \
+        fr.constant(grid, B.average(), fr.SCALAR)
+    phi = fr.exp_i_scalar(mser, l)
+    utt = fr.multiply(fr.multiply(fr.exp_i_scalar(res.bcal, l), u), phi)
+    lam_t = grid + np.real(B.average())
+    ks = np.arange(-setup.K + 1, setup.K)
+    n = len(ks)
+    A = np.zeros((len(grid), n, n), complex)
+    phases = np.array([setup.cf.phase(int(k)) for k in ks])
+    A[:, np.arange(n), np.arange(n)] = \
+        np.exp(2j * np.pi * l * lam_t)[:, None] - phases[None, :]
+    for d, v in res.btilde.coeffs.items():
+        if -n < d < n:
+            i1, i2 = np.nonzero(ks[:, None] - ks[None, :] == d)
+            A[:, i1, i2] += v[:, None]
+    rhs = np.array([utt.coeff(int(k)) for k in ks]).T
+    F = np.array([res.delta_tilde.coeff(int(k)) for k in ks]).T
+    return A, rhs, F
+
+
 def homological_suite(seed: int = 0) -> list:
     rows = []
     rng = np.random.default_rng(2000 + seed)
@@ -264,7 +295,7 @@ def homological_suite(seed: int = 0) -> list:
     ctx_r = fr.WeightedNormContext(w, r)
     ctx_rbar = fr.WeightedNormContext(w, rbar)
     for _ in range(20):
-        B = _rand_scalar(rng, grid, int(rng.integers(2, 30)), real=True)
+        B = rand_scalar(rng, grid, int(rng.integers(2, 30)), real=True)
         nB = fr.norm_r(B, ctx_r)
         B = B.scale(0.1 * rng.uniform(0.2, 1.0) / nB)
         bc = hm.solve_b_equation(B, qbar, gm)
@@ -309,7 +340,7 @@ def homological_suite(seed: int = 0) -> list:
     ctx = fr.WeightedNormContext(wt.WeightFunction("gevrey", 0.5), 0.2)
     worst = 0.0
     for _ in range(100):
-        f = _rand_scalar(rng, grid, int(rng.integers(4, 40)))
+        f = rand_scalar(rng, grid, int(rng.integers(4, 40)))
         K = int(rng.integers(4, 16))
         sigma = 0.2 * rng.uniform(0.1, 0.45)   # keeps 2 pi K (r-sigma) > 1
         bound, actual, row = hm.tail_bound(f, K, 0.2, sigma, ctx)
@@ -322,7 +353,7 @@ def homological_suite(seed: int = 0) -> list:
     thetas = np.arange(4096) / 4096.0
     worst = 0.0
     for _ in range(50):
-        G = _rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
+        G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
         nG = fr.norm_r(G, fr.WeightedNormContext(w, 0.05))
         G = G.scale(0.1 * rng.uniform(0.1, 1.0) / max(nG, 1e-300))
         rho, B, defect = hm.polar_decompose(G)
@@ -343,9 +374,9 @@ def homological_suite(seed: int = 0) -> list:
                           active=act)
     worst_bound, worst_resid = 0.0, 0.0
     for _ in range(20):
-        B = _rand_scalar(rng, grid, 5, scale=0.002, real=True)
-        b = _rand_scalar(rng, grid, 4, scale=1e-3)
-        u = _rand_scalar(rng, grid, K - 1, scale=1e-2)
+        B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
+        b = rand_scalar(rng, grid, 4, scale=1e-3)
+        u = rand_scalar(rng, grid, K - 1, scale=1e-2)
         res = hm.solve_homological(B, b, u, int(rng.integers(1, 3)), dc,
                                    setup, force=True)
         worst_resid = max(worst_resid,
@@ -361,31 +392,15 @@ def homological_suite(seed: int = 0) -> list:
 
     # dense oracle on one instance per l
     for l in (1, 2):
-        B = _rand_scalar(rng, grid, 5, scale=0.002, real=True)
-        b = _rand_scalar(rng, grid, 4, scale=1e-3)
-        u = _rand_scalar(rng, grid, K - 1, scale=1e-2)
+        B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
+        b = rand_scalar(rng, grid, 4, scale=1e-3)
+        u = rand_scalar(rng, grid, K - 1, scale=1e-2)
         res = hm.solve_homological(B, b, u, l, dc, setup, force=True)
-        lam_t = grid + np.real(B.average())
-        mser = B.truncate(setup.qbar_n).scale(-1.0) + \
-            fr.constant(grid, B.average(), fr.SCALAR)
-        phi = fr.exp_i_scalar(mser, l)
-        utt = fr.multiply(fr.multiply(fr.exp_i_scalar(res.bcal, l), u), phi)
-        ks = np.arange(-K + 1, K)
+        A, rhs, mine = dense_system(B, u, res, l, setup)
         worst = 0.0
         for li in np.nonzero(act)[0]:
-            n = len(ks)
-            A = np.zeros((n, n), complex)
-            for i1, k1 in enumerate(ks):
-                A[i1, i1] = np.exp(2j * np.pi * l * lam_t[li]) \
-                    - gm.phase(int(k1))
-                for i2, k2 in enumerate(ks):
-                    dd = int(k1 - k2)
-                    if dd in res.btilde.coeffs:
-                        A[i1, i2] += res.btilde.coeffs[dd][li]
-            rhs = np.array([utt.coeff(int(k))[li] for k in ks])
-            x = _full_pivot(A, rhs)
-            mine = np.array([res.delta_tilde.coeff(int(k))[li] for k in ks])
-            rel = float(np.abs(x - mine).max()
+            x = full_pivot(A[li], rhs[li])
+            rel = float(np.abs(x - mine[li]).max()
                         / max(np.abs(x).max(), 1e-300))
             worst = max(worst, rel)
         rows.append(CheckRow("solver matches full-pivot oracle (l=%d)" % l,

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, tolerances pinned, one
 pass/fail line printed per criterion."""
 
+import functools
 import json
 import math
 
@@ -13,6 +14,7 @@ from kamtori import fourier as fr
 from kamtori import homological as hm
 from kamtori import kam
 from kamtori import model as md
+from kamtori import verify as vf
 from kamtori.fourier import WeightedNormContext
 from kamtori.weights import WeightFunction
 
@@ -26,16 +28,7 @@ def report(num, ok, detail=""):
     assert ok, "criterion %d failed: %s" % (num, detail)
 
 
-def rand_scalar(rng, grid, support, scale=1.0, real=False):
-    modes = {}
-    for k in range(1, support + 1):
-        c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        modes[k] = c
-        modes[-k] = np.conj(c) if real else scale * (
-            rng.standard_normal() + 1j * rng.standard_normal())
-    if real:
-        modes[0] = scale * rng.standard_normal()
-    return fr.from_modes(grid, fr.SCALAR, modes)
+rand_scalar = functools.partial(vf.rand_scalar, lam_linear=False)
 
 
 # -- 1: continued fractions, exact arithmetic ------------------------------------------
@@ -126,32 +119,6 @@ def test_criterion_04_tail_bound():
 # -- 5: solver vs dense full pivot ------------------------------------------------------------
 
 
-def full_pivot(A, rhs):
-    A = A.astype(complex).copy()
-    rhs = rhs.astype(complex).copy()
-    n = A.shape[0]
-    piv = list(range(n))
-    for col in range(n):
-        sub = np.abs(A[col:, col:])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        i += col
-        j += col
-        A[[col, i], :] = A[[i, col], :]
-        rhs[[col, i]] = rhs[[i, col]]
-        A[:, [col, j]] = A[:, [j, col]]
-        piv[col], piv[j] = piv[j], piv[col]
-        for r in range(col + 1, n):
-            m = A[r, col] / A[col, col]
-            A[r, col:] -= m * A[col, col:]
-            rhs[r] -= m * rhs[col]
-    x = np.zeros(n, complex)
-    for r in range(n - 1, -1, -1):
-        x[r] = (rhs[r] - A[r, r + 1:] @ x[r + 1:]) / A[r, r]
-    out = np.zeros(n, complex)
-    out[piv] = x
-    return out
-
-
 def test_criterion_05_solver_oracle():
     rng = np.random.default_rng(505)
     grid = np.linspace(0.25, 0.75, 7)
@@ -191,29 +158,11 @@ def test_criterion_05_solver_oracle():
                               brow.actual / max(brow.bound, 1e-300))
             assert brow.passed
             # dense rebuild at sampled active columns
-            mser = B.truncate(qbar_n).scale(-1.0) + \
-                fr.constant(grid, B.average(), fr.SCALAR)
-            phi = fr.exp_i_scalar(mser, l)
-            utt = fr.multiply(fr.multiply(fr.exp_i_scalar(res.bcal, l), u),
-                              phi)
-            lam_t = grid + beta
-            ks = np.arange(-K + 1, K)
+            A, rhs, mine = vf.dense_system(B, u, res, l, setup)
             stride = 3 if K > 32 else 1
             for li in np.nonzero(act)[0][::stride]:
-                n = len(ks)
-                A = np.zeros((n, n), complex)
-                for i1, k1 in enumerate(ks):
-                    A[i1, i1] = np.exp(2j * np.pi * l * lam_t[li]) \
-                        - GM.phase(int(k1))
-                for dmode, v in res.btilde.coeffs.items():
-                    if -n < dmode < n:
-                        idx = np.nonzero(ks[:, None] - ks[None, :] == dmode)
-                        A[idx] += v[li]
-                rhs = np.array([utt.coeff(int(k))[li] for k in ks])
-                x = full_pivot(A, rhs)
-                mine = np.array([res.delta_tilde.coeff(int(k))[li]
-                                 for k in ks])
-                rel = float(np.abs(x - mine).max()
+                x = vf.full_pivot(A[li], rhs[li])
+                rel = float(np.abs(x - mine[li]).max()
                             / max(np.abs(x).max(), 1e-300))
                 worst_rel = max(worst_rel, rel)
     ok = worst_rel <= 1e-10 and total == 50

@@ -1,11 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from kamtori import fourier as fr
+from kamtori import verify as vf
 from kamtori.fourier import WeightedNormContext
-from kamtori.weights import WeightFunction
+from kamtori.weights import WeightFunction, eval_lambda
 
 GRID = np.linspace(0.25, 0.75, 5)
 THETAS = np.arange(4096) / 4096.0
@@ -13,16 +15,7 @@ ANALYTIC = WeightFunction("analytic")
 GEVREY = WeightFunction("gevrey", 0.5)
 
 
-def rand_scalar(rng, support, scale=1.0, real=False, grid=GRID):
-    modes = {}
-    for k in range(1, support + 1):
-        c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        modes[k] = c
-        modes[-k] = np.conj(c) if real else scale * (
-            rng.standard_normal() + 1j * rng.standard_normal())
-    if real:
-        modes[0] = scale * rng.standard_normal()
-    return fr.from_modes(grid, fr.SCALAR, modes)
+rand_scalar = functools.partial(vf.rand_scalar, lam_linear=False)
 
 
 def cos_series(grid=GRID):
@@ -68,7 +61,7 @@ def test_norm_vector_matrix_max_over_entries():
 
 
 def test_empty_grid_rejected():
-    f = fr.FourierSeries(np.array([]), fr.SCALAR, {})
+    f = fr.zeros(np.array([]))
     with pytest.raises(ValueError):
         fr.norm_r(f, WeightedNormContext(ANALYTIC, 0.1))
 
@@ -103,7 +96,7 @@ def test_truncate_tail_examples():
 
 def test_truncate_partition_exhaustive():
     rng = np.random.default_rng(5)
-    f = rand_scalar(rng, 10)
+    f = rand_scalar(rng, GRID, 10)
     t, tail = f.truncate(5), f.project_tail(5)
     for k in f.coeffs:
         lhs = t.coeff(k) + tail.coeff(k)
@@ -119,7 +112,7 @@ def test_average_examples():
     assert np.all(cos_series().average() == 0)
     assert np.all(fr.constant(GRID, 3.0).average() == 3.0)
     rng = np.random.default_rng(6)
-    f = rand_scalar(rng, 7)
+    f = rand_scalar(rng, GRID, 7)
     quad = f.eval_theta(THETAS).mean(axis=0)
     assert np.abs(f.average() - quad).max() < 1e-12
 
@@ -129,7 +122,7 @@ def test_average_examples():
 
 def test_multiply_identity_and_phase():
     rng = np.random.default_rng(7)
-    f = rand_scalar(rng, 6)
+    f = rand_scalar(rng, GRID, 6)
     prod = fr.multiply(f, fr.one(GRID))
     for k in f.coeffs:
         assert np.allclose(prod.coeff(k), f.coeff(k), rtol=0, atol=0)
@@ -142,8 +135,8 @@ def test_multiply_identity_and_phase():
 
 def test_multiply_quadrature_oracle():
     rng = np.random.default_rng(8)
-    f = rand_scalar(rng, 9)
-    g = rand_scalar(rng, 6)
+    f = rand_scalar(rng, GRID, 9)
+    g = rand_scalar(rng, GRID, 6)
     prod = fr.multiply(f, g)
     pointwise = f.eval_theta(THETAS) * g.eval_theta(THETAS)
     fft = np.fft.fft(pointwise, axis=0) / len(THETAS)
@@ -167,8 +160,8 @@ def test_banach_algebra_200_trials():
     for w in (ANALYTIC, GEVREY):
         ctx = WeightedNormContext(w, 0.05)
         for _ in range(100):
-            f = rand_scalar(rng, int(rng.integers(1, 33)))
-            g = rand_scalar(rng, int(rng.integers(1, 33)))
+            f = rand_scalar(rng, GRID, int(rng.integers(1, 33)))
+            g = rand_scalar(rng, GRID, int(rng.integers(1, 33)))
             lhs = fr.norm_r(fr.multiply(f, g), ctx)
             rhs = fr.norm_r(f, ctx) * fr.norm_r(g, ctx)
             assert lhs <= rhs * (1 + 1e-10)
@@ -181,7 +174,7 @@ def test_shift_matches_pointwise():
     from kamtori import cfrac as cfr
     gm = cfr.golden_mean()
     rng = np.random.default_rng(10)
-    f = rand_scalar(rng, 5)
+    f = rand_scalar(rng, GRID, 5)
     sh = f.shift(gm.phase)
     alpha = float(gm.alpha)
     direct = f.eval_theta((THETAS[:64] + alpha) % 1.0)
@@ -190,7 +183,7 @@ def test_shift_matches_pointwise():
 
 def test_conj_series_pointwise():
     rng = np.random.default_rng(11)
-    f = rand_scalar(rng, 5)
+    f = rand_scalar(rng, GRID, 5)
     c = f.conj()
     assert np.abs(c.eval_theta(THETAS[:64])
                   - np.conj(f.eval_theta(THETAS[:64]))).max() < 1e-13
@@ -226,7 +219,7 @@ def test_exp_i_scalar_rejects_complex():
 
 def test_exp_i_scalar_inverse_identity():
     rng = np.random.default_rng(12)
-    B = rand_scalar(rng, 4, scale=0.02, real=True)
+    B = rand_scalar(rng, GRID, 4, scale=0.02, real=True)
     prod = fr.multiply(fr.exp_i_scalar(B, 1), fr.exp_i_scalar(B.scale(-1), 1))
     dev = fr.norm_r(prod - fr.one(GRID), WeightedNormContext(ANALYTIC, 0.05))
     assert dev < 1e-10
@@ -235,22 +228,37 @@ def test_exp_i_scalar_inverse_identity():
 def test_exp_su11_constant_oracle():
     c = 0.3
     D = fr.off_diagonal(fr.constant(GRID, c))
-    E = fr.exp_su11(D)
-    # 2x2 matrix exponential oracle for [[0, c], [c, 0]]
-    m = E.coeff(0)[0]
-    assert m[0, 0] == pytest.approx(np.cosh(c), rel=1e-14)
-    assert m[0, 1] == pytest.approx(np.sinh(c), rel=1e-14)
-    assert m[1, 0] == pytest.approx(np.sinh(c), rel=1e-14)
+    E, E_inv = fr.exp_su11(D)
+    # 2x2 matrix exponential oracle for [[0, c], [c, 0]] and its inverse
+    for mat, sign in ((E, 1.0), (E_inv, -1.0)):
+        m = mat.coeff(0)[0]
+        assert m[0, 0] == pytest.approx(np.cosh(c), rel=1e-14)
+        assert m[0, 1] == pytest.approx(sign * np.sinh(c), rel=1e-14)
+        assert m[1, 0] == pytest.approx(sign * np.sinh(c), rel=1e-14)
 
 
 def test_exp_su11_determinant_random():
     rng = np.random.default_rng(13)
     for _ in range(10):
-        d = rand_scalar(rng, 4, scale=0.02)
-        E = fr.exp_su11(fr.off_diagonal(d))
+        d = rand_scalar(rng, GRID, 4, scale=0.02)
+        E, E_inv = fr.exp_su11(fr.off_diagonal(d))
         vals = E.eval_theta(THETAS[::16])
         det = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
         assert np.abs(det - 1).max() < 1e-12
+        inv = E_inv.eval_theta(THETAS[::16])
+        prod = np.einsum("tlij,tljk->tlik", vals, inv)
+        assert np.abs(prod - np.eye(2)).max() < 1e-12
+
+
+def test_exp_su11_inverse_equals_exp_of_minus_D():
+    # e^{-D} from the shared series is the exponential of -D, bit for bit
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        D = fr.off_diagonal(rand_scalar(rng, GRID, 4, scale=0.05))
+        _, E_inv = fr.exp_su11(D)
+        direct, _ = fr.exp_su11(D.scale(-1.0))
+        assert E_inv.support == direct.support
+        assert np.array_equal(E_inv.data, direct.data)
 
 
 def test_exp_su11_rejects_diagonal():
@@ -271,18 +279,19 @@ def test_exp_series_cap():
 
 def test_structure_preserved_by_algebra():
     rng = np.random.default_rng(14)
-    v = fr.conjugate_pair(rand_scalar(rng, 4))
-    a, b = rand_scalar(rng, 3), rand_scalar(rng, 3)
+    v = fr.conjugate_pair(rand_scalar(rng, GRID, 4))
+    a, b = rand_scalar(rng, GRID, 3), rand_scalar(rng, GRID, 3)
     W = fr.matrix_from_scalars(a, b, b.conj(), a.conj())
     assert fr.c2_pair_defect(v) < 1e-15
     assert fr.su11_defect(W) < 1e-15
     # products keep the patterns
     assert fr.c2_pair_defect(fr.multiply(W, v)) < 1e-13
-    W2 = fr.matrix_from_scalars(*(rand_scalar(rng, 2) for _ in range(2)),
+    W2 = fr.matrix_from_scalars(*(rand_scalar(rng, GRID, 2)
+                                  for _ in range(2)),
                                 *(fr.zeros(GRID), fr.zeros(GRID)))
     prod = fr.multiply(W, W)
     assert fr.su11_defect(prod) < 1e-13
-    assert fr.su11_defect(fr.exp_su11(fr.off_diagonal(a))) < 1e-13
+    assert fr.su11_defect(fr.exp_su11(fr.off_diagonal(a))[0]) < 1e-13
     assert fr.c2_pair_defect(v.truncate(3)) < 1e-15
 
 
@@ -302,7 +311,7 @@ def test_analytic_norm_dominates_when_argument_large():
     rng = np.random.default_rng(15)
     ctx = WeightedNormContext(GEVREY, 0.2)
     for _ in range(100):
-        f = rand_scalar(rng, int(rng.integers(1, 20)))
+        f = rand_scalar(rng, GRID, int(rng.integers(1, 20)))
         assert fr.norm_r(f, ctx) <= fr.analytic_norm(f, ctx) * (1 + 1e-12)
 
 
@@ -320,8 +329,8 @@ def test_jet_eval_and_compose():
     rng = np.random.default_rng(16)
     jet = fr.PowerFourierSeries(4, GRID, fr.C2VECTOR, {})
     for m in [(2, 0), (1, 1), (0, 3)]:
-        jet.set_term(m, fr.conjugate_pair(rand_scalar(rng, 2)))
-    d1 = rand_scalar(rng, 2, scale=0.1)
+        jet.set_term(m, fr.conjugate_pair(rand_scalar(rng, GRID, 2)))
+    d1 = rand_scalar(rng, GRID, 2, scale=0.1)
     d2 = d1.conj()
     val = jet.eval_at_series(d1, d2)
     # pointwise oracle
@@ -334,11 +343,11 @@ def test_jet_eval_and_compose():
 def test_jet_affine_composition_exact():
     rng = np.random.default_rng(17)
     jet = fr.PowerFourierSeries(3, GRID, fr.C2VECTOR, {})
-    jet.set_term((2, 0), fr.conjugate_pair(rand_scalar(rng, 2)))
-    jet.set_term((1, 2), fr.conjugate_pair(rand_scalar(rng, 1)))
-    e = [rand_scalar(rng, 1, scale=0.5) for _ in range(4)]
-    d1 = rand_scalar(rng, 1, scale=0.2)
-    d2 = rand_scalar(rng, 1, scale=0.2)
+    jet.set_term((2, 0), fr.conjugate_pair(rand_scalar(rng, GRID, 2)))
+    jet.set_term((1, 2), fr.conjugate_pair(rand_scalar(rng, GRID, 1)))
+    e = [rand_scalar(rng, GRID, 1, scale=0.5) for _ in range(4)]
+    d1 = rand_scalar(rng, GRID, 1, scale=0.2)
+    d2 = rand_scalar(rng, GRID, 1, scale=0.2)
     comp = jet.compose_affine(e[0], e[1], e[2], e[3], d1, d2)
     assert all(sum(m) <= 3 for m in comp.terms)
     # pointwise oracle at random y
@@ -368,10 +377,213 @@ def test_jet_degree_guard():
 
 def test_coeff_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
-    f = rand_scalar(rng, 6, scale=math.pi)
+    f = rand_scalar(rng, GRID, 6, scale=math.pi)
     path = tmp_path / "f.dump"
     fr.write_coeff_dump(path, f)
     g = fr.read_coeff_dump(path, GRID)
     assert set(g.coeffs) == set(f.coeffs)
     for k in f.coeffs:
         assert np.array_equal(g.coeff(k), f.coeff(k))  # bit-exact contract
+
+
+# -- the coefficient store against per-mode reference loops ----------------------
+
+GAPPED = (-7, -2, 0, 3, 8)
+KINDS = (fr.SCALAR, fr.C2VECTOR, fr.SU11MATRIX)
+
+
+def gapped(rng, kind, modes=GAPPED):
+    """A random series on the given modes and its coefficients as a dict."""
+    shape = (len(GRID),) + fr._COMP_SHAPE[kind]
+    coeffs = {k: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for k in modes}
+    return fr.from_modes(GRID, kind, coeffs), coeffs
+
+
+def ref_cleaned(coeffs):
+    # the drop rule, one mode at a time
+    gmax = max((float(np.abs(v).max()) for v in coeffs.values()), default=0.0)
+    return {k: v for k, v in coeffs.items()
+            if float(np.abs(v).max()) >= 1e-16 * gmax and np.any(v)}
+
+
+def assert_store(s, coeffs):
+    """s holds exactly coeffs, bit for bit, in a sorted mode vector."""
+    assert s.support == sorted(coeffs)
+    assert s.data.shape == (len(coeffs), len(GRID)) + fr._COMP_SHAPE[s.kind]
+    for k, v in coeffs.items():
+        assert np.array_equal(s.coeff(k), v)
+
+
+def ref_coeff_O(v, grid, ctx):
+    """|f_k|_O of one coefficient: sup over the active lambda of |entry| +
+    |d/dlambda entry|, max over entries."""
+    if ctx.active is not None:
+        v = v[ctx.active]
+        grid = grid[ctx.active]
+    if v.size == 0:
+        return 0.0
+    mag = np.abs(v)
+    if ctx.include_lambda_derivative and len(grid) >= 2:
+        mag = mag + np.abs(np.gradient(v, grid, axis=0))
+    return float(mag.max())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_store_add_sub_scale_shift_conj(kind):
+    from kamtori import cfrac as cfr
+    gm = cfr.golden_mean()
+    rng = np.random.default_rng(40)
+    f, a = gapped(rng, kind)
+    g, b = gapped(rng, kind, (-9, -2, 1, 3))
+    summed = {k: a[k] + b[k] if k in b else a[k] for k in a}
+    summed.update({k: v for k, v in b.items() if k not in a})
+    assert_store(f + g, summed)
+    assert_store(f + f, {k: v + v for k, v in a.items()})
+    diff = {k: a[k] - b[k] if k in b else a[k] for k in a}
+    diff.update({k: -v for k, v in b.items() if k not in a})
+    assert_store(f - g, diff)
+    lam = 1.0 + GRID
+    factor = lam.reshape((len(GRID),) + (1,) * len(fr._COMP_SHAPE[kind]))
+    assert_store(f.scale(lam), {k: v * factor for k, v in a.items()})
+    assert_store(f.scale(2j), {k: v * 2j for k, v in a.items()})
+    assert_store(f.shift(gm.phase), {k: v * gm.phase(k) for k, v in a.items()})
+    assert_store(f.conj(), {-k: np.conj(v) for k, v in a.items()})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_store_truncate_tail_component_entry(kind):
+    rng = np.random.default_rng(41)
+    f, a = gapped(rng, kind)
+    for K in (1, 3, 7, 8, 9):
+        assert_store(f.truncate(K), {k: v for k, v in a.items() if abs(k) < K})
+        assert_store(f.project_tail(K),
+                     {k: v for k, v in a.items() if abs(k) >= K})
+    if kind == fr.C2VECTOR:
+        for i in (0, 1):
+            assert_store(f.component(i),
+                         ref_cleaned({k: v[:, i] for k, v in a.items()}))
+    if kind == fr.SU11MATRIX:
+        for i in (0, 1):
+            for j in (0, 1):
+                ref = {k: v[:, i, j] for k, v in a.items()}
+                assert_store(f.entry(i, j), ref_cleaned(ref))
+
+
+@pytest.mark.parametrize("kinds", [(fr.SCALAR, fr.SCALAR),
+                                   (fr.SCALAR, fr.C2VECTOR),
+                                   (fr.SU11MATRIX, fr.SCALAR),
+                                   (fr.SU11MATRIX, fr.C2VECTOR),
+                                   (fr.SU11MATRIX, fr.SU11MATRIX)])
+def test_store_multiply_per_mode(kinds):
+    rng = np.random.default_rng(42)
+    f, a = gapped(rng, kinds[0])
+    g, b = gapped(rng, kinds[1], (-5, -4, 0, 6))
+    ein = fr._MUL_RULES[kinds][1].replace("n", "")
+    ref: dict = {}
+    for k1, v1 in sorted(a.items()):
+        for k2, v2 in sorted(b.items()):
+            ref[k1 + k2] = ref.get(k1 + k2, 0) + np.einsum(ein, v1, v2)
+    prod = fr.multiply(f, g)
+    assert prod.support == sorted(ref_cleaned(ref))
+    for k, v in ref.items():
+        assert np.allclose(prod.coeff(k), v, rtol=1e-15, atol=0)
+
+
+def test_store_multiply_drops_cancelled_rows():
+    # (e_1 + e_-1)(e_1 - e_-1) = e_2 - e_-2: mode 0 cancels exactly
+    f = fr.from_modes(GRID, fr.SCALAR, {1: 1.0, -1: 1.0})
+    g = fr.from_modes(GRID, fr.SCALAR, {1: 1.0, -1: -1.0})
+    assert fr.multiply(f, g).support == [-2, 2]
+
+
+def test_store_defects_per_mode():
+    rng = np.random.default_rng(43)
+    for kind in KINDS:
+        f, a = gapped(rng, kind)
+        zero = np.zeros_like(a[0])
+        worst = 0.0
+        for k in set(a) | {-k for k in a}:
+            c, cr = a.get(k, zero), np.conj(a.get(-k, zero))
+            if kind == fr.SCALAR:
+                d = np.abs(a.get(-k, zero) - np.conj(c))
+            elif kind == fr.C2VECTOR:
+                d = np.abs(c[:, 1] - cr[:, 0])
+            else:
+                d = np.maximum(np.abs(c[:, 1, 1] - cr[:, 0, 0]),
+                               np.abs(c[:, 1, 0] - cr[:, 0, 1]))
+            worst = max(worst, float(d.max()))
+        defect = {fr.SCALAR: fr.real_defect, fr.C2VECTOR: fr.c2_pair_defect,
+                  fr.SU11MATRIX: fr.su11_defect}[kind]
+        assert defect(f) == worst
+        act = np.arange(len(GRID)) % 2 == 0
+        assert defect(f, act) <= worst
+        assert defect(f, np.zeros(len(GRID), bool)) == 0.0
+    # series with the structure have no defect
+    d, _ = gapped(rng, fr.SCALAR)
+    assert fr.real_defect(d + d.conj()) == 0.0
+    assert fr.c2_pair_defect(fr.conjugate_pair(d)) == 0.0
+    assert fr.su11_defect(fr.matrix_from_scalars(d, d.conj(), d, d.conj())) \
+        == 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("weight", [ANALYTIC, GEVREY], ids=["analytic",
+                                                            "gevrey"])
+def test_store_norms_per_mode(kind, weight):
+    rng = np.random.default_rng(44)
+    f, a = gapped(rng, kind)
+    act = np.array([True, False, True, True, False])
+    for ctx in (WeightedNormContext(weight, 0.05),
+                WeightedNormContext(weight, 0.05, active=act),
+                WeightedNormContext(weight, 0.05,
+                                    include_lambda_derivative=False)):
+        tot, analytic, sup = 0.0, 0.0, 0.0
+        for k in sorted(a):       # ascending, as the store sums
+            c = ref_coeff_O(a[k], GRID, ctx)
+            y = 2 * math.pi * abs(k) * 0.05
+            tot += c * math.exp(eval_lambda(weight, y))
+            analytic += c * math.exp(2 * math.pi * abs(k) * 0.05)
+            v = a[k] if ctx.active is None else a[k][ctx.active]
+            sup += float(np.abs(v).max())
+        assert fr.norm_r(f, ctx) == tot
+        assert fr.analytic_norm(f, ctx) == analytic
+        assert f.sup_bound(ctx.active) == sup
+
+
+def test_store_zero_series_and_empty_grid():
+    ctx = WeightedNormContext(ANALYTIC, 0.1)
+    for kind in KINDS:
+        z = fr.zeros(GRID, kind)
+        assert z.is_zero() and z.support == [] and z.coeffs == {}
+        assert z.data.shape == (0, len(GRID)) + fr._COMP_SHAPE[kind]
+        assert (z + z).is_zero() and z.scale(3.0).is_zero()
+        assert z.conj().is_zero() and z.truncate(3).is_zero()
+        assert z.project_tail(3).is_zero() and z.max_mode == 0
+        assert fr.norm_r(z, ctx) == 0.0 and z.sup_bound() == 0.0
+        assert not np.any(z.eval_theta(THETAS[:4]))
+        assert not np.any(z.coeff(2))
+        assert fr.multiply(fr.one(GRID), z).is_zero()
+    assert fr.real_defect(fr.zeros(GRID)) == 0.0
+    assert fr.su11_defect(fr.zeros(GRID, fr.SU11MATRIX)) == 0.0
+    assert fr.from_modes(GRID, fr.SCALAR, {3: 0.0}).is_zero()
+    empty = np.array([])
+    e = fr.from_modes(empty, fr.SCALAR, {1: 1.0})
+    assert e.is_zero() and e.data.shape == (0, 0)
+    assert e.sup_bound() == 0.0 and fr.real_defect(e) == 0.0
+    assert fr.multiply(e, e).is_zero()
+    assert e.eval_theta(THETAS[:3]).shape == (3, 0)
+
+
+def test_store_coeffs_view_matches_store():
+    rng = np.random.default_rng(45)
+    for kind in KINDS:
+        f, _ = gapped(rng, kind)
+        view = f.coeffs
+        assert list(view) == f.support == list(GAPPED)
+        assert f.modes.dtype == np.int64
+        assert np.all(np.diff(f.modes) > 0)
+        for i, (k, v) in enumerate(view.items()):
+            assert np.array_equal(v, f.data[i])
+        with pytest.raises(ValueError):
+            view[GAPPED[0]][0] = 1.0          # read-only

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from kamtori import cfrac as cfr
 from kamtori import fourier as fr
 from kamtori import homological as hm
+from kamtori import verify as vf
 from kamtori.fourier import WeightedNormContext
 from kamtori.weights import WeightFunction, eval_lambda
 
@@ -15,16 +18,7 @@ ANALYTIC = WeightFunction("analytic")
 GM = cfr.golden_mean()
 
 
-def rand_scalar(rng, support, scale=1.0, real=False, grid=GRID):
-    modes = {}
-    for k in range(1, support + 1):
-        c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        modes[k] = c
-        modes[-k] = np.conj(c) if real else scale * (
-            rng.standard_normal() + 1j * rng.standard_normal())
-    if real:
-        modes[0] = scale * rng.standard_normal()
-    return fr.from_modes(grid, fr.SCALAR, modes)
+rand_scalar = functools.partial(vf.rand_scalar, lam_linear=False)
 
 
 # -- interval unions --------------------------------------------------------------
@@ -72,7 +66,7 @@ def test_b_equation_high_modes_only():
 
 def test_b_equation_real_output():
     rng = np.random.default_rng(20)
-    B = rand_scalar(rng, 6, real=True)
+    B = rand_scalar(rng, GRID, 6, real=True)
     bc = hm.solve_b_equation(B, 5, GM)
     assert fr.real_defect(bc) < 1e-14
 
@@ -94,7 +88,7 @@ def test_b_equation_exponential_bound():
     ctx_r = WeightedNormContext(ANALYTIC, r)
     ctx_rbar = WeightedNormContext(ANALYTIC, rbar)
     for _ in range(20):
-        B = rand_scalar(rng, int(rng.integers(2, 40)), real=True)
+        B = rand_scalar(rng, GRID, int(rng.integers(2, 40)), real=True)
         B = B.scale(0.1 * rng.uniform(0.1, 1.0) / fr.norm_r(B, ctx_r))
         bc = hm.solve_b_equation(B, qbar, GM)
         lhs = fr.norm_r(fr.exp_i_scalar(bc, 1), ctx_rbar)
@@ -215,7 +209,7 @@ def test_tail_bound_random_property():
     rng = np.random.default_rng(22)
     ctx = WeightedNormContext(WeightFunction("gevrey", 0.5), 0.2)
     for _ in range(100):
-        f = rand_scalar(rng, int(rng.integers(4, 40)))
+        f = rand_scalar(rng, GRID, int(rng.integers(4, 40)))
         K = int(rng.integers(4, 16))
         sigma = 0.2 * rng.uniform(0.1, 0.45)
         bound, actual, row = hm.tail_bound(f, K, 0.2, sigma, ctx)
@@ -262,7 +256,7 @@ def test_polar_random_reconstruction():
     rng = np.random.default_rng(23)
     ctx = WeightedNormContext(ANALYTIC, 0.05)
     for _ in range(50):
-        G = rand_scalar(rng, int(rng.integers(1, 8)), scale=0.02)
+        G = rand_scalar(rng, GRID, int(rng.integers(1, 8)), scale=0.02)
         G = G.scale(0.1 * rng.uniform(0.1, 1.0) / max(fr.norm_r(G, ctx), 1e-300))
         rho, B, defect = hm.polar_decompose(G)
         assert fr.real_defect(rho) < 1e-12
@@ -313,33 +307,6 @@ def test_solver_zero_rhs():
     assert res.delta_er.is_zero()
 
 
-def full_pivot_solve(A, rhs):
-    # independent dense oracle: Gaussian elimination with full pivoting
-    A = A.astype(complex).copy()
-    rhs = rhs.astype(complex).copy()
-    n = A.shape[0]
-    piv = list(range(n))
-    for col in range(n):
-        sub = np.abs(A[col:, col:])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        i += col
-        j += col
-        A[[col, i], :] = A[[i, col], :]
-        rhs[[col, i]] = rhs[[i, col]]
-        A[:, [col, j]] = A[:, [j, col]]
-        piv[col], piv[j] = piv[j], piv[col]
-        for r in range(col + 1, n):
-            m = A[r, col] / A[col, col]
-            A[r, col:] -= m * A[col, col:]
-            rhs[r] -= m * rhs[col]
-    x = np.zeros(n, complex)
-    for r in range(n - 1, -1, -1):
-        x[r] = (rhs[r] - A[r, r + 1:] @ x[r + 1:]) / A[r, r]
-    out = np.zeros(n, complex)
-    out[piv] = x
-    return out
-
-
 @pytest.mark.parametrize("l", [1, 2])
 def test_solver_dense_full_pivot_oracle(l):
     rng = np.random.default_rng(24 + l)
@@ -348,31 +315,15 @@ def test_solver_dense_full_pivot_oracle(l):
     act = dc.active_mask()
     setup = make_setup(K=K, active=act)
     for _ in range(10):
-        B = rand_scalar(rng, 5, scale=0.002, real=True)
-        b = rand_scalar(rng, 4, scale=1e-3)
-        u = rand_scalar(rng, K - 1, scale=1e-2)
+        B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
+        b = rand_scalar(rng, GRID, 4, scale=1e-3)
+        u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
         res = hm.solve_homological(B, b, u, l, dc, setup, force=True)
-        lam_t = GRID + np.real(B.average())
-        mser = B.truncate(setup.qbar_n).scale(-1.0) + \
-            fr.constant(GRID, B.average(), fr.SCALAR)
-        phi = fr.exp_i_scalar(mser, l)
-        utt = fr.multiply(fr.multiply(fr.exp_i_scalar(res.bcal, l), u), phi)
-        ks = np.arange(-K + 1, K)
+        A, rhs, mine = vf.dense_system(B, u, res, l, setup)
         for li in np.nonzero(act)[0][::3]:
-            n = len(ks)
-            A = np.zeros((n, n), complex)
-            for i1, k1 in enumerate(ks):
-                A[i1, i1] = np.exp(2j * np.pi * l * lam_t[li]) \
-                    - GM.phase(int(k1))
-                for i2, k2 in enumerate(ks):
-                    d = int(k1 - k2)
-                    if d in res.btilde.coeffs:
-                        A[i1, i2] += res.btilde.coeffs[d][li]
-            rhs = np.array([utt.coeff(int(k))[li] for k in ks])
-            x = full_pivot_solve(A, rhs)
-            mine = np.array([res.delta_tilde.coeff(int(k))[li] for k in ks])
-            assert np.abs(x - mine).max() <= 1e-10 * max(np.abs(x).max(),
-                                                         1e-300)
+            x = vf.full_pivot(A[li], rhs[li])
+            assert np.abs(x - mine[li]).max() <= 1e-10 * max(np.abs(x).max(),
+                                                             1e-300)
 
 
 def test_solver_full_equation_residual_identity():
@@ -383,9 +334,9 @@ def test_solver_full_equation_residual_identity():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
     act = dc.active_mask()
     setup = make_setup(K=K, active=act)
-    B = rand_scalar(rng, 5, scale=0.002, real=True)
-    b = rand_scalar(rng, 4, scale=1e-3)
-    u = rand_scalar(rng, 14, scale=1e-2)   # modes beyond K: nonzero tail
+    B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
+    b = rand_scalar(rng, GRID, 4, scale=1e-3)
+    u = rand_scalar(rng, GRID, 14, scale=1e-2)   # modes beyond K: nonzero tail
     res = hm.solve_homological(B, b, u, 1, dc, setup, force=True)
     assert not res.delta_er.is_zero()
     row = [r for r in res.rows if r.check.startswith("full residual")][0]
@@ -399,8 +350,8 @@ def test_solver_preconditions_raise_without_force():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     setup = make_setup(active=dc.active_mask())
     rng = np.random.default_rng(27)
-    b = rand_scalar(rng, 3, scale=1.0)     # far above the hypothesis bound
-    u = rand_scalar(rng, 5, scale=1.0)
+    b = rand_scalar(rng, GRID, 3, scale=1.0)  # far above the hypothesis bound
+    u = rand_scalar(rng, GRID, 5, scale=1.0)
     with pytest.raises(hm.PreconditionError):
         hm.solve_homological(fr.zeros(GRID), b, u, 1, dc, setup)
 
@@ -409,9 +360,8 @@ def test_solver_conditioning_error():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 6, GRID)
     setup = make_setup(K=6, eps0=1e6, active=dc.active_mask())
     rng = np.random.default_rng(28)
-    b = rand_scalar(rng, 3, scale=0.5)     # passes nothing; forced past pre
-    u = rand_scalar(rng, 5, scale=1.0)
-    rows = hm._preconditions(fr.zeros(GRID), b, dc, setup)
+    b = rand_scalar(rng, GRID, 3, scale=0.5)  # passes nothing; forced past pre
+    u = rand_scalar(rng, GRID, 5, scale=1.0)
     with pytest.raises((hm.ConditioningError, hm.PreconditionError)):
         hm.solve_homological(fr.zeros(GRID), b, u, 2, dc, setup)
 
@@ -433,8 +383,10 @@ def conditioning_oracle(btilde, lam_t, l, cf, setup):
         small = np.abs(np.exp(2j * np.pi * (l * om)) - cf.phase(k))
         val = (1.0 / small + 2 * math.pi * l * (1.0 + davg) / small**2).max()
         s_inv = max(s_inv, float(val))
-    ctx = setup.ctx(setup.r_tilde)
-    c_O = {d: fr._coeff_O(v, grid, ctx) for d, v in btilde.coeffs.items()}
+    # |btilde_d|_O: the norm of the single mode d at width 0, Lambda(0) = 0
+    ctx = setup.ctx(0.0)
+    c_O = {d: fr.norm_r(fr.from_modes(grid, fr.SCALAR, {d: v}), ctx)
+           for d, v in btilde.coeffs.items()}
     lw = {k: eval_lambda(setup.weight, 2 * math.pi * k * setup.r_tilde)
           for k in range(K)}
     pe = 0.0
@@ -454,7 +406,7 @@ def conditioning_oracle(btilde, lam_t, l, cf, setup):
 def test_conditioning_matches_double_loop(K, weight):
     rng = np.random.default_rng(60 + K)
     grid = np.linspace(0.25, 0.75, 33)
-    B = rand_scalar(rng, 5, scale=0.002, real=True, grid=grid)
+    B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
     dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid,
                               shift=np.real(B.average()))
     act = dc.active_mask()
@@ -463,10 +415,10 @@ def test_conditioning_matches_double_loop(K, weight):
                           q_next=89, qbar_n=8, qbar_next=144, K=K, r_b=0.05,
                           r_tilde=0.005, sigma=0.001, r0=0.5, eps0=1e-6,
                           active=act)
-    level = hm.SolverLevel(B, GM, 8, K, act)
+    level = hm.SolverLevel(B, setup)
     for l in (1, 2):
-        b = rand_scalar(rng, 4, scale=1e-3, grid=grid)
-        u = rand_scalar(rng, K - 1, scale=1e-2, grid=grid)
+        b = rand_scalar(rng, grid, 4, scale=1e-3)
+        u = rand_scalar(rng, grid, K - 1, scale=1e-2)
         res = hm.solve_homological(B, b, u, l, dc, setup, force=True,
                                    level=level)
         s_inv, pe = hm._conditioning(res.btilde, level, l, setup)
@@ -481,16 +433,47 @@ def test_solver_level_refuses_other_inputs():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     act = dc.active_mask()
     setup = make_setup(active=act)
-    B = rand_scalar(rng, 5, scale=0.002, real=True)
-    b = rand_scalar(rng, 4, scale=1e-3)
-    u = rand_scalar(rng, 8, scale=1e-2)
-    level = hm.SolverLevel(B, GM, setup.qbar_n, setup.K, act)
+    B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
+    b = rand_scalar(rng, GRID, 4, scale=1e-3)
+    u = rand_scalar(rng, GRID, 8, scale=1e-2)
+    level = hm.SolverLevel(B, setup)
     hm.solve_homological(B, b, u, 2, dc, setup, force=True, level=level)
+    # the widths of the solve may differ from the level's setup
+    hm.solve_homological(B, b, u, 1, dc, dataclasses.replace(
+        setup, r_tilde=0.004), force=True, level=level)
     with pytest.raises(ValueError):      # another B
         hm.solve_homological(B.scale(0.5), b, u, 2, dc, setup, force=True,
                              level=level)
     with pytest.raises(ValueError):      # another K
         hm.solve_homological(B, b, u, 2, dc, make_setup(K=11, active=act),
                              force=True, level=level)
+    for other in (dataclasses.replace(setup, r_b=0.04),
+                  dataclasses.replace(setup, weight=WeightFunction("gevrey",
+                                                                   0.5))):
+        with pytest.raises(ValueError):  # the B norms were measured at r_b
+            hm.solve_homological(B, b, u, 2, dc, other, force=True,
+                                 level=level)
     with pytest.raises(ValueError, match="l must be 1 or 2"):
         hm.solve_homological(B, b, u, 3, dc, setup, force=True, level=level)
+
+
+def test_b_norms_measured_once_per_level():
+    rng = np.random.default_rng(62)
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    setup = make_setup(active=dc.active_mask())
+    B = rand_scalar(rng, GRID, 12, scale=0.002, real=True)
+    b = rand_scalar(rng, GRID, 4, scale=1e-3)
+    u = rand_scalar(rng, GRID, 8, scale=1e-2)
+    level = hm.SolverLevel(B, setup)
+    fresh = [hm.solve_homological(B, b, u, l, dc, setup, force=True)
+             for l in (1, 2)]
+    shared = [hm.solve_homological(B, b, u, l, dc, setup, force=True,
+                                   level=level) for l in (1, 2)]
+    # the same rows, bit for bit, whether a level is shared or not
+    assert [r.precondition_rows for r in shared] == \
+        [r.precondition_rows for r in fresh]
+    nB = fr.norm_r(B, setup.ctx(setup.r_b))
+    tail = fr.norm_r(B.project_tail(setup.qbar_n), setup.ctx(setup.r_b / 2))
+    assert level.b_norms == (nB, tail)
+    assert [r.actual for r in shared[0].precondition_rows[:2]] == [nB, tail]
+    assert tail > 0

@@ -175,7 +175,7 @@ def _level_pieces(grid, gamma=0.05, K=12, state=None):
                           q_next=89, qbar_n=8, qbar_next=144, K=K,
                           r_b=0.05, r_tilde=0.01, sigma=0.002, r0=0.5,
                           eps0=1e-6, active=act)
-    level = hm.SolverLevel(B, GM, setup.qbar_n, K, act)
+    level = hm.SolverLevel(B, setup)
     ctx = kam._level_context(state, GM, ANALYTIC, dc, act, rho, level)
     return dc, act, ctx, setup
 

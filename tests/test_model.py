@@ -155,7 +155,7 @@ def test_reconstruct_invariant_under_zero_factor():
 def test_torus_stays_real_through_factors():
     rng = np.random.default_rng(32)
     d1 = fr.from_modes(GRID, fr.SCALAR, {1: 0.02 + 0.01j})
-    E = fr.exp_su11(fr.off_diagonal(d1))
+    E, _ = fr.exp_su11(fr.off_diagonal(d1))
     off = fr.conjugate_pair(fr.from_modes(GRID, fr.SCALAR, {2: 0.05j}))
     factors = [kam.TransformFactor(E, off)]
     t = md.reconstruct_torus(factors, GRID)
