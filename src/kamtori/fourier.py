@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -48,6 +47,13 @@ class KindMismatch(TypeError):
 
 class PowerSeriesDiverged(ArithmeticError):
     """The 64-term cap was hit; inputs in the scheme are always small."""
+
+
+def _union(*modes: np.ndarray) -> np.ndarray:
+    """Sorted union of mode vectors (np.union1d would import numpy.ma, a
+    tenth of the start-up time)."""
+    return np.array(sorted(set().union(*(m.tolist() for m in modes))),
+                    np.int64)
 
 
 def _row_shape(grid: np.ndarray, kind: str) -> tuple:
@@ -107,12 +113,14 @@ class FourierSeries:
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._compat(other)
-        if np.array_equal(self.modes, other.modes):
+        if np.array_equal(self.modes, other.modes):   # most sums in series
             return _cleaned(self.lambda_grid, self.kind, self.modes,
                             self.data + other.data)
-        modes = np.union1d(self.modes, other.modes)
+        modes = _union(self.modes, other.modes)
         data = np.zeros((len(modes),) + self.data.shape[1:], complex)
         data[np.searchsorted(modes, self.modes)] = self.data
+        # a row only one side holds is copied, not added to 0, which would
+        # turn its -0.0 parts into +0.0
         at = np.searchsorted(modes, other.modes)
         both = np.isin(other.modes, self.modes)
         data[at[both]] += other.data[both]
@@ -250,7 +258,7 @@ def _assemble(kind: str, parts) -> FourierSeries:
     """A vector or matrix series from (entry index, scalar series) pairs;
     entries no part names are zero."""
     grid = parts[0][1].lambda_grid
-    modes = reduce(np.union1d, [s.modes for _, s in parts])
+    modes = _union(*(s.modes for _, s in parts))
     data = np.zeros((len(modes),) + _row_shape(grid, kind), complex)
     for idx, s in parts:
         data[(np.searchsorted(modes, s.modes), slice(None)) + idx] = s.data
@@ -347,7 +355,7 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
 def _mirrored(s: FourierSeries) -> tuple:
     """Zero-filled rows of s at the modes M = supp s | -supp s (ascending),
     and the same rows at -M."""
-    modes = np.union1d(s.modes, -s.modes)
+    modes = _union(s.modes, -s.modes)
     rows = np.zeros((len(modes),) + s.data.shape[1:], complex)
     rows[np.searchsorted(modes, s.modes)] = s.data
     return rows, rows[::-1]
