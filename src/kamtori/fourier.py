@@ -1,15 +1,14 @@
 """Finite Fourier series over the circle with tabulated parameter dependence.
 
-A series is stored as two arrays: `modes`, the sorted integer modes it
-holds, and `data`, one C-contiguous complex array of shape
-(len(modes), L) + comp shape whose row i is the coefficient of mode
-modes[i] tabulated on an ascending lambda-grid of L points.  Every
-operation reads and writes these two arrays; `coeffs` is a read-only
-{k: row} view built on access.  Three value kinds share the store: scalars,
-2-vectors (conjugate pairs (v, vbar)) and 2x2 matrices with the
-[[a, b], [conj b, conj a]] block pattern.  The kind is a shape tag; the
-structural claims are checked where the scheme requires them, not
-enforced by construction.
+A series is two arrays: `modes`, the sorted integer modes it holds, and
+`data`, one C-contiguous complex array of shape (len(modes), L) + comp
+shape whose row i is the coefficient of mode modes[i] on an ascending
+lambda-grid of L points.  Every operation works on these two arrays;
+`coeffs` is a read-only {k: row} view built on access.  Three value kinds
+share the store: scalars, 2-vectors (conjugate pairs (v, vbar)) and 2x2
+matrices with the [[a, b], [conj b, conj a]] block pattern.  The kind is a
+shape tag; the structural claims are checked where the scheme requires
+them, not enforced by construction.
 
 Weighted norms sum |f_k|_O * exp(L(2 pi |k| r)) where |.|_O is the sup over
 the (active part of the) lambda-grid of value plus central-difference
@@ -50,8 +49,7 @@ class PowerSeriesDiverged(ArithmeticError):
 
 
 def _union(*modes: np.ndarray) -> np.ndarray:
-    """Sorted union of mode vectors (np.union1d would import numpy.ma, a
-    tenth of the start-up time)."""
+    """Sorted union of mode vectors; np.union1d would import numpy.ma."""
     return np.array(sorted(set().union(*(m.tolist() for m in modes))),
                     np.int64)
 
@@ -92,9 +90,7 @@ class FourierSeries:
 
     @property
     def max_mode(self) -> int:
-        if self.is_zero():
-            return 0
-        return int(max(-self.modes[0], self.modes[-1]))
+        return int(np.abs(self.modes).max()) if len(self.modes) else 0
 
     def is_zero(self) -> bool:
         return len(self.modes) == 0
@@ -304,8 +300,7 @@ def lambda_phase(lambda_grid, l: int = 1) -> FourierSeries:
 
 
 def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
-    """The series without its zero rows and its rows below DROP_REL times
-    the largest coefficient."""
+    """The series without its zero rows and its rows below the drop rule."""
     grid = np.asarray(grid, float)
     if data.size == 0:
         return zeros(grid, kind)
@@ -437,13 +432,12 @@ def _exp(y: float) -> float:
         return math.inf
 
 
-def _weighted_sum(f: FourierSeries, ctx: WeightedNormContext,
-                  exponent) -> float:
-    """sum_k |f_k|_O exp(exponent(2 pi |k| r)) in ascending k, over the
-    modes with |f_k|_O != 0."""
+def _weighted_sum(f: FourierSeries, ctx: WeightedNormContext, lam) -> float:
+    """sum_k |f_k|_O exp(lam(2 pi |k| r)) in ascending k, over the modes
+    with |f_k|_O != 0."""
     c = _modes_O(f.data, f.lambda_grid, ctx)
     nz = c != 0
-    y = exponent(2 * math.pi * np.abs(f.modes[nz]) * float(ctx.r))
+    y = lam(2 * math.pi * np.abs(f.modes[nz]) * float(ctx.r))
     return sum((ci * _exp(yi) for ci, yi in zip(c[nz].tolist(), y.tolist())),
                0.0)
 

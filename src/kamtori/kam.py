@@ -741,7 +741,6 @@ def _torus_residual(spec, state: KamState) -> tuple:
     """(max over the active lambda of the invariance residual of the torus
     reconstructed from state's factors, its rows)."""
     mask = state.active_mask()
-    torus = md.reconstruct_torus(state.factors, spec.lambda_grid,
-                                 level=state.n)
+    torus = md.reconstruct_torus(state.factors, spec.lambda_grid, state.n)
     res, rows = md.residual(spec, torus, active=mask)
     return (float(res[mask].max()) if mask.any() else 0.0), rows

@@ -26,9 +26,8 @@ GRID5 = np.linspace(0.25, 0.75, 5)
 
 def rand_scalar(rng, grid, support, scale=1.0, real=False,
                 lam_linear=True) -> fr.FourierSeries:
-    """Random trig polynomial on modes |k| <= support; lambda-dependence
-    linear (or none without lam_linear) so the finite-difference norm
-    calculus stays exact."""
+    """Random trig polynomial; lambda-dependence at most linear so the
+    finite-difference norm calculus stays exact."""
     modes = {}
     slope = rng.standard_normal() if lam_linear else 0.0
     lam = np.asarray(grid)
@@ -252,10 +251,9 @@ def full_pivot(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def dense_system(B, u, res, l: int, setup) -> tuple:
-    """The truncated system (S + P) F = U of one solve, rebuilt densely per
-    lambda-grid point from its inputs and the solver's btilde and bcal:
-    (A, rhs, F) with A[li] the (2K-1)^2 matrix over the modes |k| < K, rhs[li]
-    the modes of U and F[li] those of the solver's delta_tilde."""
+    """The truncated system (S + P) F = U of one solve rebuilt densely from
+    its inputs, btilde and bcal: (A, rhs, F) with A[li], rhs[li] and the
+    solver's delta_tilde F[li] over the modes |k| < K at grid point li."""
     grid = u.lambda_grid
     mser = B.truncate(setup.qbar_n).scale(-1.0) + \
         fr.constant(grid, B.average(), fr.SCALAR)
