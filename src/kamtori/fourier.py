@@ -16,8 +16,9 @@ lambda-derivative, reduced over vector/matrix entries by maximum.  Norms,
 sup bounds and theta-evaluations sum over the modes in ascending order.
 
 After every algebra operation the rows below DROP_REL times the largest
-coefficient, and the rows that are exactly zero, are removed, which keeps
-supports finite across the iteration.
+coefficient, the rows that are exactly zero and the rows holding NaN (which
+do not count for the largest) are removed, which keeps supports finite
+across the iteration.
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ class FourierSeries:
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._compat(other)
-        if np.array_equal(self.modes, other.modes):   # most sums in series
-            return _cleaned(self.lambda_grid, self.kind, self.modes,
-                            self.data + other.data)
         modes = _union(self.modes, other.modes)
         data = np.zeros((len(modes),) + self.data.shape[1:], complex)
         data[np.searchsorted(modes, self.modes)] = self.data
@@ -166,14 +164,12 @@ class FourierSeries:
     def component(self, i: int) -> "FourierSeries":
         if self.kind != C2VECTOR:
             raise KindMismatch("component() needs a vector series")
-        return _cleaned(self.lambda_grid, SCALAR, self.modes,
-                        np.ascontiguousarray(self.data[:, :, i]))
+        return _cleaned(self.lambda_grid, SCALAR, self.modes, self.data[:, :, i])
 
     def entry(self, i: int, j: int) -> "FourierSeries":
         if self.kind != SU11MATRIX:
             raise KindMismatch("entry() needs a matrix series")
-        return _cleaned(self.lambda_grid, SCALAR, self.modes,
-                        np.ascontiguousarray(self.data[:, :, i, j]))
+        return _cleaned(self.lambda_grid, SCALAR, self.modes, self.data[:, :, i, j])
 
     def eval_theta(self, thetas) -> np.ndarray:
         """Values on a theta-grid: shape (T, L) + comp shape."""
@@ -300,14 +296,13 @@ def lambda_phase(lambda_grid, l: int = 1) -> FourierSeries:
 
 
 def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
-    """The series without its zero rows and its rows below the drop rule."""
+    """The series without its zero rows, its NaN rows and its rows below the
+    drop rule."""
     grid = np.asarray(grid, float)
     if data.size == 0:
         return zeros(grid, kind)
     rowmax = np.abs(data).reshape(len(data), -1).max(axis=1)
-    keep = (rowmax >= DROP_REL * rowmax.max()) & (rowmax > 0)
-    if keep.all():
-        return FourierSeries(grid, kind, modes, data)
+    keep = (rowmax >= DROP_REL * np.fmax.reduce(rowmax)) & (rowmax > 0)
     return FourierSeries(grid, kind, modes[keep], data[keep])
 
 
@@ -508,10 +503,10 @@ def exp_su11(D: FourierSeries) -> tuple:
             break
     else:
         raise PowerSeriesDiverged("exp_su11: term cap hit; input too large")
-    E = matrix_from_scalars(A, multiply(Bs, b), multiply(Bs, c), A)
-    E_inv = matrix_from_scalars(A, multiply(Bs, b.scale(-1.0)),
-                                multiply(Bs, c.scale(-1.0)), A)
-    return E, E_inv
+    Eb = multiply(Bs, b)
+    Ec = multiply(Bs, c)
+    return (matrix_from_scalars(A, Eb, Ec, A),
+            matrix_from_scalars(A, Eb.scale(-1.0), Ec.scale(-1.0), A))
 
 
 def inverse_one_plus(h: FourierSeries) -> FourierSeries:

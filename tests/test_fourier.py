@@ -251,7 +251,8 @@ def test_exp_su11_determinant_random():
 
 
 def test_exp_su11_inverse_equals_exp_of_minus_D():
-    # e^{-D} from the shared series is the exponential of -D, bit for bit
+    # e^{-D} from the shared series equals the exponential of -D; negating
+    # the products exactly may flip the sign of a zero part, so compare values
     rng = np.random.default_rng(19)
     for _ in range(5):
         D = fr.off_diagonal(rand_scalar(rng, GRID, 4, scale=0.05))
@@ -573,6 +574,19 @@ def test_store_zero_series_and_empty_grid():
     assert e.sup_bound() == 0.0 and fr.real_defect(e) == 0.0
     assert fr.multiply(e, e).is_zero()
     assert e.eval_theta(THETAS[:3]).shape == (3, 0)
+
+
+def test_store_drop_rule_skips_nan_rows():
+    # the largest row is taken over the rows without NaN, and a NaN row is
+    # dropped like a row below the threshold
+    rows = {-2: 1.0, 0: np.full(len(GRID), np.nan), 3: 1e-17, 5: 2e-16}
+    rows[0][:3] = 1e30
+    f = fr.from_modes(GRID, fr.SCALAR, rows)
+    assert f.support == [-2, 5]
+    assert np.array_equal(f.coeff(5), np.full(len(GRID), 2e-16 + 0j))
+    assert fr.from_modes(GRID, fr.SCALAR, {1: np.nan, 4: np.nan}).is_zero()
+    g = fr.from_modes(GRID, fr.SCALAR, {1: np.inf, 2: 1.0, 3: np.nan})
+    assert g.support == [1]
 
 
 def test_store_coeffs_view_matches_store():

@@ -369,6 +369,20 @@ def test_solver_conditioning_error():
 # -- the per-level solver object ----------------------------------------------------------
 
 
+def ref_coeff_O(v, grid, ctx):
+    """|f_k|_O of one coefficient: sup over the active lambda of |entry| +
+    |d/dlambda entry|, max over entries."""
+    if ctx.active is not None:
+        v = v[ctx.active]
+        grid = grid[ctx.active]
+    if v.size == 0:
+        return 0.0
+    mag = np.abs(v)
+    if ctx.include_lambda_derivative and len(grid) >= 2:
+        mag = mag + np.abs(np.gradient(v, grid, axis=0))
+    return float(mag.max())
+
+
 def conditioning_oracle(btilde, lam_t, l, cf, setup):
     # the measured norms as one double loop over (k1, k2)
     K = setup.K
@@ -383,10 +397,8 @@ def conditioning_oracle(btilde, lam_t, l, cf, setup):
         small = np.abs(np.exp(2j * np.pi * (l * om)) - cf.phase(k))
         val = (1.0 / small + 2 * math.pi * l * (1.0 + davg) / small**2).max()
         s_inv = max(s_inv, float(val))
-    # |btilde_d|_O: the norm of the single mode d at width 0, Lambda(0) = 0
-    ctx = setup.ctx(0.0)
-    c_O = {d: fr.norm_r(fr.from_modes(grid, fr.SCALAR, {d: v}), ctx)
-           for d, v in btilde.coeffs.items()}
+    ctx = setup.ctx(setup.r_tilde)
+    c_O = {d: ref_coeff_O(v, grid, ctx) for d, v in btilde.coeffs.items()}
     lw = {k: eval_lambda(setup.weight, 2 * math.pi * k * setup.r_tilde)
           for k in range(K)}
     pe = 0.0
