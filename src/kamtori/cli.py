@@ -22,7 +22,7 @@ from . import homological as hm
 from . import kam
 from . import model as md
 from . import weights as wt
-from .reporting import all_passed
+from .reporting import failed_gating
 
 EXIT_OK = 0
 EXIT_CERT = 1
@@ -166,7 +166,16 @@ def _print_rows(rows, out=None):
 
 
 def _exit_from_rows(rows) -> int:
-    return EXIT_OK if all_passed(rows) else EXIT_CERT
+    """EXIT_CERT when a gating row failed, after printing their count and
+    the first five of them to stderr; else EXIT_OK."""
+    failed = failed_gating(rows)
+    if not failed:
+        return EXIT_OK
+    print("failing gating rows: %d%s" % (len(failed), ", the first 5"
+                                          if len(failed) > 5 else ""),
+          file=sys.stderr)
+    _print_rows(failed[:5], sys.stderr)
+    return EXIT_CERT
 
 
 # -- subcommands --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ Pipeline for the variable-coefficient equation
 
 kill the low modes of B through a difference equation (whose solution is a
 trigonometric polynomial with an explicit exponential bound), then solve the
-truncated conjugated equation as a diagonally dominant linear system, one
-dense solve per active lambda-grid point.  Every bound the scheme relies on
-(small divisors, truncation tails, solution size, Neumann dominance) is
-re-measured and reported.
+truncated conjugated equation, a diagonally dominant linear system, by its
+Neumann series: one FFT product per step for all active lambda-grid points
+at once, and one dense solve at any point where the series does not
+converge.  Every bound the scheme relies on (small divisors, truncation
+tails, solution size, Neumann dominance) is re-measured and reported.
 
 B, its cutoffs and the divisors stay fixed through a KAM level, so one
 SolverLevel per level holds the B-equation's solution, the exponentials of
@@ -36,6 +37,9 @@ from .weights import WeightFunction, _ln_big, eval_gamma, eval_lambda
 
 LAMBDA_DOMAIN = (0.25, 0.75)
 _LS = (1, 2)        # the two l of the equations: e^{2 pi i l (lambda + B)}
+_EPS = float(np.finfo(float).eps)
+_NEUMANN_TOL = 4 * _EPS     # a step this small against max|F| is roundoff
+_NEUMANN_MARGIN = 4         # steps beyond log(eps)/log(dom) before a fallback
 
 
 class PreconditionError(RuntimeError):
@@ -501,14 +505,13 @@ class SolverLevel:
 
     def terms(self, l: int) -> SimpleNamespace:
         """e_plus, e_minus = e^{+-2 pi i l bcal}, e_minus_shifted = e_minus(.+a),
-        phi = e^{2 pi i l (-T_qbar B + [B])}, exp_lt = e^{2 pi i l lambda~},
-        tail_term = (e^{2 pi i l R_qbar B} - 1) exp_lt, phase_B =
-        e^{2 pi i l (lambda + B)}, diagonal[lambda, k] = exp_lt - e^{2 pi i k a}
-        (|k| < K) and s_inv = ||S^{-1}||."""
+        phi = e^{2 pi i l (-T_qbar B + [B])}, the per-lambda array exp_lt =
+        e^{2 pi i l lambda~}, tail_term = (e^{2 pi i l R_qbar B} - 1) exp_lt,
+        phase_B = e^{2 pi i l (lambda + B)}, diagonal[lambda, k] = exp_lt -
+        e^{2 pi i k a} (|k| < K) and s_inv = ||S^{-1}||."""
         if l not in self._terms:
             B, grid = self.B, self.grid
             lt = np.exp(2j * np.pi * l * self.lam_t)
-            exp_lt = fr.constant(grid, lt, fr.SCALAR)
             e_minus = fr.exp_i_scalar(self.bcal, -l)
             mser = B.truncate(self.qbar_n).scale(-1.0) + \
                 fr.constant(grid, B.average(), fr.SCALAR)
@@ -518,8 +521,8 @@ class SolverLevel:
             self._terms[l] = SimpleNamespace(
                 e_plus=fr.exp_i_scalar(self.bcal, l), e_minus=e_minus,
                 e_minus_shifted=e_minus.shift(self.cf.phase),
-                phi=fr.exp_i_scalar(mser, l), exp_lt=exp_lt,
-                tail_term=fr.multiply(e_tail - fr.one(grid), exp_lt),
+                phi=fr.exp_i_scalar(mser, l), exp_lt=lt,
+                tail_term=(e_tail - fr.one(grid)).scale(lt),
                 phase_B=fr.multiply(fr.lambda_phase(grid, l), self.exp_B(l)),
                 diagonal=diagonal, s_inv=self._s_inv(diagonal, l))
         return self._terms[l]
@@ -590,19 +593,24 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
         raise ConditioningError(
             "scaled perturbation %.3g >= 1/2 in row-sum norm" % dom)
 
-    delta_tilde = _solve_truncated(btilde, utt, level, l)
+    delta_tilde, steps, dense = _solve_truncated(btilde, utt, level, l, dom)
 
     # exact residual of the truncated linear system
-    sys_res = (fr.multiply(t.exp_lt, delta_tilde)
-               + fr.multiply(btilde, delta_tilde)
+    bd = fr.multiply(btilde, delta_tilde)
+    sys_res = (delta_tilde.scale(t.exp_lt) + bd
                - delta_tilde.shift(cf.phase) - utt).truncate(setup.K)
     u_scale = max(utt.sup_bound(setup.active), 1e-300)
+    how = "neumann steps=%d" % steps
+    if len(dense):
+        how += " dense at lambda=" + " ".join("%.6g" % v
+                                              for v in level.grid[dense])
     rows.append(CheckRow("truncated-system residual <= 1e-10 ||u||",
                          1e-10 * u_scale, sys_res.sup_bound(setup.active),
-                         sys_res.sup_bound(setup.active) <= 1e-10 * u_scale))
+                         sys_res.sup_bound(setup.active) <= 1e-10 * u_scale,
+                         how))
 
     delta = fr.multiply(t.e_minus, delta_tilde)
-    tail_part = (fr.multiply(btilde, delta_tilde) - utt).project_tail(setup.K)
+    tail_part = (bd - utt).project_tail(setup.K)
     delta_er = fr.multiply(t.e_minus, tail_part)
 
     ctx_rt = setup.ctx(setup.r_tilde)
@@ -673,27 +681,54 @@ def _conditioning(btilde: FourierSeries, level: SolverLevel, l: int,
 
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
-                     level: SolverLevel, l: int,
-                     chunk: int = 16) -> FourierSeries:
-    """Dense partial-pivot solve of (S + P) F = U at each active grid point."""
-    K = level.K
+                     level: SolverLevel, l: int, dom: float) -> tuple:
+    """Solve (S + P) F = U at every active grid point by the solver lemma's
+    Neumann series F <- (U - P F) / S, all points at once: P F is the
+    convolution by btilde cut to |k| < K, one batched FFT product per step.
+
+    A point stops when its step falls to a few ulps of max|F|.  A point
+    whose step stops shrinking first, or that still runs after
+    log(eps)/log(min(dom, 1/2)) + a margin steps (dom = ||S^{-1} E P E^{-1}||
+    as measured), does not converge: it is solved by one dense solve
+    instead, so no diverged iterate is returned.  Returns (F, the number
+    of steps, the grid indices solved densely)."""
     n = len(level.ks)
-    grid = utt.lambda_grid
-    sdiag = level.terms(l).diagonal                        # (L, n)
-    rhs = _dense(utt, K).T                                 # (L, n)
-    sol = np.zeros((len(grid), n), complex)
     idxs = np.nonzero(level.active)[0]
-    if btilde.is_zero():
-        sol[idxs] = rhs[idxs] / sdiag[idxs]
-    else:
-        diffs = _dense(btilde, n)                          # (2n - 1, L)
-        for start in range(0, len(idxs), chunk):
-            sel = idxs[start:start + chunk]
-            P = diffs[:, sel][level.toeplitz]              # (n, n, m)
-            M = np.moveaxis(P, 2, 0).copy()                # (m, n, n)
-            M[:, np.arange(n), np.arange(n)] += sdiag[sel]
-            sol[sel] = np.linalg.solve(M, rhs[sel][:, :, None])[:, :, 0]
-    return fr._cleaned(grid, fr.SCALAR, level.ks, np.ascontiguousarray(sol.T))
+    sdiag = level.terms(l).diagonal[idxs]                  # (m, n)
+    rhs = _dense(utt, level.K).T[idxs]                     # (m, n)
+    diffs = _dense(btilde, n).T[idxs]                      # (m, 2n - 1)
+    # the linear convolution has 3n - 2 terms; a cyclic one of length
+    # >= 2n - 1 wraps none of them onto the n wanted, n - 1 .. 2n - 2
+    nfft = 1 << (2 * n - 2).bit_length()
+    rate = dom if dom < 0.5 else 0.5                       # NaN: 1/2
+    cap = math.ceil(math.log(_EPS) / math.log(max(rate, 1e-300))) \
+        + _NEUMANN_MARGIN
+    x = rhs / sdiag
+    prev = np.full(len(idxs), np.inf)
+    run = np.flatnonzero(diffs.any(axis=1))    # where P = 0, F = U / S
+    bhat = np.fft.fft(diffs, nfft) if run.size else None
+    stuck = []
+    steps = 0
+    while run.size and steps < cap:
+        px = np.fft.ifft(np.fft.fft(x[run], nfft) * bhat[run])
+        new = (rhs[run] - px[:, n - 1:2 * n - 1]) / sdiag[run]
+        step = np.abs(new - x[run]).max(axis=1)
+        x[run] = new
+        steps += 1
+        done = step <= _NEUMANN_TOL * np.abs(new).max(axis=1)
+        shrinking = step < prev[run]
+        stuck.append(run[~done & ~shrinking])
+        prev[run] = step
+        run = run[~done & shrinking]
+    dense = np.concatenate(stuck + [run]).astype(int)
+    for i in dense:
+        M = diffs[i][level.toeplitz]
+        M[np.arange(n), np.arange(n)] += sdiag[i]
+        x[i] = np.linalg.solve(M, rhs[i])
+    sol = np.zeros((n, len(level.grid)), complex)
+    sol[:, idxs] = x.T
+    return (fr._cleaned(level.grid, fr.SCALAR, level.ks, sol), steps,
+            idxs[np.sort(dense)])
 
 
 def _dense(s: FourierSeries, n: int) -> np.ndarray:

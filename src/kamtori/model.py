@@ -213,8 +213,7 @@ def residual(spec: SkewMapSpec, torus: TorusApprox, n_theta: int = 4096,
     rows = []
     kmax = float(np.sqrt((np.abs(K) ** 2).sum(axis=-1)).max()) if K.size else 0.0
     rows.append(CheckRow("torus stays in analyticity ball |K| < s",
-                         spec.s_domain, kmax, kmax < spec.s_domain,
-                         "warn-only"))
+                         spec.s_domain, kmax, kmax < spec.s_domain))
     return per_lambda, rows
 
 

@@ -30,6 +30,6 @@ class CheckRow:
                                    self.detail)
 
 
-def all_passed(rows) -> bool:
-    """Every gating row passed."""
-    return all(r.passed for r in rows if r.gating)
+def failed_gating(rows) -> list:
+    """The gating rows that failed; a run passes when there are none."""
+    return [r for r in rows if r.gating and not r.passed]

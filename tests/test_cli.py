@@ -159,11 +159,20 @@ def test_exhaustion_exit_code(tmp_path, capsys):
     assert "exhausted" in capsys.readouterr().err
 
 
-def test_exit_code_follows_gating_rows():
+def test_exit_code_follows_gating_rows(capsys):
     soft = CheckRow("diagnostic", 1.0, 2.0, False, gating=False)
     hard = CheckRow("bound", 1.0, 2.0, False)
     assert cli._exit_from_rows([soft]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
     assert cli._exit_from_rows([soft, hard]) == cli.EXIT_CERT
+    assert capsys.readouterr().err.splitlines() == [
+        "failing gating rows: 1", "check,bound,actual,pass,detail",
+        "bound,1.0,2.0,FAIL,"]
+    hard7 = [CheckRow("bound", 1.0, 2.0, False, "i=%d" % i) for i in range(7)]
+    assert cli._exit_from_rows([soft] + hard7) == cli.EXIT_CERT
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "failing gating rows: 7, the first 5"
+    assert err[2:] == [r.as_csv() for r in hard7[:5]]
 
 
 def test_removed_seed_options(tmp_path, capsys):

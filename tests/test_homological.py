@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,64 @@ def test_solver_dense_full_pivot_oracle(l):
                                                              1e-300)
 
 
+def residual_row(res):
+    [row] = [r for r in res.rows if r.check.startswith("truncated-system")]
+    return row
+
+
+def neumann_steps(res):
+    return int(re.match(r"neumann steps=(\d+)", residual_row(res).detail)[1])
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_solver_neumann_full_pivot_oracle_K64(l):
+    # n = 127 modes, every active point by the iteration, none densely
+    rng = np.random.default_rng(70 + l)
+    K = 64
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
+    act = dc.active_mask()
+    assert act.sum() >= 2
+    setup = make_setup(K=K, active=act)
+    B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
+    b = rand_scalar(rng, GRID, 4, scale=1e-3)
+    u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
+    res = hm.solve_homological(B, b, u, l, dc, setup, force=True)
+    assert "dense" not in residual_row(res).detail
+    A, rhs, mine = vf.dense_system(B, u, res, l, setup)
+    for li in np.nonzero(act)[0]:
+        x = vf.full_pivot(A[li], rhs[li])
+        assert np.abs(x - mine[li]).max() <= 1e-10 * np.abs(x).max()
+
+
+def test_solver_neumann_stops_at_roundoff():
+    # the last l = 2 solve of test_solver_dense_full_pivot_oracle: its plain
+    # Neumann steps stall near 3e-17 of max|F| and never reach 1e-17
+    rng = np.random.default_rng(26)
+    K = 9
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
+    act = dc.active_mask()
+    setup = make_setup(K=K, active=act)
+    for _ in range(10):
+        B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
+        b = rand_scalar(rng, GRID, 4, scale=1e-3)
+        u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
+    res = hm.solve_homological(B, b, u, 2, dc, setup, force=True)
+    A, rhs, _ = vf.dense_system(B, u, res, 2, setup)
+    A, rhs = A[act], rhs[act]
+    diag = np.einsum("mii->mi", A)
+    x = rhs / diag
+    rel = []
+    for _ in range(40):
+        new = (rhs - np.einsum("mij,mj->mi", A, x) + diag * x) / diag
+        rel.append(float((np.abs(new - x).max(axis=1)
+                          / np.abs(new).max(axis=1)).max()))
+        x = new
+    assert min(rel[20:]) > 1e-17
+    assert neumann_steps(res) <= 30
+    assert "dense" not in residual_row(res).detail
+    assert residual_row(res).passed
+
+
 def test_solver_full_equation_residual_identity():
     # substituting delta into the untruncated equation leaves exactly the
     # transported tail, measured in the algebra
@@ -489,3 +548,11 @@ def test_b_norms_measured_once_per_level():
     assert level.b_norms == (nB, tail)
     assert [r.actual for r in shared[0].precondition_rows[:2]] == [nB, tail]
     assert tail > 0
+    # ||S^{-1} E P E^{-1}|| is 1.4e6 for l = 2: the iteration diverges at
+    # two of the four points, which are solved densely instead
+    for res in fresh + shared:
+        assert np.isfinite(res.delta_tilde.data).all()
+        assert residual_row(res).passed
+    assert "dense" not in residual_row(fresh[0]).detail
+    assert residual_row(fresh[1]).detail.endswith(
+        " dense at lambda=0.3125 0.6875")

@@ -105,6 +105,9 @@ def test_residual_zero_map_zero_torus():
     torus = md.reconstruct_torus([], GRID)
     res, rows = md.residual(empty_spec(), torus, n_theta=256)
     assert res.max() == 0.0
+    # leaving the analyticity ball decides the exit code
+    [ball] = [r for r in rows if r.check.startswith("torus stays in")]
+    assert ball.gating and ball.passed and ball.detail == ""
 
 
 def test_residual_level0_equals_forcing_size():
