@@ -12,13 +12,19 @@ them, not enforced by construction.
 
 Weighted norms sum |f_k|_O * exp(L(2 pi |k| r)) where |.|_O is the sup over
 the (active part of the) lambda-grid of value plus central-difference
-lambda-derivative, reduced over vector/matrix entries by maximum.  Norms,
-sup bounds and theta-evaluations sum over the modes in ascending order.
+lambda-derivative, reduced over vector/matrix entries by maximum.  Norms
+and sup bounds sum over the modes in ascending order; a theta-evaluation is
+one matrix product, summed in the order the BLAS takes.
+
+Products are direct convolutions, never FFTs: an FFT product carries an
+error of about eps ||a|| ||b|| at every mode, which the weighted norms
+amplify on the small high modes, while a direct sum keeps each output
+coefficient within a few ulps of its own majorant sum_j |a_j| |b_{k-j}|.
 
 After every algebra operation the rows below DROP_REL times the largest
 coefficient, the rows that are exactly zero and the rows holding NaN (which
 do not count for the largest) are removed, which keeps supports finite
-across the iteration.
+across the iteration.  A product refuses a factor holding NaN or inf.
 """
 
 from __future__ import annotations
@@ -172,13 +178,12 @@ class FourierSeries:
         return _cleaned(self.lambda_grid, SCALAR, self.modes, self.data[:, :, i, j])
 
     def eval_theta(self, thetas) -> np.ndarray:
-        """Values on a theta-grid: shape (T, L) + comp shape."""
+        """Values on a theta-grid: shape (T, L) + comp shape, one matrix
+        product of exp(2 pi i theta k) with the coefficient rows."""
         t = np.asarray(thetas, dtype=float)
-        out = np.zeros((len(t),) + self.data.shape[1:], complex)
-        for k, v in zip(self.modes.tolist(), self.data):
-            e = np.exp(2j * np.pi * k * t)
-            out += e.reshape((len(t),) + (1,) * (v.ndim)) * v[None, ...]
-        return out
+        e = np.exp(1j * np.multiply.outer(t, 2 * np.pi * self.modes))
+        rows = self.data.reshape(len(self.modes), math.prod(self.data.shape[1:]))
+        return (e @ rows).reshape((len(t),) + self.data.shape[1:])
 
     def sup_bound(self, active: Optional[np.ndarray] = None) -> float:
         """sum_k max|f_k|: an upper bound for the sup over theta."""
@@ -308,34 +313,97 @@ def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
 
 # -- products -------------------------------------------------------------------
 
+# (left kind, right kind) -> (product kind, block product, multiply-adds per
+# lambda of one block row): the block product multiplies one left
+# coefficient by the rows of the right factor, or the rows of the left
+# factor by one right coefficient, by broadcasting over the leading axes;
+# 2x2 matrix products are written out over the inner index
 _MUL_RULES = {
-    (SCALAR, SCALAR): (SCALAR, "l,nl->nl"),
-    (SCALAR, C2VECTOR): (C2VECTOR, "l,nli->nli"),
-    (C2VECTOR, SCALAR): (C2VECTOR, "li,nl->nli"),
-    (SCALAR, SU11MATRIX): (SU11MATRIX, "l,nlij->nlij"),
-    (SU11MATRIX, SCALAR): (SU11MATRIX, "lij,nl->nlij"),
-    (SU11MATRIX, C2VECTOR): (C2VECTOR, "lij,nlj->nli"),
-    (SU11MATRIX, SU11MATRIX): (SU11MATRIX, "lij,nljk->nlik"),
+    (SCALAR, SCALAR): (SCALAR, lambda x, y: x * y, 1),
+    (SCALAR, C2VECTOR): (C2VECTOR, lambda x, y: x[..., None] * y, 2),
+    (C2VECTOR, SCALAR): (C2VECTOR, lambda x, y: x * y[..., None], 2),
+    (SCALAR, SU11MATRIX): (SU11MATRIX, lambda x, y: x[..., None, None] * y, 4),
+    (SU11MATRIX, SCALAR): (SU11MATRIX, lambda x, y: x * y[..., None, None], 4),
+    (SU11MATRIX, C2VECTOR): (C2VECTOR, lambda x, y: (
+        x[..., 0] * y[..., :1] + x[..., 1] * y[..., 1:]), 4),
+    (SU11MATRIX, SU11MATRIX): (SU11MATRIX, lambda x, y: (
+        x[..., :1] * y[..., None, 0, :] + x[..., 1:] * y[..., None, 1, :]), 8),
 }
+
+# The cost of each product kernel in units of one complex multiply-add of a
+# slice add (see CHANGES.md for the measurement): a slice add of n block rows
+# costs n times their multiply-adds plus _SLICE_CALL, and zero-filling a
+# span one unit per row and lambda; np.convolve of two zero-filled spans
+# costs _CONV_MAC per multiply-add, _CONV_OUT per output term and
+# _CONV_CALL per call, one call per lambda.
+_SLICE_CALL = 1200.0
+_CONV_MAC = 0.25
+_CONV_OUT = 9.0
+_CONV_CALL = 1100.0
+
+
+def _span(s: FourierSeries) -> int:
+    return int(s.modes[-1] - s.modes[0]) + 1
+
+
+def _plan(a: FourierSeries, b: FourierSeries, macs: int) -> str:
+    """The kernel with the least work for a*b, whose block rows take `macs`
+    multiply-adds per lambda: "convolve" (scalar products only), or the
+    factor whose modes the slice adds loop over, "a" or "b"; the other
+    factor is zero-filled over its span."""
+    na, nb, sa, sb = len(a.modes), len(b.modes), _span(a), _span(b)
+    L = a.nlambda
+    cost = {"a": na * (sb * L * macs + _SLICE_CALL) + (sb > nb) * sb * L,
+            "b": nb * (sa * L * macs + _SLICE_CALL) + (sa > na) * sa * L}
+    if a.kind == SCALAR and b.kind == SCALAR:
+        cost["convolve"] = L * (_CONV_MAC * sa * sb + _CONV_OUT * (sa + sb - 1)
+                                + _CONV_CALL)
+    return min(cost, key=cost.get)
+
+
+def _span_rows(s: FourierSeries) -> np.ndarray:
+    """The rows of s zero-filled over its span modes[0] .. modes[-1]."""
+    if _span(s) == len(s.modes):
+        return s.data
+    rows = np.zeros((_span(s),) + s.data.shape[1:], complex)
+    rows[s.modes - s.modes[0]] = s.data
+    return rows
 
 
 def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Coefficient convolution with kind dispatch (left factor acts): each
-    mode k of a adds a_k * b into the output rows k + b.modes."""
+    """Coefficient convolution with kind dispatch (left factor acts).
+
+    Direct convolution, so each output coefficient carries an error of a
+    few ulps of its own majorant sum_j |a_j| |b_{k-j}|.  Large scalar
+    products take one np.convolve per lambda over the zero-filled spans;
+    all others add one block product per mode of one factor into a
+    contiguous slice of the output, over the other factor's zero-filled
+    span.  _plan picks the kernel with the least work.  A factor holding
+    NaN or inf is refused with ValueError."""
     rule = _MUL_RULES.get((a.kind, b.kind))
     if rule is None:
         raise KindMismatch("cannot multiply %s by %s" % (a.kind, b.kind))
-    out_kind, ein = rule
+    out_kind, block, macs = rule
     if a.nlambda != b.nlambda or not np.array_equal(a.lambda_grid, b.lambda_grid):
         raise ValueError("lambda grids differ")
+    if not (np.isfinite(a.data).all() and np.isfinite(b.data).all()):
+        raise ValueError("multiply: a factor holds NaN or inf")
     if a.is_zero() or b.is_zero():
         return zeros(a.lambda_grid, out_kind)
     omin = int(a.modes[0] + b.modes[0])
     nout = int(a.modes[-1] + b.modes[-1]) - omin + 1
-    out = np.zeros((nout,) + _row_shape(a.lambda_grid, out_kind), complex)
-    rows = b.modes - b.modes[0]
-    for k, v in zip((a.modes - a.modes[0]).tolist(), a.data):
-        out[rows + k] += np.einsum(ein, v, b.data)
+    plan = _plan(a, b, macs)
+    if plan == "convolve":
+        out = np.empty((a.nlambda, nout), complex)
+        for row, x, y in zip(out, _span_rows(a).T, _span_rows(b).T):
+            row[:] = np.convolve(x, y)
+        out = out.T
+    else:
+        out = np.zeros((nout,) + _row_shape(a.lambda_grid, out_kind), complex)
+        loop, other = (a, b) if plan == "a" else (b, a)
+        rows, n = _span_rows(other), _span(other)
+        for k, v in zip((loop.modes - loop.modes[0]).tolist(), loop.data):
+            out[k:k + n] += block(v, rows) if plan == "a" else block(rows, v)
     return _cleaned(a.lambda_grid, out_kind, np.arange(omin, omin + nout), out)
 
 

@@ -474,6 +474,7 @@ class SolverLevel:
         self.toeplitz = self.ks[:, None] - self.ks[None, :] + 2 * self.K - 2
         self._exp_B: dict = {}
         self._terms: dict = {}
+        self._ratio_r, self._ratios = None, None
 
     def check(self, B: FourierSeries, setup: SolveSetup) -> None:
         own = self.setup
@@ -526,6 +527,17 @@ class SolverLevel:
                 phase_B=fr.multiply(fr.lambda_phase(grid, l), self.exp_B(l)),
                 diagonal=diagonal, s_inv=self._s_inv(diagonal, l))
         return self._terms[l]
+
+    def weight_ratios(self, r: float) -> np.ndarray:
+        """exp(min(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r), 700)) over the
+        modes |k| < K, kept for the last r: the l = 1 and l = 2 solves of a
+        sub-step share it."""
+        if self._ratio_r != r:
+            lw = eval_lambda(self.setup.weight,
+                             2 * math.pi * np.abs(self.ks) * r)
+            self._ratios = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
+            self._ratio_r = r
+        return self._ratios
 
     def _s_inv(self, diagonal: np.ndarray, l: int) -> float:
         """Measured row-sum norm of S^{-1}, lambda-derivative included."""
@@ -673,9 +685,7 @@ def _conditioning(btilde: FourierSeries, level: SolverLevel, l: int,
     |btilde_{k1-k2}|_O exp(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r))."""
     c_O = fr._modes_O(_dense(btilde, len(level.ks)), btilde.lambda_grid,
                       setup.ctx(setup.r_tilde))
-    lw = eval_lambda(setup.weight,
-                     2 * math.pi * np.abs(level.ks) * setup.r_tilde)
-    scale = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
+    scale = level.weight_ratios(setup.r_tilde)
     pe = float((c_O[level.toeplitz] * scale).sum(axis=1).max())
     return level.terms(l).s_inv, pe
 

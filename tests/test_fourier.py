@@ -471,6 +471,18 @@ def test_store_truncate_tail_component_entry(kind):
                 assert_store(f.entry(i, j), ref_cleaned(ref))
 
 
+# the product of one left and one right coefficient, per rule of multiply
+PAIR_PRODUCT = {
+    (fr.SCALAR, fr.SCALAR): "l,l->l",
+    (fr.SCALAR, fr.C2VECTOR): "l,li->li",
+    (fr.C2VECTOR, fr.SCALAR): "li,l->li",
+    (fr.SCALAR, fr.SU11MATRIX): "l,lij->lij",
+    (fr.SU11MATRIX, fr.SCALAR): "lij,l->lij",
+    (fr.SU11MATRIX, fr.C2VECTOR): "lij,lj->li",
+    (fr.SU11MATRIX, fr.SU11MATRIX): "lij,ljk->lik",
+}
+
+
 @pytest.mark.parametrize("kinds", [(fr.SCALAR, fr.SCALAR),
                                    (fr.SCALAR, fr.C2VECTOR),
                                    (fr.SU11MATRIX, fr.SCALAR),
@@ -480,7 +492,7 @@ def test_store_multiply_per_mode(kinds):
     rng = np.random.default_rng(42)
     f, a = gapped(rng, kinds[0])
     g, b = gapped(rng, kinds[1], (-5, -4, 0, 6))
-    ein = fr._MUL_RULES[kinds][1].replace("n", "")
+    ein = PAIR_PRODUCT[kinds]
     ref: dict = {}
     for k1, v1 in sorted(a.items()):
         for k2, v2 in sorted(b.items()):
@@ -601,3 +613,179 @@ def test_store_coeffs_view_matches_store():
             assert np.array_equal(v, f.data[i])
         with pytest.raises(ValueError):
             view[GAPPED[0]][0] = 1.0          # read-only
+
+
+# -- the product kernels against per-pair references -----------------------------
+
+EPS = np.finfo(float).eps
+SUPPORTS = {
+    "gapped": ((-7, -2, 0, 3, 8), (-5, -4, 0, 6)),
+    "sparse": ((-40, 0, 3, 57), (-31, 2, 90)),
+    "contiguous": (tuple(range(-30, 31)), tuple(range(-25, 26))),
+}
+
+
+def pair_reference(a, b, kinds, dtype=complex):
+    """sum over the pairs k1 + k2 = k of a_k1 b_k2 in ascending k1, and the
+    majorant sum |a_k1| |b_k2| of each output mode."""
+    ein = PAIR_PRODUCT[kinds]
+    ref, major = {}, {}
+    for k1, v1 in sorted(a.items()):
+        for k2, v2 in sorted(b.items()):
+            k = k1 + k2
+            ref[k] = ref.get(k, 0) + np.einsum(ein, v1.astype(dtype),
+                                                v2.astype(dtype))
+            major[k] = major.get(k, 0) + np.einsum(ein, np.abs(v1),
+                                                    np.abs(v2))
+    return ref, major
+
+
+def kernels(kinds):
+    return ("a", "b", "convolve") if kinds == (fr.SCALAR, fr.SCALAR) \
+        else ("a", "b")
+
+
+@pytest.mark.parametrize("support", sorted(SUPPORTS))
+@pytest.mark.parametrize("kinds", sorted(fr._MUL_RULES))
+def test_multiply_kernels_match_pair_reference(kinds, support, monkeypatch):
+    rng = np.random.default_rng(46)
+    left, right = SUPPORTS[support]
+    f, a = gapped(rng, kinds[0], left)
+    g, b = gapped(rng, kinds[1], right)
+    ref, major = pair_reference(a, b, kinds)
+    n = min(len(a), len(b))
+    expect = fr.multiply(f, g)
+    for plan in kernels(kinds):
+        monkeypatch.setattr(fr, "_plan", lambda *args, plan=plan: plan)
+        prod = fr.multiply(f, g)
+        assert prod.kind == fr._MUL_RULES[kinds][0]
+        assert prod.support == sorted(ref_cleaned(ref))
+        for k, v in ref.items():
+            assert np.all(np.abs(prod.coeff(k) - v) <= 4 * n * EPS * major[k])
+        # the kernels differ only by the order of the sums
+        assert prod.support == expect.support
+
+
+@pytest.mark.parametrize("kinds", sorted(fr._MUL_RULES))
+def test_multiply_kernels_drop_cancelled_rows(kinds, monkeypatch):
+    # (e_1 + e_-1)(e_1 - e_-1) = e_2 - e_-2: mode 0 cancels exactly
+    one_a = np.ones((len(GRID),) + fr._COMP_SHAPE[kinds[0]])
+    one_b = np.ones((len(GRID),) + fr._COMP_SHAPE[kinds[1]])
+    f = fr.from_modes(GRID, kinds[0], {1: one_a, -1: one_a})
+    g = fr.from_modes(GRID, kinds[1], {1: one_b, -1: -one_b})
+    for plan in kernels(kinds):
+        monkeypatch.setattr(fr, "_plan", lambda *args, plan=plan: plan)
+        assert fr.multiply(f, g).support == [-2, 2]
+
+
+def test_multiply_crossover_sides():
+    # small products take the slice adds, large scalar ones np.convolve,
+    # and a factor with a wide gapped span is never zero-filled under a
+    # loop over the other factor's many modes
+    rng = np.random.default_rng(47)
+    grid = np.linspace(0.25, 0.75, 33)
+    small = rand_scalar(rng, grid, 3)
+    large = rand_scalar(rng, grid, 60)
+    wide = fr.from_modes(grid, fr.SCALAR, {-120: 1.0, 0: 2.0, 120: 3.0})
+    assert fr._plan(small, small, 1) in ("a", "b")
+    assert fr._plan(large, large, 1) == "convolve"
+    assert fr._plan(large, wide, 1) == "b"
+    assert fr._plan(wide, large, 1) == "a"
+    m = fr.constant(grid, np.eye(2), fr.SU11MATRIX)
+    assert fr._plan(m, fr.conjugate_pair(large), 4) == "a"
+    for f, g in ((small, small), (large, large), (large, wide)):
+        ref, major = pair_reference(f.coeffs, g.coeffs,
+                                    (fr.SCALAR, fr.SCALAR))
+        prod = fr.multiply(f, g)
+        n = min(len(f.modes), len(g.modes))
+        for k, v in ref.items():
+            assert np.all(np.abs(prod.coeff(k) - v) <= 4 * n * EPS * major[k])
+
+
+def test_multiply_tail_precision(monkeypatch):
+    # every coefficient of the product, down to the smallest, is accurate
+    # to a few ulps of its own majorant: what the weighted norms need
+    modes = range(-50, 51)
+    rng = np.random.default_rng(48)
+
+    def decaying():
+        return {k: np.exp(-0.3 * abs(k)) * (rng.standard_normal(len(GRID))
+                                            + 1j * rng.standard_normal(len(GRID)))
+                for k in modes}
+
+    a, b = decaying(), decaying()
+    f = fr.from_modes(GRID, fr.SCALAR, a)
+    g = fr.from_modes(GRID, fr.SCALAR, b)
+    ref, major = pair_reference(a, b, (fr.SCALAR, fr.SCALAR), np.clongdouble)
+    n = len(modes)
+
+    def worst(prod):
+        return max(float((np.abs(prod.coeff(k) - ref[k]) / major[k]).max())
+                   for k in ref)
+
+    for plan in kernels((fr.SCALAR, fr.SCALAR)):
+        monkeypatch.setattr(fr, "_plan", lambda *args, plan=plan: plan)
+        prod = fr.multiply(f, g)
+        assert prod.support == list(range(-100, 101))   # nothing dropped
+        assert worst(prod) <= 4 * n * EPS
+    # an FFT product carries an error of eps ||a|| ||b|| at every mode,
+    # far above the majorant of the small tail modes
+    nfft = 256                       # >= 201: no term wraps around
+    fa, fb = np.zeros((nfft, len(GRID)), complex), np.zeros((nfft, len(GRID)),
+                                                            complex)
+    fa[f.modes % nfft], fb[g.modes % nfft] = f.data, g.data
+    c = np.fft.ifft(np.fft.fft(fa, axis=0) * np.fft.fft(fb, axis=0), axis=0)
+    ks = np.arange(-100, 101)
+    fft_prod = fr.FourierSeries(GRID, fr.SCALAR, ks, c[ks % nfft])
+    assert worst(fft_prod) > 1e3 * 4 * n * EPS
+
+
+@pytest.mark.parametrize("kinds", [(fr.SCALAR, fr.SCALAR),
+                                   (fr.SU11MATRIX, fr.C2VECTOR)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiply_refuses_non_finite(kinds, bad):
+    rng = np.random.default_rng(49)
+    f, a = gapped(rng, kinds[0], (0, 1))
+    g, _ = gapped(rng, kinds[1], (0, 3))
+    a[1] = a[1].copy()
+    a[1].flat[2] = bad
+    # the drop rule alone would hide the bad row and shrink the support
+    bad_f = fr.FourierSeries(GRID, kinds[0], f.modes, np.stack([a[0], a[1]]))
+    with pytest.raises(ValueError, match="NaN or inf"):
+        fr.multiply(bad_f, g)
+    if kinds[0] == kinds[1]:
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fr.multiply(g, bad_f)
+
+
+# -- theta evaluation -----------------------------------------------------------
+
+
+def eval_theta_loop(s, thetas):
+    """The sum over the modes, one mode at a time."""
+    t = np.asarray(thetas, dtype=float)
+    out = np.zeros((len(t),) + s.data.shape[1:], complex)
+    for k, v in zip(s.modes.tolist(), s.data):
+        e = np.exp(2j * np.pi * k * t)
+        out += e.reshape((len(t),) + (1,) * v.ndim) * v[None, ...]
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_eval_theta_matches_mode_loop(kind):
+    rng = np.random.default_rng(50)
+    uniform = THETAS[::8]
+    scattered = np.sort(rng.random(300)) * 3.0 - 1.0   # not a uniform grid
+    for modes in (GAPPED, tuple(range(-40, 41)), (-300, 2, 511)):
+        f, a = gapped(rng, kind, modes)
+        scale = sum(float(np.abs(v).max()) for v in a.values())
+        for thetas in (uniform, scattered, THETAS[:1]):
+            vals = f.eval_theta(thetas)
+            assert vals.shape == (len(thetas), len(GRID)) + \
+                fr._COMP_SHAPE[kind]
+            assert np.abs(vals - eval_theta_loop(f, thetas)).max() \
+                <= 1e-14 * scale
+    z = fr.zeros(GRID, kind)
+    assert z.eval_theta(scattered).shape == (len(scattered), len(GRID)) + \
+        fr._COMP_SHAPE[kind]
+    assert not np.any(z.eval_theta(scattered))

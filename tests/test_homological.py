@@ -499,6 +499,40 @@ def test_conditioning_matches_double_loop(K, weight):
         assert pe == pytest.approx(pe_ref, rel=1e-12, abs=0)
 
 
+def test_conditioning_shares_weight_ratios():
+    # the l = 1 and l = 2 solves at one r_tilde share the level's weight-ratio
+    # matrix; another r_tilde builds a new one; pe is the same bits as with
+    # a matrix built for the call
+    rng = np.random.default_rng(62)
+    grid = np.linspace(0.25, 0.75, 33)
+    B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid,
+                              shift=np.real(B.average()))
+    setup = hm.SolveSetup(cf=GM, weight=ANALYTIC, gamma=0.01, tau=2.0,
+                          q_next=89, qbar_n=8, qbar_next=144, K=12, r_b=0.05,
+                          r_tilde=0.005, sigma=0.001, r0=0.5, eps0=1e-6,
+                          active=dc.active_mask())
+    level = hm.SolverLevel(B, setup)
+    shared = level.weight_ratios(setup.r_tilde)
+    b = rand_scalar(rng, grid, 4, scale=1e-3)
+    u = rand_scalar(rng, grid, 11, scale=1e-2)
+    for l in (1, 2):
+        res = hm.solve_homological(B, b, u, l, dc, setup, force=True,
+                                   level=level)
+        assert level.weight_ratios(setup.r_tilde) is shared
+        _, pe = hm._conditioning(res.btilde, level, l, setup)
+        _, fresh = hm._conditioning(res.btilde, hm.SolverLevel(B, setup), l,
+                                    setup)
+        assert pe == fresh
+    other = level.weight_ratios(0.004)
+    assert other is not shared
+    lw = eval_lambda(ANALYTIC, 2 * math.pi * np.abs(level.ks) * 0.004)
+    assert np.array_equal(other, np.exp(np.minimum(lw[:, None] - lw[None, :],
+                                                   700.0)))
+    assert level.weight_ratios(setup.r_tilde) is not shared
+    assert np.array_equal(level.weight_ratios(setup.r_tilde), shared)
+
+
 def test_solver_level_refuses_other_inputs():
     rng = np.random.default_rng(61)
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
