@@ -459,8 +459,8 @@ class SolveSetup:
 
 class SolverLevel:
     """What the homological solves of one KAM level share, each computed when
-    first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l)
-    and the norms of the B hypotheses.  Built from any setup of the level;
+    first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l),
+    the norms of the B hypotheses and the conditioning weight ratios.  Built from any setup of the level;
     every solve of the level has its B, cf, K, qbar_n, r_b, weight and mask."""
 
     def __init__(self, B: FourierSeries, setup: SolveSetup):
