@@ -59,8 +59,6 @@ CONFIG_SCHEMA = {
     "lambda.grid_points": (int, 257),
     "run.n_max": (int, 3),
     "run.force": (bool, False),
-    "run.stop_at_floor": (bool, False),
-    "run.check_substitution": (bool, True),
 }
 
 
@@ -272,9 +270,7 @@ def cmd_kam_run(args) -> int:
         cfg["run.force"] = True
     cf, weight, bridges, sched, spec = build_run(cfg)
     summary = kam.run(spec, sched, n_max=cfg["run.n_max"],
-                      force=cfg["run.force"],
-                      stop_at_floor=cfg["run.stop_at_floor"],
-                      check_substitution=cfg["run.check_substitution"])
+                      force=cfg["run.force"])
     out = args.out or "."
     try:
         os.makedirs(out, exist_ok=True)
@@ -336,16 +332,6 @@ def _dump_states(out: str, summary) -> None:
             for ti, th in enumerate(thetas):
                 fh.write("%d,%r,%r,%r\n" % (li, float(th), float(K[ti, li, 0]),
                                             float(K[ti, li, 1])))
-
-
-def cmd_measure(args) -> int:
-    cfg = load_config(args.config)
-    cf, weight, bridges, sched, spec = build_run(cfg)
-    summary = kam.run(spec, sched, n_max=cfg["run.n_max"],
-                      force=cfg["run.force"], check_substitution=False)
-    rows = [r for r in summary.rows if "excluded" in r.check]
-    _print_rows(rows)
-    return _exit_from_rows(rows)
 
 
 def cmd_verify(args) -> int:
@@ -427,10 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=".")
     c.add_argument("--force", action="store_true")
     c.set_defaults(func=cmd_kam_run)
-
-    c = sub.add_parser("measure", help="parameter-exclusion measure report")
-    c.add_argument("--config", default=None)
-    c.set_defaults(func=cmd_measure)
 
     c = sub.add_parser("verify", help="run the invariant verification suites")
     c.add_argument("--suite", default="all")

@@ -22,16 +22,16 @@ amplify on the small high modes, while a direct sum keeps each output
 coefficient within a few ulps of its own majorant sum_j |a_j| |b_{k-j}|.
 
 After every algebra operation the rows below DROP_REL times the largest
-coefficient, the rows that are exactly zero and the rows holding NaN (which
-do not count for the largest) are removed, which keeps supports finite
-across the iteration.  A product refuses a factor holding NaN or inf.
+coefficient and the rows that are exactly zero are removed, which keeps
+supports finite across the iteration.  A result holding NaN or inf is
+refused with ValueError, and so is a product's factor holding them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -301,13 +301,16 @@ def lambda_phase(lambda_grid, l: int = 1) -> FourierSeries:
 
 
 def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
-    """The series without its zero rows, its NaN rows and its rows below the
-    drop rule."""
+    """The series without its zero rows and its rows below the drop rule;
+    a row holding NaN or inf raises ValueError."""
     grid = np.asarray(grid, float)
     if data.size == 0:
         return zeros(grid, kind)
     rowmax = np.abs(data).reshape(len(data), -1).max(axis=1)
-    keep = (rowmax >= DROP_REL * np.fmax.reduce(rowmax)) & (rowmax > 0)
+    top = rowmax.max()
+    if not np.isfinite(top):
+        raise ValueError("series coefficients hold NaN or inf")
+    keep = (rowmax >= DROP_REL * top) & (rowmax > 0)
     return FourierSeries(grid, kind, modes[keep], data[keep])
 
 
@@ -596,22 +599,13 @@ def inverse_one_plus(h: FourierSeries) -> FourierSeries:
 # -- jets in (v, vbar) ------------------------------------------------------------
 
 
-def _compositions3(m: int):
-    for a in range(m + 1):
-        for b in range(m + 1 - a):
-            yield a, b, m - a - b
-
-
-def _multinom3(m: int, a: int, b: int, c: int) -> int:
-    return math.factorial(m) // (math.factorial(a) * math.factorial(b)
-                                 * math.factorial(c))
-
-
 @dataclass
 class PowerFourierSeries:
-    """Jet sum_m f_m(theta, lambda) x^m, |m| <= d_max, m in N^2.
+    """Jet sum_m f_m(theta, lambda) x^m, m in N^2.
 
-    Coefficients f_m are FourierSeries of a uniform kind.
+    Coefficients f_m are FourierSeries of a uniform kind.  d_max is a
+    degree guard for set_term only; no table is sized by it.  Jets are
+    composed by one product, _jet_mul, on jets in y.
     """
 
     d_max: int
@@ -639,15 +633,6 @@ class PowerFourierSeries:
     def add_term(self, m, series: FourierSeries):
         self.set_term(m, self.term(m) + series)
 
-    def copy(self) -> "PowerFourierSeries":
-        return PowerFourierSeries(self.d_max, self.lambda_grid, self.kind,
-                                  dict(self.terms))
-
-    def scale(self, factor) -> "PowerFourierSeries":
-        return PowerFourierSeries(
-            self.d_max, self.lambda_grid, self.kind,
-            {m: s.scale(factor) for m, s in self.terms.items()})
-
     def drop_low_degrees(self, min_degree: int = 2) -> "PowerFourierSeries":
         return PowerFourierSeries(
             self.d_max, self.lambda_grid, self.kind,
@@ -662,13 +647,10 @@ class PowerFourierSeries:
         return tot
 
     def eval_at_series(self, d1: FourierSeries, d2: FourierSeries) -> FourierSeries:
-        """Value at x = (d1, d2), both scalar series, in the algebra."""
-        p1 = _power_table(d1, self.d_max)
-        p2 = _power_table(d2, self.d_max)
-        acc = zeros(self.lambda_grid, self.kind)
-        for (m1, m2), f in sorted(self.terms.items()):
-            acc = acc + multiply(f, multiply(p1[m1], p2[m2]))
-        return acc
+        """Value at x = (d1, d2), both scalar series, in the algebra:
+        compose_affine with E = 0, read at the monomial (0, 0)."""
+        z = zeros(self.lambda_grid)
+        return self.compose_affine(z, z, z, z, d1, d2).term((0, 0))
 
     def eval_at_points(self, x: np.ndarray, thetas) -> np.ndarray:
         """Value at pointwise arguments x of shape (T, L, 2); returns
@@ -699,26 +681,22 @@ class PowerFourierSeries:
     def compose_affine(self, e11, e12, e21, e22, d1, d2) -> "PowerFourierSeries":
         """Substitute x = E y + d, all six entries scalar series.
 
-        Exact: an affine substitution cannot raise the degree.
+        x1 = e11 y1 + e12 y2 + d1 and x2 = e21 y1 + e22 y2 + d2 are jets of
+        degree 1 in y; the result is sum_m f_m x1^m1 x2^m2 by _jet_mul, with
+        the powers of x1 and x2 taken up to the largest m1 and m2 of the
+        terms.  Exact: an affine substitution cannot raise the degree.
         """
-        dm = self.d_max
-        tabs = {name: _power_table(s, dm) for name, s in
-                (("e11", e11), ("e12", e12), ("e21", e21), ("e22", e22),
-                 ("d1", d1), ("d2", d2))}
-        out = PowerFourierSeries(dm, self.lambda_grid, self.kind, {})
+        x1 = _affine_jet(e11, e12, d1)
+        x2 = _affine_jet(e21, e22, d2)
+        p1 = _jet_powers(x1, max((m1 for m1, _ in self.terms), default=0))
+        p2 = _jet_powers(x2, max((m2 for _, m2 in self.terms), default=0))
+        out = PowerFourierSeries(self.d_max, self.lambda_grid, self.kind, {})
         for (m1, m2), f in sorted(self.terms.items()):
-            for a1, b1, c1 in _compositions3(m1):
-                w1 = _multinom3(m1, a1, b1, c1)
-                s1 = _chain_mul([tabs["e11"][a1], tabs["e12"][b1],
-                                 tabs["d1"][c1]])
-                for a2, b2, c2 in _compositions3(m2):
-                    w2 = _multinom3(m2, a2, b2, c2)
-                    s2 = _chain_mul([tabs["e21"][a2], tabs["e22"][b2],
-                                     tabs["d2"][c2]])
-                    scalar = multiply(s1, s2).scale(float(w1 * w2))
-                    if scalar.is_zero():
-                        continue
-                    out.add_term((a1 + a2, b1 + b2), multiply(f, scalar))
+            mono = _jet_mul(p1[m1], p2[m2])
+            if mono is None:
+                mono = {(0, 0): one(self.lambda_grid)}
+            for m, s in mono.items():
+                out.add_term(m, multiply(f, s))
         return out
 
     def matrix_multiply_left(self, m: FourierSeries) -> "PowerFourierSeries":
@@ -726,12 +704,6 @@ class PowerFourierSeries:
         return PowerFourierSeries(
             self.d_max, self.lambda_grid, self.kind,
             {mm: multiply(m, s) for mm, s in self.terms.items()})
-
-    def __add__(self, other: "PowerFourierSeries") -> "PowerFourierSeries":
-        out = self.copy()
-        for m, s in other.terms.items():
-            out.add_term(m, s)
-        return out
 
     def conj_swap_defect(self, thetas=None, active=None) -> float:
         """Deviation from: swapping conjugate arguments conjugate-swaps the
@@ -748,18 +720,32 @@ class PowerFourierSeries:
         return worst
 
 
-def _power_table(s: FourierSeries, n: int) -> list:
-    tab = [one(s.lambda_grid), s]
-    for _ in range(2, n + 1):
-        tab.append(multiply(tab[-1], s))
-    return tab[: n + 1]
+def _affine_jet(e1: FourierSeries, e2: FourierSeries, d: FourierSeries) -> dict:
+    """e1 y1 + e2 y2 + d as a jet in y, {(m1, m2): scalar series}, without
+    its zero coefficients."""
+    return {m: s for m, s in (((1, 0), e1), ((0, 1), e2), ((0, 0), d))
+            if not s.is_zero()}
 
 
-def _chain_mul(factors: Iterable[FourierSeries]) -> FourierSeries:
-    acc = None
-    for f in factors:
-        acc = f if acc is None else multiply(acc, f)
-    return acc
+def _jet_mul(p: Optional[dict], q: Optional[dict]) -> Optional[dict]:
+    """Product of two jets in y: exponents add, coefficients multiply.
+    None stands for the jet 1, so no product by the series 1 is formed."""
+    if p is None or q is None:
+        return q if p is None else p
+    out: dict = {}
+    for (a1, a2), f in p.items():
+        for (b1, b2), g in q.items():
+            m, h = (a1 + b1, a2 + b2), multiply(f, g)
+            out[m] = out[m] + h if m in out else h
+    return out
+
+
+def _jet_powers(x: dict, n: int) -> list:
+    """[None, x, x^2, ..., x^n] by _jet_mul; None is x^0 = 1."""
+    powers = [None]
+    for _ in range(n):
+        powers.append(_jet_mul(powers[-1], x))
+    return powers
 
 
 def norm_rs(jet: PowerFourierSeries, ctx: WeightedNormContext, s: float) -> float:

@@ -487,8 +487,7 @@ class StepReport:
     zones: list = field(default_factory=list)
 
 
-def kam_step(state: KamState, sched: Schedule, force: bool = False,
-             check_substitution: bool = True) -> tuple:
+def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     """One outer step: exclusion, L sub-iterations, composition; returns
     (new state, StepReport)."""
     n = state.n
@@ -538,7 +537,6 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
     factors_j = []
     sub_u_norms = [fr.norm_r(sub.U, ctx.ctx(rt0))]
     s_j = st0
-    did_subst_check = False
     for j in range(L):
         r_j = rt0 - j * sigma_abs
         r_j1 = rt0 - (j + 1) * sigma_abs
@@ -552,13 +550,12 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False,
         if E is None:
             break
         factors_j.append((E, Delta))
-        if check_substitution and not did_subst_check:
+        if j == 0:      # the substitution oracle on the level's first pass
             defect, eq_scale = substitution_defect(ctx, sub_old, sub, E, Delta)
             tol = 1e-10 * max(eq_scale, 1e-300)
             rows.append(CheckRow("substitution oracle <= 1e-10 relative",
                                  tol, defect, defect <= tol,
                                  "n=%d j=%d" % (n, j)))
-            did_subst_check = True
         hess_prev = fr.hessian_norm_bound(sub.R, ctx.ctx(r_j1), s_j1)
         sub_u_norms.append(fr.norm_r(sub.U, ctx.ctx(r_j1)))
         s_j = s_j1
@@ -667,9 +664,7 @@ class RunSummary:
     stopped: str = ""
 
 
-def run(spec, sched: Schedule, n_max: int, force: bool = False,
-        stop_at_floor: bool = False, residual_floor: float = 1e-13,
-        check_substitution: bool = True) -> RunSummary:
+def run(spec, sched: Schedule, n_max: int, force: bool = False) -> RunSummary:
     """Iterate kam_step from the conjugated model, recording per-level
     certification and the invariance residual of the reconstructed torus."""
     import time
@@ -703,8 +698,7 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
     for n in range(n_max):
         t0 = time.monotonic()
         try:
-            state, rep = kam_step(state, sched, force=force,
-                                  check_substitution=check_substitution)
+            state, rep = kam_step(state, sched, force=force)
         except DepthError as exc:
             stopped = "depth: %s" % exc
             break
@@ -727,9 +721,6 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False,
             eps_target=sched.eps(state.n), U_norm=rep.U_norm,
             W_norm=rep.W_norm, residual=res,
             excluded_measure=rep.removed_measure, wall_ms=wall_ms))
-        if stop_at_floor and records[-1].residual <= residual_floor:
-            stopped = "residual floor reached at level %d" % state.n
-            break
 
     rows += measure_rows([r.excluded_measure for r in records[1:]],
                          sched.gamma0, sched.tau)

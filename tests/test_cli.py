@@ -1,4 +1,6 @@
+import argparse
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -139,15 +141,6 @@ def test_norms_cli(tmp_path, capsys):
     assert len(out) == 5  # U and W at two widths
 
 
-def test_measure_cli(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(TINY))
-    code = run_cli(["measure", "--config", str(cfgfile)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "total excluded" in out
-
-
 def test_exhaustion_exit_code(tmp_path, capsys):
     cfg = dict(TINY)
     cfg["schedule.gamma"] = 3.5    # zones swallow the whole interval
@@ -185,6 +178,38 @@ def test_removed_seed_options(tmp_path, capsys):
     assert run_cli(["kam-run", "--config", str(cfgfile),
                     "--out", str(tmp_path)]) == 2
     assert "run.seed" in capsys.readouterr().err
+
+
+def test_removed_run_options(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["measure"])
+    for key in ("run.stop_at_floor", "run.check_substitution"):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: True}))
+        assert run_cli(["kam-run", "--config", str(cfgfile),
+                        "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(title):
+    return README.read_text().split("\n## %s\n" % title)[1].split("\n## ")[0]
+
+
+def test_readme_lists_config_keys_and_commands():
+    keys = set()
+    for line in readme_section("Configuration").splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == set(cli.CONFIG_SCHEMA)
+    block = readme_section("CLI").split("```")[1]
+    names = {m.group(1) for m in re.finditer(r"^([a-z][a-z-]*) {2,}", block,
+                                             re.MULTILINE)}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert names == set(sub.choices)
 
 
 ROW_RE = re.compile(r"^(.*),([^,]*),([^,]*),(pass|FAIL),(.*)$")

@@ -367,6 +367,102 @@ def test_jet_affine_composition_exact():
         assert np.abs(lhs - rhs).max() < 1e-13
 
 
+def compose_affine_multinomial(jet, e11, e12, e21, e22, d1, d2):
+    """x = E y + d substituted by the multinomial expansion
+    x1^m1 = sum m1!/(a! b! c!) (e11 y1)^a (e12 y2)^b d1^c, and likewise
+    x2^m2: the reference for the jet product."""
+    def power(s, n):
+        p = fr.one(GRID)
+        for _ in range(n):
+            p = fr.multiply(p, s)
+        return p
+
+    def expand(m, e1, e2, d):
+        out = {}
+        for a in range(m + 1):
+            for b in range(m + 1 - a):
+                w = math.factorial(m) // (math.factorial(a) * math.factorial(b)
+                                          * math.factorial(m - a - b))
+                s = fr.multiply(fr.multiply(power(e1, a), power(e2, b)),
+                                power(d, m - a - b))
+                out[(a, b)] = s.scale(float(w))
+        return out
+
+    out = fr.PowerFourierSeries(jet.d_max, GRID, jet.kind, {})
+    for (m1, m2), f in sorted(jet.terms.items()):
+        for (a1, b1), s1 in expand(m1, e11, e12, d1).items():
+            for (a2, b2), s2 in expand(m2, e21, e22, d2).items():
+                out.add_term((a1 + a2, b1 + b2),
+                             fr.multiply(f, fr.multiply(s1, s2)))
+    return out
+
+
+def rand_jet(rng, kind, d_max, nterms):
+    monos = [(a, d - a) for d in range(d_max + 1) for a in range(d + 1)]
+    jet = fr.PowerFourierSeries(d_max, GRID, kind, {})
+    for i in rng.choice(len(monos), nterms, replace=False):
+        f = rand_scalar(rng, GRID, 2)
+        jet.set_term(monos[i], fr.conjugate_pair(f) if kind == fr.C2VECTOR
+                     else f)
+    return jet
+
+
+@pytest.mark.parametrize("kind", [fr.SCALAR, fr.C2VECTOR])
+def test_jet_compose_matches_multinomial_expansion(kind):
+    rng = np.random.default_rng(51)
+    z = fr.zeros(GRID)
+    for trial in range(6):
+        jet = rand_jet(rng, kind, 4, 6)
+        e = [rand_scalar(rng, GRID, 2, scale=0.5) for _ in range(4)]
+        d = [rand_scalar(rng, GRID, 2, scale=0.3) for _ in range(2)]
+        if trial % 3 == 1:
+            e = [z] * 4             # x = d: the value in the algebra
+        if trial % 3 == 2:
+            d = [z] * 2             # a linear substitution
+        comp = jet.compose_affine(*e, *d)
+        ref = compose_affine_multinomial(jet, *e, *d)
+        scale = max(float(np.abs(s.data).max()) for s in ref.terms.values())
+        assert all(sum(m) <= 4 for m in comp.terms)
+        for m in set(comp.terms) | set(ref.terms):
+            a, b = comp.term(m), ref.term(m)
+            for k in set(a.support) | set(b.support):
+                assert np.abs(a.coeff(k) - b.coeff(k)).max() <= 1e-13 * scale
+
+
+def test_jet_identity_substitution():
+    rng = np.random.default_rng(52)
+    one, z = fr.one(GRID), fr.zeros(GRID)
+    for kind in (fr.SCALAR, fr.C2VECTOR):
+        jet = rand_jet(rng, kind, 4, 8)
+        comp = jet.compose_affine(one, z, z, one, z, z)
+        assert set(comp.terms) == set(jet.terms)
+        for m, f in jet.terms.items():
+            assert np.array_equal(comp.term(m).modes, f.modes)
+            assert np.array_equal(comp.term(m).data, f.data)
+
+
+def test_jet_compose_products_do_not_grow_with_d_max(monkeypatch):
+    rng = np.random.default_rng(53)
+    e = [rand_scalar(rng, GRID, 1, scale=0.5) for _ in range(4)]
+    d = [rand_scalar(rng, GRID, 1, scale=0.2) for _ in range(2)]
+    f = [fr.conjugate_pair(rand_scalar(rng, GRID, 2)) for _ in range(3)]
+    calls = []
+    multiply = fr.multiply
+    monkeypatch.setattr(fr, "multiply",
+                        lambda a, b: calls.append(1) or multiply(a, b))
+    counts = []
+    for d_max in (2, 6):
+        jet = fr.PowerFourierSeries(d_max, GRID, fr.C2VECTOR, {})
+        for m, s in zip([(2, 0), (1, 1), (0, 2)], f):
+            jet.set_term(m, s)
+        calls.clear()
+        jet.compose_affine(*e, *d)
+        counts.append(len(calls))
+    # x1^2, x2^2 and x1 x2 take 9 products each, and each of the three
+    # coefficients multiplies its six monomials: no product by 1
+    assert counts == [45, 45]
+
+
 def test_jet_degree_guard():
     jet = fr.PowerFourierSeries(2, GRID, fr.SCALAR, {})
     with pytest.raises(ValueError):
@@ -588,17 +684,32 @@ def test_store_zero_series_and_empty_grid():
     assert e.eval_theta(THETAS[:3]).shape == (3, 0)
 
 
-def test_store_drop_rule_skips_nan_rows():
-    # the largest row is taken over the rows without NaN, and a NaN row is
-    # dropped like a row below the threshold
-    rows = {-2: 1.0, 0: np.full(len(GRID), np.nan), 3: 1e-17, 5: 2e-16}
-    rows[0][:3] = 1e30
-    f = fr.from_modes(GRID, fr.SCALAR, rows)
+def test_store_refuses_non_finite_rows():
+    # the drop rule keeps the rows at or above DROP_REL of the largest
+    f = fr.from_modes(GRID, fr.SCALAR, {-2: 1.0, 3: 1e-17, 5: 2e-16})
     assert f.support == [-2, 5]
     assert np.array_equal(f.coeff(5), np.full(len(GRID), 2e-16 + 0j))
-    assert fr.from_modes(GRID, fr.SCALAR, {1: np.nan, 4: np.nan}).is_zero()
-    g = fr.from_modes(GRID, fr.SCALAR, {1: np.inf, 2: 1.0, 3: np.nan})
-    assert g.support == [1]
+    # a NaN or inf row is refused, not dropped: an all-NaN series that came
+    # back as the zero series would pass every later ||.|| <= bound row
+    partial = np.ones(len(GRID))
+    partial[:3] = np.nan
+    for rows in ({-2: 1.0, 0: partial, 3: 1e-17},
+                 {1: np.nan, 4: np.nan},
+                 {1: np.inf, 2: 1.0},
+                 {0: -np.inf}):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fr.from_modes(GRID, fr.SCALAR, rows)
+    v = np.ones((len(GRID), 2), complex)
+    v[4, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or inf"):
+        fr.from_modes(GRID, fr.C2VECTOR, {0: 1.0, 1: v})
+    # an operation whose result overflows is refused too
+    big = fr.constant(GRID, 1e308)
+    with pytest.raises(ValueError, match="NaN or inf"), \
+            np.errstate(over="ignore"):
+        big + big
+    with pytest.raises(ValueError, match="NaN or inf"):
+        big.scale(np.nan)
 
 
 def test_store_coeffs_view_matches_store():
