@@ -705,7 +705,7 @@ class PowerFourierSeries:
             self.d_max, self.lambda_grid, self.kind,
             {mm: multiply(m, s) for mm, s in self.terms.items()})
 
-    def conj_swap_defect(self, thetas=None, active=None) -> float:
+    def conj_swap_defect(self, active=None) -> float:
         """Deviation from: swapping conjugate arguments conjugate-swaps the
         output, coefficientwise: f2_m = conj-series of f1 at swapped m."""
         if self.kind != C2VECTOR:

@@ -367,6 +367,32 @@ def test_jet_affine_composition_exact():
         assert np.abs(lhs - rhs).max() < 1e-13
 
 
+def test_jet_derivative_matches_central_difference():
+    rng = np.random.default_rng(18)
+    jet = fr.PowerFourierSeries(4, GRID, fr.C2VECTOR, {})
+    for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1),
+              (2, 2), (0, 4)]:
+        jet.set_term(m, fr.conjugate_pair(rand_scalar(rng, GRID, 2)))
+    th = THETAS[:64]
+    x = rng.uniform(-0.5, 0.5, (len(th), len(GRID), 2)).astype(complex)
+    h = 1e-6
+    for axis in (0, 1):
+        der = jet.derivative_terms(axis)
+        down = np.eye(2, dtype=int)[axis]
+        assert set(der.terms) == {(m1 - down[0], m2 - down[1])
+                                  for m1, m2 in jet.terms if (m1, m2)[axis]}
+        step = h * down
+        fd = (jet.eval_at_points(x + step, th)
+              - jet.eval_at_points(x - step, th)) / (2 * h)
+        exact = der.eval_at_points(x, th)
+        assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
+    # the degree-0 term drops out of both derivatives
+    const = fr.PowerFourierSeries(4, GRID, fr.C2VECTOR,
+                                  {(0, 0): jet.term((0, 0))})
+    assert const.derivative_terms(0).is_zero()
+    assert const.derivative_terms(1).is_zero()
+
+
 def compose_affine_multinomial(jet, e11, e12, e21, e22, d1, d2):
     """x = E y + d substituted by the multinomial expansion
     x1^m1 = sum m1!/(a! b! c!) (e11 y1)^a (e12 y2)^b d1^c, and likewise

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from kamtori import cfrac as cfr
 from kamtori import fourier as fr
 from kamtori import kam
 from kamtori import model as md
+from kamtori import verify as vf
 
 GRID = np.linspace(0.25, 0.75, 7)
 GM = cfr.golden_mean()
@@ -129,6 +131,51 @@ def test_residual_lipschitz_in_noise():
     res1, _ = md.residual(spec, noisy, n_theta=512)
     bump = res1.max() - res0.max()
     assert 0.05 * noise <= bump <= 20 * noise
+
+
+def residual_pointwise(spec, torus, n_theta):
+    """F(K) - K(. + alpha) evaluated pointwise on the whole theta-grid: the
+    reference for model.residual.  Returns (per-lambda sup, sup |K|)."""
+    thetas = np.arange(n_theta) / n_theta
+    K = torus.eval_K(thetas).astype(complex)
+    FK = spec.eval_F(K, thetas)
+    Kshift = md.TorusApprox(torus.X.shift(spec.cf.phase), torus.level,
+                            torus.lambda_grid).eval_K(thetas)
+    diff = FK - Kshift
+    per_lambda = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).max(axis=0)
+    kmax = float(np.sqrt((np.abs(K) ** 2).sum(axis=-1)).max())
+    return per_lambda, kmax
+
+
+@pytest.mark.parametrize("preset", ["generating", "nonsymplectic"])
+def test_residual_matches_pointwise_formula(preset):
+    rng = np.random.default_rng(33)
+    spec = md.build_preset(preset, 0.05, GM, GRID)
+    for n_theta in (4096, 1000):  # 1000: a partial last theta-block
+        for _ in range(3):
+            X1 = vf.rand_scalar(rng, GRID, 6, scale=0.02)
+            torus = md.TorusApprox(fr.conjugate_pair(X1), 0, GRID)
+            res, rows = md.residual(spec, torus, n_theta=n_theta)
+            ref, kmax = residual_pointwise(spec, torus, n_theta)
+            assert ref.max() > 1e-3
+            assert np.abs(res - ref).max() <= 1e-12 * ref.max()
+            [ball] = [r for r in rows if r.check.startswith("torus stays in")]
+            assert ball.actual == kmax
+
+
+def test_residual_memory_stays_in_theta_blocks():
+    grid = np.linspace(0.25, 0.75, 257)
+    spec = md.build_preset("generating", 1e-3, GM, grid)
+    X1 = vf.rand_scalar(np.random.default_rng(34), grid, 6, scale=0.01)
+    torus = md.TorusApprox(fr.conjugate_pair(X1), 0, grid)
+    tracemalloc.start()
+    try:
+        md.residual(spec, torus, n_theta=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # half of one (4096, L, 2) complex array over the whole theta-grid
+    assert peak < 4096 * len(grid) * 2 * 16 / 2
 
 
 def test_reconstruct_empty_and_constant_factor():
