@@ -97,8 +97,6 @@ def expand(alpha, max_depth: int = 64, tol: float = 1e-60,
         if not (0 < a0 < 1):
             raise ValueError("alpha must lie in (0,1)")
         a = [0]
-        p = [0, 1]
-        q = [1]
         rem = a0
         for k in range(1, max_depth + 1):
             if rem < tol:
@@ -107,14 +105,20 @@ def expand(alpha, max_depth: int = 64, tol: float = 1e-60,
             ak = int(mpmath.floor(inv))
             rem = inv - ak
             a.append(ak)
-            if k == 1:
-                q.append(ak)
-            else:
-                p.append(ak * p[-1] + p[-2])
-                q.append(ak * q[-1] + q[-2])
-        # p list started with the conventional pair (0, 1) = (p_0, p_1)
-        return ContinuedFraction(alpha=a0, a=a, p=p[: len(q)], q=q,
+        p, q = _convergents(a[1:])
+        return ContinuedFraction(alpha=a0, a=a, p=p[1:], q=q[1:],
                                  prec_bits=prec_bits)
+
+
+def _convergents(quotients) -> tuple:
+    """Exact p_k, q_k of [0; a_1, a_2, ...] for k = -1, 0, 1, ...:
+    p_k = a_k p_{k-1} + p_{k-2} and the same for q, from p_{-1} = q_0 = 1
+    and p_0 = q_{-1} = 0."""
+    p, q = [1, 0], [0, 1]
+    for ak in quotients:
+        p.append(ak * p[-1] + p[-2])
+        q.append(ak * q[-1] + q[-2])
+    return p, q
 
 
 def from_quotients(quotients, prec_bits: int = DEFAULT_PREC_BITS,
@@ -129,24 +133,16 @@ def from_quotients(quotients, prec_bits: int = DEFAULT_PREC_BITS,
         raise ValueError("partial quotients must be positive")
     if pad_to > len(quots):
         quots = quots + [1] * (pad_to - len(quots))
-    p = [0, 1]
-    q = [1]
-    for k, ak in enumerate(quots, start=1):
-        if k == 1:
-            q.append(ak)
-        else:
-            p.append(ak * p[-1] + p[-2])
-            q.append(ak * q[-1] + q[-2])
+    p, q = _convergents(quots)
     # extend far enough that the value is exact at working precision
-    pe, qe = p[-1], q[-1]
-    pe2, qe2 = p[-2] if len(p) >= 2 else 0, q[-2] if len(q) >= 2 else 1
+    pe, pe2, qe, qe2 = p[-1], p[-2], q[-1], q[-2]
     with mpmath.workprec(prec_bits):
         while qe.bit_length() * 2 < prec_bits + 64:
             pe, pe2 = pe + pe2, pe
             qe, qe2 = qe + qe2, qe
         alpha = mpf(pe) / mpf(qe)
-        return ContinuedFraction(alpha=alpha, a=[0] + quots, p=p[: len(q)],
-                                 q=q, prec_bits=prec_bits)
+        return ContinuedFraction(alpha=alpha, a=[0] + quots, p=p[1:],
+                                 q=q[1:], prec_bits=prec_bits)
 
 
 def golden_mean(prec_bits: int = DEFAULT_PREC_BITS, depth: int = 90) -> ContinuedFraction:

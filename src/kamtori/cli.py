@@ -238,15 +238,12 @@ def cmd_solve(args) -> int:
     b = fr.read_coeff_dump(args.b_input, grid) if args.b_input \
         else fr.zeros(grid)
     dc = hm.dc_from_exclusion(cf, args.gamma, args.tau, args.K, grid)
-    setup = hm.SolveSetup(
-        cf=cf, weight=weight, gamma=args.gamma, tau=args.tau,
-        q_next=args.q_next, qbar_n=args.qbar, qbar_next=args.K**2,
-        K=args.K, r_b=float(Fraction(cfg["schedule.r"])),
-        r_tilde=args.r_tilde, sigma=args.sigma,
-        r0=float(Fraction(cfg["schedule.r"])), eps0=cfg["model.eps"],
-        active=dc.active_mask())
+    r0 = float(Fraction(cfg["schedule.r"]))
+    setup = hm.SolveSetup(B, dc, weight=weight, q_next=args.q_next,
+                          qbar_n=args.qbar, r_b=r0, sigma=args.sigma,
+                          eps0=cfg["model.eps"])
     try:
-        res = hm.solve_homological(B, b, u, args.l, dc, setup,
+        res = hm.solve_homological(b, u, args.l, setup, args.r_tilde,
                                    force=args.force)
     except (hm.PreconditionError, hm.ConditioningError) as exc:
         print("solver refused: %s (use --force to proceed)" % exc,
@@ -258,8 +255,8 @@ def cmd_solve(args) -> int:
     rows = res.precondition_rows + res.rows
     if not B.is_zero():
         rows += hm.b_equation_rows(B, res.bcal, args.qbar, cf, weight,
-                                   r=setup.r_b, rbar=setup.r_tilde,
-                                   r0=setup.r0, active=setup.active)
+                                   r=r0, rbar=args.r_tilde, r0=r0,
+                                   active=setup.active)
     _print_rows(rows)
     return _exit_from_rows(rows)
 

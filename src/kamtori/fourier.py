@@ -531,15 +531,9 @@ def exp_i_scalar(B: FourierSeries, l: int = 1) -> FourierSeries:
     scale = max(B.sup_bound(), 1.0)
     if real_defect(B) > 1e-12 * scale:
         raise ValueError("exp_i_scalar: series is not real-valued")
-    S = B.scale(2j * math.pi * l)
-    acc = one(B.lambda_grid)
-    term = one(B.lambda_grid)
-    for n in range(1, EXP_SERIES_MAX_TERMS + 1):
-        term = multiply(term, S).scale(1.0 / n)
-        acc = acc + term
-        if term.sup_bound() < 1e-16 * max(1.0, acc.sup_bound()):
-            return acc
-    raise PowerSeriesDiverged("exp_i_scalar: term cap hit; input too large")
+    [acc] = _power_sums(B.scale(2j * math.pi * l), [lambda n: 1.0 / n],
+                        "exp_i_scalar: term cap hit; input too large")
+    return acc
 
 
 def exp_su11(D: FourierSeries) -> tuple:
@@ -558,22 +552,10 @@ def exp_su11(D: FourierSeries) -> tuple:
         raise ValueError("exp_su11: diagonal must vanish")
     b = D.entry(0, 1)
     c = D.entry(1, 0)
-    u = multiply(b, c)
-    grid = D.lambda_grid
-    A = one(grid)
-    Bs = one(grid)
-    termA = one(grid)
-    termB = one(grid)
-    for m in range(1, EXP_SERIES_MAX_TERMS + 1):
-        termA = multiply(termA, u).scale(1.0 / ((2 * m - 1) * (2 * m)))
-        termB = multiply(termB, u).scale(1.0 / ((2 * m) * (2 * m + 1)))
-        A = A + termA
-        Bs = Bs + termB
-        if (termA.sup_bound() < 1e-16 * max(1.0, A.sup_bound())
-                and termB.sup_bound() < 1e-16 * max(1.0, Bs.sup_bound())):
-            break
-    else:
-        raise PowerSeriesDiverged("exp_su11: term cap hit; input too large")
+    A, Bs = _power_sums(multiply(b, c),
+                        [lambda m: 1.0 / ((2 * m - 1) * (2 * m)),
+                         lambda m: 1.0 / ((2 * m) * (2 * m + 1))],
+                        "exp_su11: term cap hit; input too large")
     Eb = multiply(Bs, b)
     Ec = multiply(Bs, c)
     return (matrix_from_scalars(A, Eb, Ec, A),
@@ -586,14 +568,25 @@ def inverse_one_plus(h: FourierSeries) -> FourierSeries:
         raise KindMismatch("inverse_one_plus needs a scalar series")
     if h.sup_bound() >= 0.9:
         raise PowerSeriesDiverged("inverse_one_plus: perturbation too large")
-    acc = one(h.lambda_grid)
-    term = one(h.lambda_grid)
-    for _ in range(EXP_SERIES_MAX_TERMS):
-        term = multiply(term, h).scale(-1.0)
-        acc = acc + term
-        if term.sup_bound() < 1e-16 * max(1.0, acc.sup_bound()):
-            return acc
-    raise PowerSeriesDiverged("inverse_one_plus: term cap hit")
+    [acc] = _power_sums(h, [lambda n: -1.0], "inverse_one_plus: term cap hit")
+    return acc
+
+
+def _power_sums(x: FourierSeries, factors: list, cap_error: str) -> list:
+    """The sums 1 + t_1 + t_2 + ... with t_n = factor(n) t_{n-1} x, one per
+    factor, in the coefficient algebra.  They stop together once every last
+    term is below 1e-16 max(1, |sum|); PowerSeriesDiverged(cap_error) after
+    EXP_SERIES_MAX_TERMS terms."""
+    sums = [one(x.lambda_grid) for _ in factors]
+    terms = [one(x.lambda_grid) for _ in factors]
+    for n in range(1, EXP_SERIES_MAX_TERMS + 1):
+        for i, factor in enumerate(factors):
+            terms[i] = multiply(terms[i], x).scale(factor(n))
+            sums[i] = sums[i] + terms[i]
+        if all(t.sup_bound() < 1e-16 * max(1.0, s.sup_bound())
+               for t, s in zip(terms, sums)):
+            return sums
+    raise PowerSeriesDiverged(cap_error)
 
 
 # -- jets in (v, vbar) ------------------------------------------------------------

@@ -13,10 +13,12 @@ converge.  Every bound the scheme relies on (small divisors, truncation
 tails, solution size, Neumann dominance) is re-measured and reported.
 
 B, its cutoffs and the divisors stay fixed through a KAM level, so one
-SolverLevel per level holds the B-equation's solution, the exponentials of
-B, the divisors l lambda~ - k alpha (from frac(k alpha), memoised on the
-ContinuedFraction) and ||S^{-1}||; every solve of the level shares it.
-DcSet.divisors tabulates the same divisors at the DC set's active points.
+SolveSetup per level, built from B and the level's DcSet, holds the
+B-equation's solution, the exponentials of B, the divisors l lambda~ -
+k alpha (from frac(k alpha), memoised on the ContinuedFraction) and
+||S^{-1}||; every solve of the level shares it and gives only its width
+r_tilde.  DcSet.divisors tabulates the same divisors at the DC set's active
+points.
 """
 
 from __future__ import annotations
@@ -434,40 +436,24 @@ def _series_from_grid(vals: np.ndarray, lambda_grid: np.ndarray) -> FourierSerie
 # -- the truncated solver -------------------------------------------------------------------
 
 
-@dataclass
 class SolveSetup:
-    """Level context for one homological solve."""
+    """What every homological solve of one KAM level shares.  Built once per
+    level from B, the level's DC set (cf, gamma, tau, K, active mask, grid
+    and shift) and the level constants; computed when first needed: bcal
+    (the B-equation's solution), e^{2 pi i l B}, terms(l), the norms of the
+    B hypotheses and the conditioning weight ratios."""
 
-    cf: ContinuedFraction
-    weight: WeightFunction
-    gamma: float
-    tau: float
-    q_next: int          # Q_{n+1}
-    qbar_n: int          # Qbar_n: B-equation truncation
-    qbar_next: int       # Qbar_{n+1}: sets the lemma cutoff sqrt
-    K: int               # system cutoff: modes |k| < K
-    r_b: float           # width for the B hypotheses (= r_n)
-    r_tilde: float
-    sigma: float
-    r0: float
-    eps0: float
-    active: Optional[np.ndarray] = None
-
-    def ctx(self, r: float) -> WeightedNormContext:
-        return WeightedNormContext(self.weight, float(r), active=self.active)
-
-
-class SolverLevel:
-    """What the homological solves of one KAM level share, each computed when
-    first needed: bcal (the B-equation's solution), e^{2 pi i l B}, terms(l),
-    the norms of the B hypotheses and the conditioning weight ratios.  Built from any setup of the level;
-    every solve of the level has its B, cf, K, qbar_n, r_b, weight and mask."""
-
-    def __init__(self, B: FourierSeries, setup: SolveSetup):
-        self.B, self.setup = B, setup
-        self.cf, self.qbar_n, self.K = setup.cf, setup.qbar_n, setup.K
-        self.grid = B.lambda_grid
-        self.active = _mask(setup.active, len(self.grid))
+    def __init__(self, B: FourierSeries, dc: DcSet, *, weight: WeightFunction,
+                 q_next: int, qbar_n: int, r_b: float, sigma: float,
+                 eps0: float):
+        self.B, self.weight = B, weight
+        self.cf, self.gamma, self.tau, self.K = dc.cf, dc.gamma, dc.tau, dc.K
+        self.grid, self.shift = dc.lambda_grid, dc.shift
+        self.active = dc.active_mask()
+        self.q_next = q_next        # Q_{n+1}
+        self.qbar_n = qbar_n        # Qbar_n: B-equation truncation
+        self.r_b = r_b              # width for the B hypotheses (= r_n)
+        self.sigma, self.eps0 = sigma, eps0
         self.lam_t = self.grid + np.real(B.average())
         self.ks = np.arange(-self.K + 1, self.K)
         # position of mode k1 - k2 among the modes 2 - 2K .. 2K - 2
@@ -476,22 +462,15 @@ class SolverLevel:
         self._terms: dict = {}
         self._ratio_r, self._ratios = None, None
 
-    def check(self, B: FourierSeries, setup: SolveSetup) -> None:
-        own = self.setup
-        if not (B is self.B and setup.cf is own.cf
-                and (setup.K, setup.qbar_n, setup.r_b, setup.weight)
-                == (own.K, own.qbar_n, own.r_b, own.weight)
-                and np.array_equal(_mask(setup.active, len(self.grid)),
-                                   self.active)):
-            raise ValueError("level built for another B, K, qbar_n, r_b, "
-                             "weight or mask")
+    def ctx(self, r: float) -> WeightedNormContext:
+        return WeightedNormContext(self.weight, float(r), active=self.active)
 
     @functools.cached_property
     def b_norms(self) -> tuple:
         """||B||_{r_b} and ||R_Qbar B||_{r_b/2}."""
-        s = self.setup
-        return (fr.norm_r(self.B, s.ctx(s.r_b)),
-                fr.norm_r(self.B.project_tail(s.qbar_n), s.ctx(s.r_b / 2)))
+        return (fr.norm_r(self.B, self.ctx(self.r_b)),
+                fr.norm_r(self.B.project_tail(self.qbar_n),
+                          self.ctx(self.r_b / 2)))
 
     @functools.cached_property
     def bcal(self) -> FourierSeries:
@@ -533,8 +512,7 @@ class SolverLevel:
         modes |k| < K, kept for the last r: the l = 1 and l = 2 solves of a
         sub-step share it."""
         if self._ratio_r != r:
-            lw = eval_lambda(self.setup.weight,
-                             2 * math.pi * np.abs(self.ks) * r)
+            lw = eval_lambda(self.weight, 2 * math.pi * np.abs(self.ks) * r)
             self._ratios = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
             self._ratio_r = r
         return self._ratios
@@ -553,10 +531,6 @@ class SolverLevel:
                       + 2 * math.pi * l * (1.0 + davg) / small**2).max())
 
 
-def _mask(active: Optional[np.ndarray], n: int) -> np.ndarray:
-    return np.ones(n, bool) if active is None else active
-
-
 @dataclass
 class SolveResult:
     delta: FourierSeries
@@ -568,35 +542,31 @@ class SolveResult:
     precondition_rows: list = field(default_factory=list)
 
 
-def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
-                      l: int, dc: DcSet, setup: SolveSetup,
-                      force: bool = False,
-                      level: Optional[SolverLevel] = None) -> SolveResult:
+def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
+                      setup: SolveSetup, r_tilde: float,
+                      force: bool = False) -> SolveResult:
     """Approximate solution of
         e^{2 pi i l (lambda + B)} delta + b delta - delta(theta+alpha) = u
-    per the two-step pipeline; returns delta, the error term and every
-    certified bound.  Without a SolverLevel one is built for this call."""
+    (B is the level's, setup.B) at width r_tilde per the two-step pipeline;
+    returns delta, the error term and every certified bound."""
     if l not in _LS:
         raise ValueError("l must be 1 or 2")
-    if level is None:
-        level = SolverLevel(B, setup)
-    level.check(B, setup)
     cf = setup.cf
-    pre = _preconditions(B, b, dc, setup, level)
+    pre = _preconditions(b, setup, r_tilde)
     if not all(r.passed for r in pre) and not force:
         raise PreconditionError(pre)
 
-    t = level.terms(l)
+    t = setup.terms(l)
     btilde = t.tail_term + fr.multiply(b, t.phi)
     utt = fr.multiply(fr.multiply(t.e_plus, u), t.phi)
 
     rows = []
-    phi_norm = fr.norm_r(t.phi, setup.ctx(setup.r_tilde))
+    phi_norm = fr.norm_r(t.phi, setup.ctx(r_tilde))
     rows.append(CheckRow("||e^{i2pil(-T B + [B])}||_rt <= 2", 2.0, phi_norm,
                          phi_norm <= 2.0))
 
     # conditioning: measured Neumann dominance of the scaled system
-    s_inv, pe_norm = _conditioning(btilde, level, l, setup)
+    s_inv, pe_norm = _conditioning(btilde, setup, l, r_tilde)
     rows.append(CheckRow("||S^{-1}|| measured", math.inf, s_inv, True))
     dom = s_inv * pe_norm
     rows.append(CheckRow("||S^{-1} E P E^{-1}|| < 1/2", 0.5, dom, dom < 0.5,
@@ -605,7 +575,7 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
         raise ConditioningError(
             "scaled perturbation %.3g >= 1/2 in row-sum norm" % dom)
 
-    delta_tilde, steps, dense = _solve_truncated(btilde, utt, level, l, dom)
+    delta_tilde, steps, dense = _solve_truncated(btilde, utt, setup, l, dom)
 
     # exact residual of the truncated linear system
     bd = fr.multiply(btilde, delta_tilde)
@@ -615,7 +585,7 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
     how = "neumann steps=%d" % steps
     if len(dense):
         how += " dense at lambda=" + " ".join("%.6g" % v
-                                              for v in level.grid[dense])
+                                              for v in setup.grid[dense])
     rows.append(CheckRow("truncated-system residual <= 1e-10 ||u||",
                          1e-10 * u_scale, sys_res.sup_bound(setup.active),
                          sys_res.sup_bound(setup.active) <= 1e-10 * u_scale,
@@ -625,7 +595,7 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
     tail_part = (bd - utt).project_tail(setup.K)
     delta_er = fr.multiply(t.e_minus, tail_part)
 
-    ctx_rt = setup.ctx(setup.r_tilde)
+    ctx_rt = setup.ctx(r_tilde)
     u_norm = fr.norm_r(u, ctx_rt)
     sol_bound = 32.0 * setup.gamma**-2 * _float_pow(setup.q_next,
                                                     2 * setup.tau**2) * u_norm
@@ -633,12 +603,12 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
     rows.append(CheckRow("||delta|| <= 32 g^-2 Q^{2tau^2} ||u||", sol_bound,
                          d_norm, d_norm <= sol_bound))
 
-    x = 2 * math.pi * setup.K * (setup.r_tilde - setup.sigma)
+    x = 2 * math.pi * setup.K * (r_tilde - setup.sigma)
     if x > 1.0:
-        decay = math.exp(max(-(setup.sigma / setup.r_tilde)
+        decay = math.exp(max(-(setup.sigma / r_tilde)
                              * eval_gamma(setup.weight, x) * math.log(x), -745.0))
         er_bound = 16.0 * decay * u_norm
-        er_norm = fr.norm_r(delta_er, setup.ctx(setup.r_tilde - setup.sigma))
+        er_norm = fr.norm_r(delta_er, setup.ctx(r_tilde - setup.sigma))
         rows.append(CheckRow("||delta_er||_{rt-s} <= 16 exp(-s G ln / rt)||u||",
                              er_bound, er_norm, er_norm <= er_bound))
 
@@ -651,47 +621,46 @@ def solve_homological(B: FourierSeries, b: FourierSeries, u: FourierSeries,
                          1e-10 * u_scale, mismatch, mismatch <= 1e-10 * u_scale))
 
     return SolveResult(delta=delta, delta_er=delta_er, delta_tilde=delta_tilde,
-                       bcal=level.bcal, btilde=btilde, rows=rows,
+                       bcal=setup.bcal, btilde=btilde, rows=rows,
                        precondition_rows=pre)
 
 
-def _preconditions(B, b, dc: DcSet, setup: SolveSetup,
-                   level: SolverLevel) -> list:
+def _preconditions(b, setup: SolveSetup, r_tilde: float) -> list:
     # theoretical-constant hypotheses: enforced by raising unless forced,
     # reported as non-gating rows either way; the B norms are the level's
     rows = []
-    nB, tail = level.b_norms
+    nB, tail = setup.b_norms
     rows.append(CheckRow("||B||_r <= eps0^(1/3)", setup.eps0 ** (1 / 3), nB,
                          nB <= setup.eps0 ** (1 / 3), gating=False))
     tb = setup.gamma**2 / (480 * math.pi**2) * _float_pow(setup.q_next,
                                                           -2 * setup.tau**2)
     rows.append(CheckRow("||R_Qbar B||_{r/2} <= g^2/(480pi^2 Q^{2tau^2})", tb,
                          tail, tail <= tb, gating=False))
-    nb = fr.norm_r(b, setup.ctx(setup.r_tilde))
+    nb = fr.norm_r(b, setup.ctx(r_tilde))
     bb = setup.gamma**2 / 12.0 * _float_pow(setup.q_next, -2 * setup.tau**2)
     rows.append(CheckRow("||b||_rt < g^2/(12 Q^{2tau^2})", bb, nb,
                          nb < bb or (nb == 0.0 and bb == 0.0), gating=False))
-    shift_dev = float(np.abs(np.real(B.average()) - dc.shift).max()) \
-        if len(dc.shift) else 0.0
+    shift_dev = float(np.abs(np.real(setup.B.average()) - setup.shift).max()) \
+        if len(setup.shift) else 0.0
     rows.append(CheckRow("DC shift matches [B]_theta", 1e-10, shift_dev,
                          shift_dev <= 1e-10))
     return rows
 
 
-def _conditioning(btilde: FourierSeries, level: SolverLevel, l: int,
-                  setup: SolveSetup) -> tuple:
+def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
+                  r_tilde: float) -> tuple:
     """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
     largest row sum of the width-scaled Toeplitz matrix
     |btilde_{k1-k2}|_O exp(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r))."""
-    c_O = fr._modes_O(_dense(btilde, len(level.ks)), btilde.lambda_grid,
-                      setup.ctx(setup.r_tilde))
-    scale = level.weight_ratios(setup.r_tilde)
-    pe = float((c_O[level.toeplitz] * scale).sum(axis=1).max())
-    return level.terms(l).s_inv, pe
+    c_O = fr._modes_O(_dense(btilde, len(setup.ks)), btilde.lambda_grid,
+                      setup.ctx(r_tilde))
+    scale = setup.weight_ratios(r_tilde)
+    pe = float((c_O[setup.toeplitz] * scale).sum(axis=1).max())
+    return setup.terms(l).s_inv, pe
 
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
-                     level: SolverLevel, l: int, dom: float) -> tuple:
+                     setup: SolveSetup, l: int, dom: float) -> tuple:
     """Solve (S + P) F = U at every active grid point by the solver lemma's
     Neumann series F <- (U - P F) / S, all points at once: P F is the
     convolution by btilde cut to |k| < K, one batched FFT product per step.
@@ -702,10 +671,10 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
     as measured), does not converge: it is solved by one dense solve
     instead, so no diverged iterate is returned.  Returns (F, the number
     of steps, the grid indices solved densely)."""
-    n = len(level.ks)
-    idxs = np.nonzero(level.active)[0]
-    sdiag = level.terms(l).diagonal[idxs]                  # (m, n)
-    rhs = _dense(utt, level.K).T[idxs]                     # (m, n)
+    n = len(setup.ks)
+    idxs = np.nonzero(setup.active)[0]
+    sdiag = setup.terms(l).diagonal[idxs]                  # (m, n)
+    rhs = _dense(utt, setup.K).T[idxs]                     # (m, n)
     diffs = _dense(btilde, n).T[idxs]                      # (m, 2n - 1)
     # the linear convolution has 3n - 2 terms; a cyclic one of length
     # >= 2n - 1 wraps none of them onto the n wanted, n - 1 .. 2n - 2
@@ -732,12 +701,12 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         run = run[~done & shrinking]
     dense = np.concatenate(stuck + [run]).astype(int)
     for i in dense:
-        M = diffs[i][level.toeplitz]
+        M = diffs[i][setup.toeplitz]
         M[np.arange(n), np.arange(n)] += sdiag[i]
         x[i] = np.linalg.solve(M, rhs[i])
-    sol = np.zeros((n, len(level.grid)), complex)
+    sol = np.zeros((n, len(setup.grid)), complex)
     sol[:, idxs] = x.T
-    return (fr._cleaned(level.grid, fr.SCALAR, level.ks, sol), steps,
+    return (fr._cleaned(setup.grid, fr.SCALAR, setup.ks, sol), steps,
             idxs[np.sort(dense)])
 
 

@@ -244,31 +244,26 @@ class LevelContext:
     """Per-level data shared by all sub-steps."""
 
     grid: np.ndarray
-    cf: ContinuedFraction
-    weight: WeightFunction
-    active: np.ndarray
     Vmat: FourierSeries
     rho: FourierSeries
-    dc: DcSet
-    level: hm.SolverLevel           # B and what the level's solves share
+    setup: SolveSetup               # B, cf, the mask and the level's solves
     phase_diag: FourierSeries       # diag(e^{2 pi i lambda}, e^{-2 pi i lambda})
     phase1: FourierSeries
     phase2: FourierSeries
     zetac_base: FourierSeries       # e^{-2 pi i lambda} + conj G
 
     def ctx(self, r) -> WeightedNormContext:
-        return WeightedNormContext(self.weight, float(r), active=self.active)
+        return self.setup.ctx(r)
 
 
-def _level_context(state: KamState, cf, weight, dc: DcSet, active,
-                   rho: FourierSeries, level: hm.SolverLevel) -> LevelContext:
+def _level_context(state: KamState, rho: FourierSeries,
+                   setup: SolveSetup) -> LevelContext:
     grid = state.lambda_grid
     p1 = fr.lambda_phase(grid, 1)
     pm1 = fr.lambda_phase(grid, -1)
     z = fr.zeros(grid)
     return LevelContext(
-        grid=grid, cf=cf, weight=weight, active=active, Vmat=state.V,
-        rho=rho, dc=dc, level=level,
+        grid=grid, Vmat=state.V, rho=rho, setup=setup,
         phase_diag=fr.matrix_from_scalars(p1, z, z, pm1),
         phase1=p1, phase2=fr.lambda_phase(grid, 2),
         zetac_base=pm1 + state.V.entry(1, 1))
@@ -277,13 +272,15 @@ def _level_context(state: KamState, cf, weight, dc: DcSet, active,
 # -- one sub-iteration --------------------------------------------------------------
 
 
-def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
-                       eps_j: float, r_j, r_j1, s_j1: float,
-                       hess_prev: float, force: bool = False):
+def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
+                       r_j1, s_j1: float, hess_prev: float,
+                       force: bool = False):
     """One j -> j+1 pass; returns (new SubState, E, Delta, rows)."""
     grid = ctx.grid
+    setup = ctx.setup
+    act = setup.active
     rows: list = []
-    phase = ctx.cf.phase
+    phase = setup.cf.phase
     eps_j1 = eps_j / math.e
 
     if sub.U.is_zero() and sub.W.is_zero():
@@ -302,13 +299,13 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
 
     # offset equation: (e^{2 pi i lambda} + G + g) delta - delta(.+a) = -u
     b_delta = fr.multiply(fr.multiply(ctx.rho, ctx.phase1),
-                          ctx.level.exp_B(1)) + g1
+                          setup.exp_B(1)) + g1
     u_delta = sub.U.component(0).scale(-1.0)
     if u_delta.is_zero():
         delta = fr.zeros(grid)
     else:
-        sol1 = hm.solve_homological(ctx.level.B, b_delta, u_delta, 1, ctx.dc,
-                                    setup, force=force, level=ctx.level)
+        sol1 = hm.solve_homological(b_delta, u_delta, 1, setup, float(r_j),
+                                    force=force)
         delta = sol1.delta
         rows += _tag(sol1.precondition_rows + sol1.rows, "l=1")
     Delta = fr.vector_from_scalars(delta, delta.conj())
@@ -320,11 +317,11 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
     else:
         h = fr.multiply(ctx.phase1, zeta_c) - fr.one(grid)
         recip = fr.multiply(ctx.phase1, fr.inverse_one_plus(h))
-        e4pi = fr.multiply(ctx.phase2, ctx.level.exp_B(2))
+        e4pi = fr.multiply(ctx.phase2, setup.exp_B(2))
         b_gen = fr.multiply(g1 - fr.multiply(e4pi, g1c), recip)
         w_rhs = fr.multiply(W2_01.scale(-1.0), recip)
-        sol2 = hm.solve_homological(ctx.level.B, b_gen, w_rhs, 2, ctx.dc,
-                                    setup, force=force, level=ctx.level)
+        sol2 = hm.solve_homological(b_gen, w_rhs, 2, setup, float(r_j),
+                                    force=force)
         dgen = sol2.delta
         rows += _tag(sol2.precondition_rows + sol2.rows, "l=2")
     Dmat = fr.matrix_from_scalars(z, dgen, dgen.conj(), z)
@@ -332,7 +329,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
     E, Einv = fr.exp_su11(Dmat)
     EinvS = Einv.shift(phase)
 
-    det_dev = fr.det_minus_one(E).sup_bound(ctx.active)
+    det_dev = fr.det_minus_one(E).sup_bound(act)
     rows.append(CheckRow("sub det(e^D)-1", 1e-10, det_dev, det_dev <= 1e-10))
 
     Zw = Zfull + W2mat
@@ -349,10 +346,10 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
 
     # a genuine pass contracts by e^{-1}; anything below 1e-12 of the input
     # scale is cancellation dust, so snap it to the exact fixed point
-    ref = max(sub.U.sup_bound(ctx.active), sub.W.sup_bound(ctx.active))
-    if U_next.sup_bound(ctx.active) <= 1e-12 * ref:
+    ref = max(sub.U.sup_bound(act), sub.W.sup_bound(act))
+    if U_next.sup_bound(act) <= 1e-12 * ref:
         U_next = fr.zeros(grid, fr.C2VECTOR)
-    if W_next.sup_bound(ctx.active) <= 1e-12 * ref:
+    if W_next.sup_bound(act) <= 1e-12 * ref:
         W_next = fr.zeros(grid, fr.SU11MATRIX)
 
     # displayed sub-step estimates, re-measured
@@ -384,12 +381,12 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, setup: SolveSetup,
     rows.append(CheckRow("sub ||d2R_{j+1}|| <= (1+6eps_j^(1/3))||d2R_j||",
                          hbound, hess, hess <= hbound or hess_prev == 0.0))
 
-    sdef = fr.su11_defect(W_next, ctx.active)
-    wscale = max(1.0, W_next.sup_bound(ctx.active))
+    sdef = fr.su11_defect(W_next, act)
+    wscale = max(1.0, W_next.sup_bound(act))
     rows.append(CheckRow("sub su11 pattern of W_{j+1}", 1e-12 * wscale, sdef,
                          sdef <= 1e-12 * wscale))
-    cdef = fr.c2_pair_defect(U_next, ctx.active)
-    uscale = max(1.0, U_next.sup_bound(ctx.active))
+    cdef = fr.c2_pair_defect(U_next, act)
+    uscale = max(1.0, U_next.sup_bound(act))
     rows.append(CheckRow("sub conjugate pair of U_{j+1}", 1e-12 * uscale, cdef,
                          cdef <= 1e-12 * uscale))
 
@@ -413,9 +410,9 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
     Returns (worst deviation, equation scale); the identity holds to
     roundoff relative to the equation's own magnitude."""
     thetas = np.arange(n_theta) / n_theta
-    phase = ctx.cf.phase
+    phase = ctx.setup.cf.phase
     grid = ctx.grid
-    act = ctx.active
+    act = ctx.setup.active
 
     def rhs(subst: SubState, Xvals):
         Zw = ctx.phase_diag + ctx.Vmat + subst.v
@@ -492,7 +489,6 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     (new state, StepReport)."""
     n = state.n
     grid = state.lambda_grid
-    cf, weight = sched.cf, sched.weight
     rows: list = []
 
     G = state.V.entry(0, 0)
@@ -503,11 +499,8 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
 
     new_omega, zones, zrows, removed = exclude_resonances(state, sched, n, beta)
     rows += zrows
-    active = new_omega.contains(grid)
-    state_ex = KamState(n, state.V, state.U, state.W, state.R, new_omega,
-                        state.factors, grid)
 
-    dc = DcSet(cf=cf, gamma=sched.gamma(n), tau=sched.tau, K=sched.K(n),
+    dc = DcSet(cf=sched.cf, gamma=sched.gamma(n), tau=sched.tau, K=sched.K(n),
                intervals=new_omega, lambda_grid=grid, shift=beta)
     rows += dc.certify()
     rows += hm.certify_small_divisor(dc, sched.Q(n + 1), sched.Qbar(n + 1),
@@ -522,14 +515,11 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     sigma_abs = rt0 / (2 * L)
     st0 = sched.s(n)
     eps_t = sched.eps(n)
-    setup0 = SolveSetup(cf=cf, weight=weight, gamma=sched.gamma(n),
-                        tau=sched.tau, q_next=sched.Q(n + 1),
-                        qbar_n=sched.Qbar(n), qbar_next=sched.Qbar(n + 1),
-                        K=sched.K(n), r_b=float(sched.r(n)),
-                        r_tilde=float(rt0), sigma=float(sigma_abs),
-                        r0=float(sched.r0), eps0=sched.eps0, active=active)
-    level = hm.SolverLevel(B, setup0)
-    ctx = _level_context(state_ex, cf, weight, dc, active, rho, level)
+    setup = SolveSetup(B, dc, weight=sched.weight, q_next=sched.Q(n + 1),
+                       qbar_n=sched.Qbar(n), r_b=float(sched.r(n)),
+                       sigma=float(sigma_abs), eps0=sched.eps0)
+    active = setup.active
+    ctx = _level_context(state, rho, setup)
 
     sub = SubState(0, fr.zeros(grid, fr.SU11MATRIX), state.U, state.W, state.R)
     hess_prev = fr.hessian_norm_bound(state.R, ctx.ctx(rt0), st0)
@@ -542,10 +532,9 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
         r_j1 = rt0 - (j + 1) * sigma_abs
         s_j1 = s_j - Schedule.eta(n) * Schedule.eta(j) * st0
         eps_j = eps_t * math.exp(-j)
-        setup = dataclasses.replace(setup0, r_tilde=float(r_j))
         sub_old = sub
         sub, E, Delta, sub_rows = sub_iteration_step(
-            ctx, sub, setup, eps_j, r_j, r_j1, s_j1, hess_prev, force=force)
+            ctx, sub, eps_j, r_j, r_j1, s_j1, hess_prev, force=force)
         rows += _tag(sub_rows, "n=%d j=%d" % (n, j))
         if E is None:
             break

@@ -208,7 +208,8 @@ def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
 def residual(spec: SkewMapSpec, torus: TorusApprox, n_theta: int = 4096,
              active=None) -> tuple:
     """Per-lambda sup of |F(K(theta)) - K(theta + alpha)|; the headline
-    observable.  Returns (per-lambda array, rows).
+    observable.  Returns (per-lambda array, rows); the analyticity-ball row
+    takes sup |K| over the active lambda (all of them when active is None).
 
     R = F(K) - K(. + alpha) is one vector series, formed in the algebra
     from K1 = (X1 + conj X1)/sqrt2 and K2 = (X1 - conj X1)/(sqrt2 i), the K
@@ -231,7 +232,10 @@ def residual(spec: SkewMapSpec, torus: TorusApprox, n_theta: int = 4096,
         thetas = np.arange(start, min(start + THETA_BLOCK, n_theta)) / n_theta
         np.maximum(per_lambda, _norm2(R.eval_theta(thetas)).max(axis=0),
                    out=per_lambda)
-        kmax = max(kmax, float(_norm2(torus.eval_K(thetas)).max()))
+        kvals = _norm2(torus.eval_K(thetas))
+        if active is not None:
+            kvals = kvals[:, active]
+        kmax = max(kmax, float(kvals.max(initial=0.0)))
     rows = [CheckRow("torus stays in analyticity ball |K| < s",
                      spec.s_domain, kmax, kmax < spec.s_domain)]
     return per_lambda, rows

@@ -166,7 +166,9 @@ def fourier_suite(seed: int = 0) -> list:
 # -- continued fractions ------------------------------------------------------------
 
 
-def _euclid_cf(frac: Fraction, max_depth: int) -> list:
+def euclid_cf(frac: Fraction, max_depth: int) -> list:
+    """The first max_depth partial quotients of frac by Euclid's algorithm:
+    the exact big-rational oracle of the expansion."""
     out = []
     num, den = frac.numerator, frac.denominator
     while den and len(out) < max_depth:
@@ -180,7 +182,7 @@ def cfrac_suite(seed: int = 0) -> list:
     for name, cf in (("golden", cfr.golden_mean(prec_bits=512)),
                      ("sqrt2-1", cfr.sqrt2_minus_1(prec_bits=512))):
         approx = cfr.alpha_as_fraction(cf, min(40, cf.depth))
-        oracle = _euclid_cf(approx, 21)
+        oracle = euclid_cf(approx, 21)
         match = all(oracle[k] == cf.a[k] for k in range(1, 21))
         qs_ok = True
         q0, q1 = 1, cf.a[1]
@@ -250,11 +252,13 @@ def full_pivot(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_system(B, u, res, l: int, setup) -> tuple:
+def dense_system(u, res, l: int, setup) -> tuple:
     """The truncated system (S + P) F = U of one solve rebuilt densely from
-    its inputs, btilde and bcal: (A, rhs, F) with A[li], rhs[li] and the
-    solver's delta_tilde F[li] over the modes |k| < K at grid point li."""
+    its inputs (the level's B is setup.B), btilde and bcal: (A, rhs, F) with
+    A[li], rhs[li] and the solver's delta_tilde F[li] over the modes
+    |k| < K at grid point li."""
     grid = u.lambda_grid
+    B = setup.B
     mser = B.truncate(setup.qbar_n).scale(-1.0) + \
         fr.constant(grid, B.average(), fr.SCALAR)
     phi = fr.exp_i_scalar(mser, l)
@@ -366,17 +370,16 @@ def homological_suite(seed: int = 0) -> list:
     K = 16
     dc = hm.dc_from_exclusion(gm, 0.05, 2.0, K, grid)
     act = dc.active_mask()
-    setup = hm.SolveSetup(cf=gm, weight=w, gamma=0.05, tau=2.0, q_next=89,
-                          qbar_n=8, qbar_next=144, K=K, r_b=0.05,
-                          r_tilde=0.005, sigma=0.001, r0=0.5, eps0=1e-6,
-                          active=act)
+    consts = dict(weight=w, q_next=89, qbar_n=8, r_b=0.05, sigma=0.001,
+                  eps0=1e-6)
     worst_bound, worst_resid = 0.0, 0.0
     for _ in range(20):
         B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
-        res = hm.solve_homological(B, b, u, int(rng.integers(1, 3)), dc,
-                                   setup, force=True)
+        res = hm.solve_homological(b, u, int(rng.integers(1, 3)),
+                                   hm.SolveSetup(B, dc, **consts), 0.005,
+                                   force=True)
         worst_resid = max(worst_resid,
                           max(r.actual for r in res.rows
                               if r.check.startswith("truncated-system")))
@@ -393,8 +396,9 @@ def homological_suite(seed: int = 0) -> list:
         B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
-        res = hm.solve_homological(B, b, u, l, dc, setup, force=True)
-        A, rhs, mine = dense_system(B, u, res, l, setup)
+        setup = hm.SolveSetup(B, dc, **consts)
+        res = hm.solve_homological(b, u, l, setup, 0.005, force=True)
+        A, rhs, mine = dense_system(u, res, l, setup)
         worst = 0.0
         for li in np.nonzero(act)[0]:
             x = full_pivot(A[li], rhs[li])

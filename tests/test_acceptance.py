@@ -4,6 +4,7 @@ pass/fail line printed per criterion."""
 import functools
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -40,11 +41,7 @@ def test_criterion_01_continued_fractions():
         # exact big-rational oracle: Euclid on a 500-bit dyadic approximation
         with mpmath.workprec(512):
             num = int(mpmath.floor(cf.alpha * 2**500))
-        oracle = []
-        a, b = num, 2**500
-        while b and len(oracle) < 21:
-            oracle.append(a // b)
-            a, b = b, a % b
+        oracle = vf.euclid_cf(Fraction(num, 2**500), 21)
         ok &= oracle[1:21] == cf.a[1:21]
         q = [1, cf.a[1]]
         for k in range(2, 21):
@@ -141,24 +138,22 @@ def test_criterion_05_solver_oracle():
             dc = hm.dc_from_exclusion(GM, gamma, tau, K, grid, shift=beta)
             act = dc.active_mask()
             assert act.any()
-            setup = hm.SolveSetup(cf=GM, weight=ANALYTIC, gamma=gamma,
-                                  tau=tau, q_next=q_next, qbar_n=qbar_n,
-                                  qbar_next=qbar_next, K=K, r_b=r0,
-                                  r_tilde=1e-3, sigma=2e-4, r0=r0, eps0=eps0,
-                                  active=act)
+            setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=q_next,
+                                  qbar_n=qbar_n, r_b=r0, sigma=2e-4,
+                                  eps0=eps0)
             bb = gamma**2 / 12.0 / float(q_next) ** (2 * tau**2)
             b = rand_scalar(rng, grid, 4, scale=1.0)
             b = b.scale(0.3 * bb / max(fr.norm_r(b, setup.ctx(1e-3)), 1e-300))
             u = rand_scalar(rng, grid, K + 4, scale=1e-2)
             l = int(rng.integers(1, 3))
-            res = hm.solve_homological(B, b, u, l, dc, setup)  # no force
+            res = hm.solve_homological(b, u, l, setup, 1e-3)  # no force
             total += 1
             brow = [r for r in res.rows if r.check.startswith("||delta||")][0]
             worst_bound = max(worst_bound,
                               brow.actual / max(brow.bound, 1e-300))
             assert brow.passed
             # dense rebuild at sampled active columns
-            A, rhs, mine = vf.dense_system(B, u, res, l, setup)
+            A, rhs, mine = vf.dense_system(u, res, l, setup)
             stride = 3 if K > 32 else 1
             for li in np.nonzero(act)[0][::stride]:
                 x = vf.full_pivot(A[li], rhs[li])

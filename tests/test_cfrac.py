@@ -4,16 +4,7 @@ import mpmath
 import pytest
 
 from kamtori import cfrac as cfr
-
-
-def euclid_cf(frac: Fraction, depth: int):
-    # exact big-rational continued fraction oracle
-    out = []
-    num, den = frac.numerator, frac.denominator
-    while den and len(out) < depth:
-        out.append(num // den)
-        num, den = den, num % den
-    return out
+from kamtori.verify import euclid_cf
 
 
 def fib_q(n):

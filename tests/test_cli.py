@@ -2,6 +2,8 @@ import argparse
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +237,28 @@ def test_kam_run_csv_cells_are_numbers(tmp_path):
         _, bound, actual, _, _ = ROW_RE.match(line).groups()
         float(bound)
         float(actual)
+
+
+def test_benchmark_tracer_reads_solver_arguments(tmp_path):
+    # perfbench/child.py binds solve_homological's arguments by the names
+    # setup and u and reads setup.K, setup.active and u.nlambda: a traced
+    # kam-run must finish and count the solves
+    root = pathlib.Path(__file__).resolve().parents[1]
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "model.preset": "constant_forcing", "lambda.grid_points": 9,
+        "run.n_max": 1}))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "run",
+         str(root), "out.json", "--spans", "spans.csv", "--", "kam-run",
+         "--config", "cfg.json", "--out", "res"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "out.json").read_text())
+    assert record["exit"] == 0
+    counters = record["counters"]
+    for name in ("dense_ops", "conditioning_pairs", "max_dominance"):
+        assert "homological.solve_homological." + name in counters
+    assert counters["homological.solve_homological.dense_ops"] > 0
+    spans = (tmp_path / "spans.csv").read_text().splitlines()
+    assert any(line.split(",")[1] == "homological.solve_homological"
+               for line in spans[1:])

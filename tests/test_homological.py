@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import re
@@ -278,20 +277,20 @@ def test_polar_singularity_error():
 # -- the solver -------------------------------------------------------------------------
 
 
-def make_setup(K=12, gamma=0.05, eps0=1e-6, active=None, grid=GRID):
-    return hm.SolveSetup(cf=GM, weight=ANALYTIC, gamma=gamma, tau=2.0,
-                         q_next=89, qbar_n=8, qbar_next=144, K=K,
-                         r_b=0.05, r_tilde=0.005, sigma=0.001, r0=0.5,
-                         eps0=eps0, active=active)
+R_TILDE = 0.005
+
+
+def make_setup(B, dc, eps0=1e-6, weight=ANALYTIC):
+    return hm.SolveSetup(B, dc, weight=weight, q_next=89, qbar_n=8, r_b=0.05,
+                         sigma=0.001, eps0=eps0)
 
 
 def test_solver_diagonal_division_oracle():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     act = dc.active_mask()
-    setup = make_setup(active=act)
     zero = fr.zeros(GRID)
     u = fr.from_modes(GRID, fr.SCALAR, {1: 1e-9, -1: 1e-9, 3: 0.5e-9})
-    res = hm.solve_homological(zero, zero, u, 1, dc, setup)
+    res = hm.solve_homological(zero, u, 1, make_setup(zero, dc), R_TILDE)
     for k, v in res.delta.coeffs.items():
         expect = u.coeff(k) / (np.exp(2j * np.pi * GRID) - GM.phase(k))
         assert np.allclose(v[act], expect[act], rtol=1e-12)
@@ -301,9 +300,8 @@ def test_solver_diagonal_division_oracle():
 
 def test_solver_zero_rhs():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
-    setup = make_setup(active=dc.active_mask())
     zero = fr.zeros(GRID)
-    res = hm.solve_homological(zero, zero, zero, 1, dc, setup)
+    res = hm.solve_homological(zero, zero, 1, make_setup(zero, dc), R_TILDE)
     assert res.delta.is_zero()
     assert res.delta_er.is_zero()
 
@@ -314,13 +312,13 @@ def test_solver_dense_full_pivot_oracle(l):
     K = 9
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
     act = dc.active_mask()
-    setup = make_setup(K=K, active=act)
     for _ in range(10):
         B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
         b = rand_scalar(rng, GRID, 4, scale=1e-3)
         u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
-        res = hm.solve_homological(B, b, u, l, dc, setup, force=True)
-        A, rhs, mine = vf.dense_system(B, u, res, l, setup)
+        setup = make_setup(B, dc)
+        res = hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
+        A, rhs, mine = vf.dense_system(u, res, l, setup)
         for li in np.nonzero(act)[0][::3]:
             x = vf.full_pivot(A[li], rhs[li])
             assert np.abs(x - mine[li]).max() <= 1e-10 * max(np.abs(x).max(),
@@ -344,13 +342,13 @@ def test_solver_neumann_full_pivot_oracle_K64(l):
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
     act = dc.active_mask()
     assert act.sum() >= 2
-    setup = make_setup(K=K, active=act)
     B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
-    res = hm.solve_homological(B, b, u, l, dc, setup, force=True)
+    setup = make_setup(B, dc)
+    res = hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
     assert "dense" not in residual_row(res).detail
-    A, rhs, mine = vf.dense_system(B, u, res, l, setup)
+    A, rhs, mine = vf.dense_system(u, res, l, setup)
     for li in np.nonzero(act)[0]:
         x = vf.full_pivot(A[li], rhs[li])
         assert np.abs(x - mine[li]).max() <= 1e-10 * np.abs(x).max()
@@ -363,13 +361,13 @@ def test_solver_neumann_stops_at_roundoff():
     K = 9
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
     act = dc.active_mask()
-    setup = make_setup(K=K, active=act)
     for _ in range(10):
         B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
         b = rand_scalar(rng, GRID, 4, scale=1e-3)
         u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
-    res = hm.solve_homological(B, b, u, 2, dc, setup, force=True)
-    A, rhs, _ = vf.dense_system(B, u, res, 2, setup)
+    setup = make_setup(B, dc)
+    res = hm.solve_homological(b, u, 2, setup, R_TILDE, force=True)
+    A, rhs, _ = vf.dense_system(u, res, 2, setup)
     A, rhs = A[act], rhs[act]
     diag = np.einsum("mii->mi", A)
     x = rhs / diag
@@ -391,12 +389,11 @@ def test_solver_full_equation_residual_identity():
     rng = np.random.default_rng(26)
     K = 9
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, K, GRID)
-    act = dc.active_mask()
-    setup = make_setup(K=K, active=act)
     B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 14, scale=1e-2)   # modes beyond K: nonzero tail
-    res = hm.solve_homological(B, b, u, 1, dc, setup, force=True)
+    res = hm.solve_homological(b, u, 1, make_setup(B, dc), R_TILDE,
+                               force=True)
     assert not res.delta_er.is_zero()
     row = [r for r in res.rows if r.check.startswith("full residual")][0]
     assert row.passed
@@ -407,22 +404,22 @@ def test_solver_full_equation_residual_identity():
 
 def test_solver_preconditions_raise_without_force():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
-    setup = make_setup(active=dc.active_mask())
+    setup = make_setup(fr.zeros(GRID), dc)
     rng = np.random.default_rng(27)
     b = rand_scalar(rng, GRID, 3, scale=1.0)  # far above the hypothesis bound
     u = rand_scalar(rng, GRID, 5, scale=1.0)
     with pytest.raises(hm.PreconditionError):
-        hm.solve_homological(fr.zeros(GRID), b, u, 1, dc, setup)
+        hm.solve_homological(b, u, 1, setup, R_TILDE)
 
 
 def test_solver_conditioning_error():
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 6, GRID)
-    setup = make_setup(K=6, eps0=1e6, active=dc.active_mask())
+    setup = make_setup(fr.zeros(GRID), dc, eps0=1e6)
     rng = np.random.default_rng(28)
     b = rand_scalar(rng, GRID, 3, scale=0.5)  # passes nothing; forced past pre
     u = rand_scalar(rng, GRID, 5, scale=1.0)
     with pytest.raises((hm.ConditioningError, hm.PreconditionError)):
-        hm.solve_homological(fr.zeros(GRID), b, u, 2, dc, setup)
+        hm.solve_homological(b, u, 2, setup, R_TILDE)
 
 
 # -- the per-level solver object ----------------------------------------------------------
@@ -442,23 +439,24 @@ def ref_coeff_O(v, grid, ctx):
     return float(mag.max())
 
 
-def conditioning_oracle(btilde, lam_t, l, cf, setup):
+def conditioning_oracle(btilde, l, setup, r_tilde):
     # the measured norms as one double loop over (k1, k2)
     K = setup.K
     grid = btilde.lambda_grid
     mask = setup.active
+    lam_t = grid + np.real(setup.B.average())
     om = lam_t[mask]
     davg = 0.0
     if mask.sum() >= 2:
         davg = float(np.abs(np.gradient(lam_t[mask], grid[mask]) - 1.0).max())
     s_inv = 0.0
     for k in range(-K + 1, K):
-        small = np.abs(np.exp(2j * np.pi * (l * om)) - cf.phase(k))
+        small = np.abs(np.exp(2j * np.pi * (l * om)) - setup.cf.phase(k))
         val = (1.0 / small + 2 * math.pi * l * (1.0 + davg) / small**2).max()
         s_inv = max(s_inv, float(val))
-    ctx = setup.ctx(setup.r_tilde)
+    ctx = setup.ctx(r_tilde)
     c_O = {d: ref_coeff_O(v, grid, ctx) for d, v in btilde.coeffs.items()}
-    lw = {k: eval_lambda(setup.weight, 2 * math.pi * k * setup.r_tilde)
+    lw = {k: eval_lambda(setup.weight, 2 * math.pi * k * r_tilde)
           for k in range(K)}
     pe = 0.0
     for k1 in range(-K + 1, K):
@@ -480,21 +478,14 @@ def test_conditioning_matches_double_loop(K, weight):
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
     dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid,
                               shift=np.real(B.average()))
-    act = dc.active_mask()
-    assert act.sum() >= 2
-    setup = hm.SolveSetup(cf=GM, weight=weight, gamma=0.01, tau=2.0,
-                          q_next=89, qbar_n=8, qbar_next=144, K=K, r_b=0.05,
-                          r_tilde=0.005, sigma=0.001, r0=0.5, eps0=1e-6,
-                          active=act)
-    level = hm.SolverLevel(B, setup)
+    assert dc.active_mask().sum() >= 2
+    setup = make_setup(B, dc, weight=weight)
     for l in (1, 2):
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
-        res = hm.solve_homological(B, b, u, l, dc, setup, force=True,
-                                   level=level)
-        s_inv, pe = hm._conditioning(res.btilde, level, l, setup)
-        s_ref, pe_ref = conditioning_oracle(res.btilde, level.lam_t, l, GM,
-                                            setup)
+        res = hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
+        s_inv, pe = hm._conditioning(res.btilde, setup, l, R_TILDE)
+        s_ref, pe_ref = conditioning_oracle(res.btilde, l, setup, R_TILDE)
         assert s_inv == s_ref
         assert pe == pytest.approx(pe_ref, rel=1e-12, abs=0)
 
@@ -508,78 +499,57 @@ def test_conditioning_shares_weight_ratios():
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
     dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid,
                               shift=np.real(B.average()))
-    setup = hm.SolveSetup(cf=GM, weight=ANALYTIC, gamma=0.01, tau=2.0,
-                          q_next=89, qbar_n=8, qbar_next=144, K=12, r_b=0.05,
-                          r_tilde=0.005, sigma=0.001, r0=0.5, eps0=1e-6,
-                          active=dc.active_mask())
-    level = hm.SolverLevel(B, setup)
-    shared = level.weight_ratios(setup.r_tilde)
+    setup = make_setup(B, dc)
+    shared = setup.weight_ratios(R_TILDE)
     b = rand_scalar(rng, grid, 4, scale=1e-3)
     u = rand_scalar(rng, grid, 11, scale=1e-2)
     for l in (1, 2):
-        res = hm.solve_homological(B, b, u, l, dc, setup, force=True,
-                                   level=level)
-        assert level.weight_ratios(setup.r_tilde) is shared
-        _, pe = hm._conditioning(res.btilde, level, l, setup)
-        _, fresh = hm._conditioning(res.btilde, hm.SolverLevel(B, setup), l,
-                                    setup)
+        res = hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
+        assert setup.weight_ratios(R_TILDE) is shared
+        _, pe = hm._conditioning(res.btilde, setup, l, R_TILDE)
+        _, fresh = hm._conditioning(res.btilde, make_setup(B, dc), l,
+                                    R_TILDE)
         assert pe == fresh
-    other = level.weight_ratios(0.004)
+    other = setup.weight_ratios(0.004)
     assert other is not shared
-    lw = eval_lambda(ANALYTIC, 2 * math.pi * np.abs(level.ks) * 0.004)
+    lw = eval_lambda(ANALYTIC, 2 * math.pi * np.abs(setup.ks) * 0.004)
     assert np.array_equal(other, np.exp(np.minimum(lw[:, None] - lw[None, :],
                                                    700.0)))
-    assert level.weight_ratios(setup.r_tilde) is not shared
-    assert np.array_equal(level.weight_ratios(setup.r_tilde), shared)
+    assert setup.weight_ratios(R_TILDE) is not shared
+    assert np.array_equal(setup.weight_ratios(R_TILDE), shared)
 
 
-def test_solver_level_refuses_other_inputs():
+def test_solver_refuses_other_l():
     rng = np.random.default_rng(61)
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
-    act = dc.active_mask()
-    setup = make_setup(active=act)
     B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 8, scale=1e-2)
-    level = hm.SolverLevel(B, setup)
-    hm.solve_homological(B, b, u, 2, dc, setup, force=True, level=level)
-    # the widths of the solve may differ from the level's setup
-    hm.solve_homological(B, b, u, 1, dc, dataclasses.replace(
-        setup, r_tilde=0.004), force=True, level=level)
-    with pytest.raises(ValueError):      # another B
-        hm.solve_homological(B.scale(0.5), b, u, 2, dc, setup, force=True,
-                             level=level)
-    with pytest.raises(ValueError):      # another K
-        hm.solve_homological(B, b, u, 2, dc, make_setup(K=11, active=act),
-                             force=True, level=level)
-    for other in (dataclasses.replace(setup, r_b=0.04),
-                  dataclasses.replace(setup, weight=WeightFunction("gevrey",
-                                                                   0.5))):
-        with pytest.raises(ValueError):  # the B norms were measured at r_b
-            hm.solve_homological(B, b, u, 2, dc, other, force=True,
-                                 level=level)
+    setup = make_setup(B, dc)
+    hm.solve_homological(b, u, 2, setup, R_TILDE, force=True)
+    # the width of a solve is its own; the level's setup is shared
+    hm.solve_homological(b, u, 1, setup, 0.004, force=True)
     with pytest.raises(ValueError, match="l must be 1 or 2"):
-        hm.solve_homological(B, b, u, 3, dc, setup, force=True, level=level)
+        hm.solve_homological(b, u, 3, setup, R_TILDE, force=True)
 
 
 def test_b_norms_measured_once_per_level():
     rng = np.random.default_rng(62)
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
-    setup = make_setup(active=dc.active_mask())
     B = rand_scalar(rng, GRID, 12, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 8, scale=1e-2)
-    level = hm.SolverLevel(B, setup)
-    fresh = [hm.solve_homological(B, b, u, l, dc, setup, force=True)
-             for l in (1, 2)]
-    shared = [hm.solve_homological(B, b, u, l, dc, setup, force=True,
-                                   level=level) for l in (1, 2)]
-    # the same rows, bit for bit, whether a level is shared or not
+    setup = make_setup(B, dc)
+    fresh = [hm.solve_homological(b, u, l, make_setup(B, dc), R_TILDE,
+                                  force=True) for l in (1, 2)]
+    shared = [hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
+              for l in (1, 2)]
+    # the same rows, bit for bit, whether the setup is shared or not
     assert [r.precondition_rows for r in shared] == \
         [r.precondition_rows for r in fresh]
     nB = fr.norm_r(B, setup.ctx(setup.r_b))
     tail = fr.norm_r(B.project_tail(setup.qbar_n), setup.ctx(setup.r_b / 2))
-    assert level.b_norms == (nB, tail)
+    assert setup.b_norms == (nB, tail)
     assert [r.actual for r in shared[0].precondition_rows[:2]] == [nB, tail]
     assert tail > 0
     # ||S^{-1} E P E^{-1}|| is 1.4e6 for l = 2: the iteration diverges at

@@ -170,24 +170,20 @@ def _level_pieces(grid, gamma=0.05, K=12, state=None):
         rho, B, _ = hm.polar_decompose(G)
     dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid,
                               shift=np.real(B.average()))
-    act = dc.active_mask()
-    setup = hm.SolveSetup(cf=GM, weight=ANALYTIC, gamma=gamma, tau=2.0,
-                          q_next=89, qbar_n=8, qbar_next=144, K=K,
-                          r_b=0.05, r_tilde=0.01, sigma=0.002, r0=0.5,
-                          eps0=1e-6, active=act)
-    level = hm.SolverLevel(B, setup)
-    ctx = kam._level_context(state, GM, ANALYTIC, dc, act, rho, level)
-    return dc, act, ctx, setup
+    setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=89, qbar_n=8,
+                          r_b=0.05, sigma=0.002, eps0=1e-6)
+    ctx = kam._level_context(state, rho, setup)
+    return dc, setup.active, ctx
 
 
 def test_sub_step_zero_fixed_point():
     grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx, setup = _level_pieces(grid)
+    dc, act, ctx = _level_pieces(grid)
     sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX),
                        fr.zeros(grid, fr.C2VECTOR),
                        fr.zeros(grid, fr.SU11MATRIX),
                        fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}))
-    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, setup, 1e-8,
+    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-8,
                                                  0.01, 0.008, 0.5, 0.0)
     assert E is None and Delta is None
     assert new.j == 1
@@ -197,13 +193,13 @@ def test_sub_step_zero_fixed_point():
 def test_sub_step_diagonal_W_absorbed():
     # purely diagonal W: off-diagonal split vanishes, D = 0, v absorbs all
     grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx, setup = _level_pieces(grid)
+    dc, act, ctx = _level_pieces(grid)
     w1 = fr.from_modes(grid, fr.SCALAR, {1: 1e-5, -1: 2e-5})
     W = fr.matrix_from_scalars(w1, fr.zeros(grid), fr.zeros(grid), w1.conj())
     sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX),
                        fr.zeros(grid, fr.C2VECTOR), W,
                        fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}))
-    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, setup, 1e-8,
+    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-8,
                                                  0.01, 0.008, 0.5, 0.0)
     assert Delta.is_zero()
     assert (E - fr.eye(grid)).sup_bound() == 0.0   # D = 0 exactly
@@ -216,7 +212,7 @@ def test_sub_step_substitution_oracle_independent():
     # equations on a 4096-point grid with plain numpy
     rng = np.random.default_rng(42)
     grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx, setup = _level_pieces(grid)
+    dc, act, ctx = _level_pieces(grid)
 
     def rando(support, scale, real=False):
         modes = {}
@@ -236,7 +232,7 @@ def test_sub_step_substitution_oracle_independent():
     R.set_term((2, 0), fr.vector_from_scalars(r20, fr.zeros(grid)))
     R.set_term((0, 2), fr.vector_from_scalars(fr.zeros(grid), r20.conj()))
     sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX), U, W, R)
-    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, setup, 3e-8,
+    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 3e-8,
                                                  0.01, 0.008, 0.5,
                                                  hess_prev=1.0, force=True)
     thetas = np.arange(4096) / 4096.0
@@ -364,7 +360,7 @@ def test_sub_step_generator_equation_residual():
     # scalar entry equation in the algebra
     rng = np.random.default_rng(53)
     grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx, setup = _level_pieces(grid)
+    dc, act, ctx = _level_pieces(grid)
 
     w2 = fr.from_modes(grid, fr.SCALAR,
                        {k: 1e-4 * (rng.standard_normal()
@@ -374,7 +370,7 @@ def test_sub_step_generator_equation_residual():
     sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX),
                        fr.zeros(grid, fr.C2VECTOR), W,
                        fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}))
-    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, setup, 1e-7,
+    new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-7,
                                                  0.01, 0.008, 0.5, 0.0,
                                                  force=True)
     # a correct generator kills the off-diagonal to quadratic order;
@@ -401,9 +397,9 @@ def _same_series(a, b):
         np.array_equal(v, b.coeffs[k]) for k, v in a.coeffs.items())
 
 
-def test_shared_solver_level_is_bit_identical(monkeypatch):
+def test_shared_solve_setup_is_bit_identical(monkeypatch):
     # a level with a nonzero polar angle B, two sub-steps: every solve with
-    # the level's shared object gives the same bits as a solve that builds
+    # the level's shared setup gives the same bits as a solve that builds
     # its own
     rng = np.random.default_rng(55)
     grid = np.linspace(0.25, 0.75, 9)
@@ -417,8 +413,8 @@ def test_shared_solver_level_is_bit_identical(monkeypatch):
     z = fr.zeros(grid)
     state = _blank_state(grid)
     state.V = fr.matrix_from_scalars(G, z, z, G.conj())
-    dc, act, ctx, setup = _level_pieces(grid, state=state)
-    assert not ctx.level.B.is_zero()
+    dc, act, ctx = _level_pieces(grid, state=state)
+    assert not ctx.setup.B.is_zero()
     U = fr.conjugate_pair(rando(6, 1e-8))
     w1, w2 = rando(4, 1e-4), rando(4, 1e-4)
     W = fr.matrix_from_scalars(w1, w2, w2.conj(), w1.conj())
@@ -429,16 +425,22 @@ def test_shared_solver_level_is_bit_identical(monkeypatch):
         sub, out = start, []
         for r_j, r_j1 in ((0.01, 0.008), (0.008, 0.006)):
             sub, E, Delta, rows = kam.sub_iteration_step(
-                ctx, sub, setup, 3e-8, r_j, r_j1, 0.5, 1.0, force=True)
+                ctx, sub, 3e-8, r_j, r_j1, 0.5, 1.0, force=True)
             out.append((E, Delta, rows))
         return out
 
     shared = two_steps()
     solve = hm.solve_homological
-    monkeypatch.setattr(hm, "solve_homological",
-                        lambda *args, level, **kw: solve(*args, **kw))
+
+    def solve_with_own_setup(b, u, l, setup, r_tilde, **kw):
+        own = hm.SolveSetup(setup.B, dc, weight=setup.weight,
+                            q_next=setup.q_next, qbar_n=setup.qbar_n,
+                            r_b=setup.r_b, sigma=setup.sigma, eps0=setup.eps0)
+        return solve(b, u, l, own, r_tilde, **kw)
+
+    monkeypatch.setattr(hm, "solve_homological", solve_with_own_setup)
     fresh = two_steps()
     for (E1, D1, rows1), (E2, D2, rows2) in zip(shared, fresh):
         assert _same_series(E1, E2) and _same_series(D1, D2)
         assert rows1 == rows2
-    assert "bcal" in vars(ctx.level)      # the level solved its B-equation
+    assert "bcal" in vars(ctx.setup)      # the level solved its B-equation

@@ -163,6 +163,26 @@ def test_residual_matches_pointwise_formula(preset):
             assert ball.actual == kmax
 
 
+def test_residual_ball_row_reads_only_active_lambda():
+    # |K| = sqrt2 |X1| = 0.8 > s only at the first lambda, which is excluded
+    spec = empty_spec()
+    vals = np.full(len(GRID), 0.01, complex)
+    vals[0] = 0.8 / SQ2
+    torus = md.TorusApprox(fr.conjugate_pair(fr.constant(GRID, vals)), 0,
+                           GRID)
+    active = np.arange(len(GRID)) > 0
+
+    def ball(mask):
+        _, rows = md.residual(spec, torus, n_theta=64, active=mask)
+        [row] = [r for r in rows if r.check.startswith("torus stays in")]
+        return row
+
+    assert ball(active).passed
+    assert ball(active).actual == pytest.approx(SQ2 * 0.01, rel=1e-12)
+    assert not ball(None).passed
+    assert ball(None).actual == pytest.approx(0.8, rel=1e-12)
+
+
 def test_residual_memory_stays_in_theta_blocks():
     grid = np.linspace(0.25, 0.75, 257)
     spec = md.build_preset("generating", 1e-3, GM, grid)
