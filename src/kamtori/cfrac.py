@@ -33,11 +33,6 @@ class PrecisionExhausted(ValueError):
         self.depth = depth
 
 
-def norm_T(x: float) -> float:
-    """Distance from x to the nearest integer."""
-    return abs(x - round(x))
-
-
 @dataclass
 class ContinuedFraction:
     """alpha in (0,1) with partial quotients a_k and exact convergents p_k/q_k.

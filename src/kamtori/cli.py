@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
         else fr.zeros(grid)
     b = fr.read_coeff_dump(args.b_input, grid) if args.b_input \
         else fr.zeros(grid)
-    dc = hm.dc_from_exclusion(cf, args.gamma, args.tau, args.K, grid)
+    dc = hm.dc_from_exclusion(cf, args.gamma, args.tau, args.K, grid, B)
     r0 = float(Fraction(cfg["schedule.r"]))
     setup = hm.SolveSetup(B, dc, weight=weight, q_next=args.q_next,
                           qbar_n=args.qbar, r_b=r0, sigma=args.sigma,
@@ -252,7 +252,7 @@ def cmd_solve(args) -> int:
     if args.out:
         fr.write_coeff_dump(args.out, res.delta)
         fr.write_coeff_dump(args.out + ".er", res.delta_er)
-    rows = res.precondition_rows + res.rows
+    rows = dc.exclusion_rows + res.precondition_rows + res.rows
     if not B.is_zero():
         rows += hm.b_equation_rows(B, res.bcal, args.qbar, cf, weight,
                                    r=r0, rbar=args.r_tilde, r0=r0,

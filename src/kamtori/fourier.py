@@ -741,16 +741,6 @@ def _jet_powers(x: dict, n: int) -> list:
     return powers
 
 
-def norm_rs(jet: PowerFourierSeries, ctx: WeightedNormContext, s: float) -> float:
-    """sum_m ||f_m||_r s^{|m|}: the boundary value of the jet majorant."""
-    if s <= 0:
-        raise ValueError("radius s must be positive")
-    tot = 0.0
-    for m, f in jet.terms.items():
-        tot += norm_r(f, ctx) * s ** (m[0] + m[1])
-    return tot
-
-
 def hessian_norm_bound(jet: PowerFourierSeries, ctx: WeightedNormContext,
                        s: float) -> float:
     """Majorant for the second x-derivatives: sum_m |m|(|m|-1)||f_m|| s^{|m|-2}."""

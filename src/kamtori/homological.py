@@ -12,13 +12,15 @@ at once, and one dense solve at any point where the series does not
 converge.  Every bound the scheme relies on (small divisors, truncation
 tails, solution size, Neumann dominance) is re-measured and reported.
 
-B, its cutoffs and the divisors stay fixed through a KAM level, so one
-SolveSetup per level, built from B and the level's DcSet, holds the
-B-equation's solution, the exponentials of B, the divisors l lambda~ -
-k alpha (from frac(k alpha), memoised on the ContinuedFraction) and
-||S^{-1}||; every solve of the level shares it and gives only its width
-r_tilde.  DcSet.divisors tabulates the same divisors at the DC set's active
-points.
+B, its cutoffs and the divisors stay fixed through a KAM level.  The
+level's DcSet comes from dc_from_exclusion(..., B, ...), which removes the
+resonance zones around lambda~ = lambda + [B]_theta, so the DC set and the
+solver agree on B by construction.  One SolveSetup per level, built from B
+and that DcSet, holds the B-equation's solution, the exponentials of B, the
+divisors l lambda~ - k alpha (from frac(k alpha), memoised on the
+ContinuedFraction) and ||S^{-1}||; every solve of the level shares it and
+gives only its width r_tilde.  DcSet.divisors tabulates the same divisors
+at the DC set's active points.
 """
 
 from __future__ import annotations
@@ -194,6 +196,8 @@ class DcSet:
     intervals: IntervalUnion
     lambda_grid: np.ndarray
     shift: np.ndarray  # [B]_theta per grid point (zeros when B = 0)
+    zones: list = field(default_factory=list)   # the zones removed
+    exclusion_rows: list = field(default_factory=list)  # resonance slopes
     _table: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def active_mask(self) -> np.ndarray:
@@ -238,16 +242,24 @@ def _first_min(vals: np.ndarray, ks: np.ndarray) -> tuple:
 
 
 def dc_from_exclusion(cf: ContinuedFraction, gamma: float, tau: float, K: int,
-                      lambda_grid, domain: Optional[IntervalUnion] = None,
-                      shift: Optional[np.ndarray] = None) -> DcSet:
-    """Build the DC set by removing every resonance zone with 0 < |k| <= K."""
+                      lambda_grid, B: Optional[FourierSeries] = None, *,
+                      domain: Optional[IntervalUnion] = None,
+                      k_min: int = 0) -> DcSet:
+    """The DC set of a level whose normal form is lambda + B: remove from
+    domain (default the whole lambda range) every resonance zone of the
+    shifted frequency lambda + [B]_theta with k_min <= |k| <= K, k = 0
+    included while k_min is 0.  B = None means B = 0.  The removed zones
+    and the resonance-slope rows are kept on the DcSet."""
     grid = np.asarray(lambda_grid, float)
     dom = IntervalUnion.full() if domain is None else domain
-    sh = np.zeros(len(grid)) if shift is None else np.asarray(shift, float)
-    ks = [0] + [k for a in range(1, K + 1) for k in (a, -a)]
-    zones, _ = resonance_zones(cf, gamma, tau, ks, dom, grid, sh)
+    shift = np.zeros(len(grid)) if B is None else np.real(B.average())
+    ks = [s * k for k in range(max(k_min, 1), K + 1) for s in (1, -1)]
+    if k_min == 0:
+        ks = [0] + ks
+    zones, rows = resonance_zones(cf, gamma, tau, ks, dom, grid, shift)
     return DcSet(cf=cf, gamma=gamma, tau=tau, K=K,
-                 intervals=dom.subtract(zones), lambda_grid=grid, shift=sh)
+                 intervals=dom.subtract(zones), lambda_grid=grid, shift=shift,
+                 zones=zones, exclusion_rows=rows)
 
 
 def certify_small_divisor(dc: DcSet, q_next: int, qbar_next: int,

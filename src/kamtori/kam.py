@@ -25,7 +25,7 @@ from . import homological as hm
 from . import model as md
 from .cfrac import BridgeSelection, ContinuedFraction
 from .fourier import FourierSeries, PowerFourierSeries, WeightedNormContext
-from .homological import DcSet, IntervalUnion, SolveSetup
+from .homological import IntervalUnion, SolveSetup
 from .reporting import CheckRow
 from .weights import WeightFunction, _ln_big, eval_gamma, gamma_sqrt_log
 
@@ -443,32 +443,6 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
     return worst, scale
 
 
-# -- resonance exclusion ---------------------------------------------------------------
-
-
-def exclude_resonances(state: KamState, sched: Schedule, n: int,
-                       shift: np.ndarray):
-    """Remove the level-n resonance band K_{n-3} <= |k| <= K_n from the
-    current parameter set; returns (new set, zones, rows, removed measure).
-
-    The band includes k = 0 while its lower end K_{n-3} is 0 (the zeroth
-    divisor for l = 2 vanishes at lambda~ = 1/2 and must be excluded)."""
-    k_lo = sched.K(n - 3)
-    k_hi = sched.K(n)
-    ks = [s * k for k in range(max(k_lo, 1), k_hi + 1) for s in (1, -1)]
-    if k_lo == 0:
-        ks = [0] + ks
-    zones, rows = hm.resonance_zones(sched.cf, sched.gamma(n), sched.tau, ks,
-                                     state.omega, state.lambda_grid, shift)
-    new = state.omega.subtract(zones)
-    removed = state.omega.measure() - new.measure()
-    if new.is_empty() or not new.contains(state.lambda_grid).any():
-        raise ParameterExhausted(
-            "parameter set exhausted at level %d (gamma=%.3g, band %d..%d, "
-            "%d zones)" % (n, sched.gamma(n), k_lo, k_hi, len(zones)))
-    return new, zones, rows, removed
-
-
 # -- one outer step ---------------------------------------------------------------------
 
 
@@ -491,17 +465,21 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     grid = state.lambda_grid
     rows: list = []
 
-    G = state.V.entry(0, 0)
-    rho = B = fr.zeros(grid)
-    if not G.is_zero():     # the reconstruction defect is not a row yet
-        rho, B, _ = hm.polar_decompose(G)
-    beta = np.real(B.average())
+    rho, B, defect = hm.polar_decompose(state.V.entry(0, 0))
+    rows.append(CheckRow("polar reconstruction pointwise <= 1e-12", 1e-12,
+                         defect, defect <= 1e-12, "n=%d" % n))
 
-    new_omega, zones, zrows, removed = exclude_resonances(state, sched, n, beta)
-    rows += zrows
-
-    dc = DcSet(cf=sched.cf, gamma=sched.gamma(n), tau=sched.tau, K=sched.K(n),
-               intervals=new_omega, lambda_grid=grid, shift=beta)
+    # the level-n resonance band K_{n-3} <= |k| <= K_n around lambda + [B]
+    dc = hm.dc_from_exclusion(sched.cf, sched.gamma(n), sched.tau, sched.K(n),
+                              grid, B, domain=state.omega,
+                              k_min=sched.K(n - 3))
+    if dc.intervals.is_empty() or not dc.active_mask().any():
+        raise ParameterExhausted(
+            "parameter set exhausted at level %d (gamma=%.3g, band %d..%d, "
+            "%d zones)" % (n, sched.gamma(n), sched.K(n - 3), sched.K(n),
+                           len(dc.zones)))
+    removed = state.omega.measure() - dc.intervals.measure()
+    rows += dc.exclusion_rows
     rows += dc.certify()
     rows += hm.certify_small_divisor(dc, sched.Q(n + 1), sched.Qbar(n + 1),
                                      k_max=sched.K(n))
@@ -603,11 +581,11 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
                          hess_end, hess_end <= hb or hess_start == 0.0))
 
     new_state = KamState(n=n + 1, V=V_new, U=sub.U, W=sub.W, R=sub.R,
-                         omega=new_omega, factors=state.factors + [factor],
+                         omega=dc.intervals, factors=state.factors + [factor],
                          lambda_grid=grid)
     report = StepReport(level=n, L=L, rows=rows, removed_measure=removed,
                         U_norm=nU, W_norm=nW, sub_u_norms=sub_u_norms,
-                        zones=list(zones))
+                        zones=list(dc.zones))
     return new_state, report
 
 

@@ -166,8 +166,12 @@ def conjugate_to_su11(spec: SkewMapSpec) -> ConjugatedSystem:
     R = P.compose_affine(e11, e12, e21, e22, zero, zero)
     R = R.matrix_multiply_left(Mm).drop_low_degrees(2)
 
+    swap = R.conj_swap_defect()
+    scale = max([1.0] + [f.sup_bound() for f in R.terms.values()])
     rows = [CheckRow("R jet degree<=1 vanishes", 0.0, R.low_degree_mass(),
-                     R.low_degree_mass() == 0.0)]
+                     R.low_degree_mass() == 0.0),
+            CheckRow("R conjugate-swap symmetry", 1e-12 * scale, swap,
+                     swap <= 1e-12 * scale)]
     return ConjugatedSystem(U=U, W=W, R=R, rows=rows)
 
 

@@ -368,8 +368,6 @@ def homological_suite(seed: int = 0) -> list:
 
     # solver versus dense full-pivot oracle
     K = 16
-    dc = hm.dc_from_exclusion(gm, 0.05, 2.0, K, grid)
-    act = dc.active_mask()
     consts = dict(weight=w, q_next=89, qbar_n=8, r_b=0.05, sigma=0.001,
                   eps0=1e-6)
     worst_bound, worst_resid = 0.0, 0.0
@@ -377,6 +375,7 @@ def homological_suite(seed: int = 0) -> list:
         B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
+        dc = hm.dc_from_exclusion(gm, 0.05, 2.0, K, grid, B)
         res = hm.solve_homological(b, u, int(rng.integers(1, 3)),
                                    hm.SolveSetup(B, dc, **consts), 0.005,
                                    force=True)
@@ -396,11 +395,12 @@ def homological_suite(seed: int = 0) -> list:
         B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
+        dc = hm.dc_from_exclusion(gm, 0.05, 2.0, K, grid, B)
         setup = hm.SolveSetup(B, dc, **consts)
         res = hm.solve_homological(b, u, l, setup, 0.005, force=True)
         A, rhs, mine = dense_system(u, res, l, setup)
         worst = 0.0
-        for li in np.nonzero(act)[0]:
+        for li in np.nonzero(setup.active)[0]:
             x = full_pivot(A[li], rhs[li])
             rel = float(np.abs(x - mine[li]).max()
                         / max(np.abs(x).max(), 1e-300))
@@ -505,13 +505,10 @@ def kam_suite(seed: int = 0) -> list:
                          all(r.passed for r in area)))
 
     # closed-form measure oracle at level 0 (B = 0)
-    zones, _ = hm.resonance_zones(
-        gm, sched.gamma(0), 2.0,
-        [0] + [s * k for k in range(1, sched.K(0) + 1) for s in (1, -1)],
-        hm.IntervalUnion.full(), grid, np.zeros(len(grid)))
-    measured = hm.IntervalUnion.full().subtract(zones).measure()
+    dc = hm.dc_from_exclusion(gm, sched.gamma(0), 2.0, sched.K(0), grid)
+    measured = dc.intervals.measure()
     clipped = []
-    for lo, hi in zones:
+    for lo, hi in dc.zones:
         clipped.append((max(lo, 0.25), min(hi, 0.75)))
     merged = hm.IntervalUnion.from_list([z for z in clipped if z[1] > z[0]])
     oracle = 0.5 - merged.measure()

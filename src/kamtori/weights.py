@@ -81,24 +81,6 @@ def eval_lambda(w: WeightFunction, y):
     return out
 
 
-def eval_lambda_prime(w: WeightFunction, x):
-    """Closed-form L'(x) for x > 1 (x > 0 for analytic/gevrey)."""
-    arr = np.asarray(x, dtype=float)
-    if w.family == "analytic":
-        out = np.ones_like(arr)
-    elif w.family == "gevrey":
-        out = w.param * arr ** (w.param - 1.0)
-    elif w.family == "exp_log_pow":
-        ln = np.log(arr)
-        out = np.exp(ln**w.param) * w.param * ln ** (w.param - 1.0) / arr
-    else:
-        ln = np.log(arr)
-        out = w.param * ln ** (w.param - 1.0) / arr
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def eval_gamma(w: WeightFunction, x):
     """Gamma(x) = x L'(x) / ln(x), defined for x > 1."""
     arr = np.asarray(x, dtype=float)

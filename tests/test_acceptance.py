@@ -134,8 +134,7 @@ def test_criterion_05_solver_oracle():
             ctxb = WeightedNormContext(ANALYTIC, r0)
             B = B.scale(0.5 * eps0 ** (1 / 3)
                         / max(fr.norm_r(B, ctxb), 1e-300))
-            beta = np.real(B.average())
-            dc = hm.dc_from_exclusion(GM, gamma, tau, K, grid, shift=beta)
+            dc = hm.dc_from_exclusion(GM, gamma, tau, K, grid, B)
             act = dc.active_mask()
             assert act.any()
             setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=q_next,
@@ -314,12 +313,8 @@ def test_criterion_12_measure():
                               K_cap=256, L_cap=24)
     grid = np.linspace(0.25, 0.75, 33)
     # closed-form oracle at level 0 with B = 0
-    state = kam.initial_state(fr.zeros(grid, fr.C2VECTOR),
-                              fr.zeros(grid, fr.SU11MATRIX),
-                              fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}),
-                              grid)
-    _, zones, _, removed = kam.exclude_resonances(state, sched, 0,
-                                                  np.zeros(len(grid)))
+    dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0), grid)
+    removed = hm.IntervalUnion.full().measure() - dc.intervals.measure()
     g0, tau = sched.gamma(0), sched.tau
     oracle_zones = []
     for k in range(0, sched.K(0) + 1):

@@ -56,12 +56,6 @@ def test_convergent_recursion_exact():
         assert cf.p[k] == cf.a[k] * cf.p[k - 1] + cf.p[k - 2]
 
 
-def test_norm_T():
-    assert cfr.norm_T(0.5) == 0.5
-    assert cfr.norm_T(3.25) == 0.25
-    assert cfr.norm_T(-0.1) == pytest.approx(0.1)
-
-
 @pytest.mark.parametrize("maker", [cfr.golden_mean, cfr.sqrt2_minus_1])
 def test_best_approximation_bracket(maker):
     cf = maker(prec_bits=512)

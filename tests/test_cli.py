@@ -132,6 +132,25 @@ def test_solve_homological_cli(tmp_path, capsys):
     assert rows[0].startswith("check,")
 
 
+def test_solve_homological_cli_shift_from_B(tmp_path, capsys):
+    # B with a nonzero theta-mean: the DC set is built around lambda + [B]
+    grid = np.linspace(0.25, 0.75, 17)
+    u = fr.from_modes(grid, fr.SCALAR, {1: 1e-9, -1: 1e-9})
+    B = fr.from_modes(grid, fr.SCALAR, {0: 1e-4, 1: 1e-5, -1: 1e-5})
+    fr.write_coeff_dump(tmp_path / "u.dump", u)
+    fr.write_coeff_dump(tmp_path / "B.dump", B)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"lambda.grid_points": 17}))
+    code = run_cli(["solve-homological", "--input", str(tmp_path / "u.dump"),
+                    "--B-input", str(tmp_path / "B.dump"), "--l", "1",
+                    "--K", "8", "--gamma", "0.05", "--tau", "2.0",
+                    "--config", str(cfgfile)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    shift = [r for r in out if r.startswith("DC shift matches [B]_theta,")]
+    assert len(shift) == 1 and shift[0].split(",")[3] == "pass"
+
+
 def test_norms_cli(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"lambda.grid_points": 9}))

@@ -66,21 +66,6 @@ def test_empty_grid_rejected():
         fr.norm_r(f, WeightedNormContext(ANALYTIC, 0.1))
 
 
-# -- norm_rs ----------------------------------------------------------------------
-
-
-def test_norm_rs_examples():
-    ctx = WeightedNormContext(ANALYTIC, 0.1)
-    jet = fr.PowerFourierSeries(4, GRID, fr.SCALAR, {})
-    assert fr.norm_rs(jet, ctx, 0.5) == 0.0
-    jet.set_term((2, 0), fr.one(GRID))
-    assert fr.norm_rs(jet, ctx, 0.5) == pytest.approx(0.25)
-    jet2 = fr.PowerFourierSeries(4, GRID, fr.SCALAR, {})
-    jet2.set_term((1, 1), fr.one(GRID))
-    jet2.set_term((2, 1), fr.one(GRID))
-    assert fr.norm_rs(jet2, ctx, 0.1) == pytest.approx(0.011)
-
-
 # -- truncation -------------------------------------------------------------------
 
 

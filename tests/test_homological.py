@@ -165,15 +165,15 @@ def divisor_rows_oracle(dc, k_max):
 @pytest.mark.parametrize("tau", [2.0, 1.7])
 def test_divisor_table_rows_match_loops(cf, tau):
     lgrid = np.linspace(0.25, 0.75, 101)
-    shift = 0.004 * np.sin(7 * lgrid)
-    dc = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, shift=shift)
+    B = fr.constant(lgrid, 0.004 * np.sin(7 * lgrid))    # [B]_theta only
+    dc = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, B)
     dc_row = dc.certify()[0]
     sd_row = hm.certify_small_divisor(dc, 987, 1597, k_max=30)[0]
     assert (dc_row.actual, dc_row.detail) == divisor_rows_oracle(dc, 40)[0]
     assert (sd_row.actual, sd_row.detail.split(" case")[0]) == \
         divisor_rows_oracle(dc, 30)[1]
     # the other order: the k_max = 30 table is built first, then grown to K
-    fresh = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, shift=shift)
+    fresh = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, B)
     assert hm.certify_small_divisor(fresh, 987, 1597, k_max=30) == [sd_row]
     assert fresh.certify() == [dc_row]
 
@@ -476,8 +476,7 @@ def test_conditioning_matches_double_loop(K, weight):
     rng = np.random.default_rng(60 + K)
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
-    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid,
-                              shift=np.real(B.average()))
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
     assert dc.active_mask().sum() >= 2
     setup = make_setup(B, dc, weight=weight)
     for l in (1, 2):
@@ -497,8 +496,7 @@ def test_conditioning_shares_weight_ratios():
     rng = np.random.default_rng(62)
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
-    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid,
-                              shift=np.real(B.average()))
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid, B)
     setup = make_setup(B, dc)
     shared = setup.weight_ratios(R_TILDE)
     b = rand_scalar(rng, grid, 4, scale=1e-3)

@@ -93,12 +93,8 @@ def test_exclusion_closed_form_oracle():
     # gamma_0/(l (|k|+l)^tau) around (k alpha + m)/l, k = 0 included
     sched = make_sched()
     grid = np.linspace(0.25, 0.75, 33)
-    state = kam.initial_state(fr.zeros(grid, fr.C2VECTOR),
-                              fr.zeros(grid, fr.SU11MATRIX),
-                              fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}),
-                              grid)
-    new, zones, rows, removed = kam.exclude_resonances(
-        state, sched, 0, np.zeros(len(grid)))
+    dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0), grid)
+    removed = hm.IntervalUnion.full().measure() - dc.intervals.measure()
     g0 = sched.gamma(0)
     tau = sched.tau
     oracle = []
@@ -117,29 +113,22 @@ def test_exclusion_closed_form_oracle():
 
 def test_exclusion_measure_vanishes_with_gamma():
     grid = np.linspace(0.25, 0.75, 33)
-    state = kam.initial_state(fr.zeros(grid, fr.C2VECTOR),
-                              fr.zeros(grid, fr.SU11MATRIX),
-                              fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}),
-                              grid)
     removed = []
     for g in (0.05, 0.005, 0.0005):
         sched = make_sched(gamma0=g)
-        _, _, _, rem = kam.exclude_resonances(state, sched, 0,
-                                              np.zeros(len(grid)))
-        removed.append(rem)
+        dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau,
+                                  sched.K(0), grid)
+        removed.append(hm.IntervalUnion.full().measure()
+                       - dc.intervals.measure())
     assert removed[0] > removed[1] > removed[2]
     assert removed[2] < 0.01 * removed[0] * 15  # O(gamma) scaling
 
 
 def test_exclusion_exhaustion():
     grid = np.linspace(0.25, 0.75, 33)
-    state = kam.initial_state(fr.zeros(grid, fr.C2VECTOR),
-                              fr.zeros(grid, fr.SU11MATRIX),
-                              fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}),
-                              grid)
     sched = make_sched(gamma0=3.5)
-    with pytest.raises(kam.ParameterExhausted):
-        kam.exclude_resonances(state, sched, 0, np.zeros(len(grid)))
+    with pytest.raises(kam.ParameterExhausted, match="exhausted at level 0"):
+        kam.kam_step(_blank_state(grid), sched)
 
 
 def test_measure_rows_bound():
@@ -164,12 +153,8 @@ def _blank_state(grid):
 
 def _level_pieces(grid, gamma=0.05, K=12, state=None):
     state = _blank_state(grid) if state is None else state
-    G = state.V.entry(0, 0)
-    rho = B = fr.zeros(grid)
-    if not G.is_zero():
-        rho, B, _ = hm.polar_decompose(G)
-    dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid,
-                              shift=np.real(B.average()))
+    rho, B, _ = hm.polar_decompose(state.V.entry(0, 0))
+    dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid, B)
     setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=89, qbar_n=8,
                           r_b=0.05, sigma=0.002, eps0=1e-6)
     ctx = kam._level_context(state, rho, setup)
@@ -308,6 +293,19 @@ def test_run_preset_b_forced_mechanism():
     assert res[1] < res[0] and res[2] < res[1]
     # V really moved: the normal form absorbed the diagonal part
     assert not summary.states[-1].V.is_zero()
+
+
+def test_run_polar_reconstruction_row_every_level():
+    # a generating run moves V, so levels 1 and 2 decompose a nonzero G
+    grid = np.linspace(0.25, 0.75, 9)
+    sched = make_sched(K_cap=32, L_cap=8)
+    spec = md.build_preset("generating", 1e-8, GM, grid, d_max=4)
+    summary = kam.run(spec, sched, n_max=3, force=True)
+    polar = [r for r in summary.rows
+             if r.check == "polar reconstruction pointwise <= 1e-12"]
+    assert [r.detail for r in polar] == ["n=0", "n=1", "n=2"]
+    assert all(r.gating and r.passed for r in polar)
+    assert polar[0].actual == 0.0 and polar[1].actual > 0.0
 
 
 def test_run_depth_stop():

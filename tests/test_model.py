@@ -80,6 +80,21 @@ def test_conjugate_R_jet_swap_symmetry():
     conj = md.conjugate_to_su11(spec)
     assert conj.R.low_degree_mass() == 0.0
     assert conj.R.conj_swap_defect() < 1e-18
+    swap = [r for r in conj.rows if r.check == "R conjugate-swap symmetry"]
+    assert len(swap) == 1 and swap[0].passed and swap[0].gating
+
+
+def test_conjugate_R_swap_row_fails_on_broken_pair():
+    # an imaginary x^2 coefficient in the second component makes the map
+    # complex, so R's coefficients stop being conjugate-swapped pairs
+    spec = md.build_preset("generating", 1e-4, GM, GRID, d_max=4)
+    f = spec.N.term((2, 0))
+    spec.N.set_term((2, 0), fr.vector_from_scalars(
+        f.component(0), f.component(1).scale(1j)))
+    row = [r for r in md.conjugate_to_su11(spec).rows
+           if r.check == "R conjugate-swap symmetry"][0]
+    assert not row.passed and row.gating
+    assert row.actual > 1e-6
 
 
 def test_check_area_rotation():

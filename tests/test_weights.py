@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamtori import weights as wt
-from kamtori.weights import WeightFunction, eval_gamma, eval_lambda, eval_lambda_prime
+from kamtori.weights import WeightFunction, eval_gamma, eval_lambda
 
 E = math.e
 
@@ -77,11 +77,13 @@ def test_strictly_increasing(fam, param):
     ("log_pow", 2.0),
 ])
 def test_closed_form_derivative_vs_finite_differences(fam, param):
+    # Lambda'(x) = Gamma(x) ln(x) / x, the derivative the solver's decay
+    # factor takes through eval_gamma
     w = WeightFunction(fam, param)
     pts = 2.0 + (1e6 - 2.0) * wt.lowdisc(100, 1, seed=3)[:, 0]
     for x in pts:
         fd = central_diff(w, float(x))
-        cf = eval_lambda_prime(w, float(x))
+        cf = eval_gamma(w, float(x)) * math.log(x) / x
         assert cf == pytest.approx(fd, rel=1e-6)
 
 
