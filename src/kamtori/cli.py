@@ -322,7 +322,7 @@ def _dump_states(out: str, summary) -> None:
     fr.write_coeff_dump(os.path.join(out, "torus_X0.dump"),
                         torus.X.component(0))
     thetas = np.arange(256) / 256.0
-    K = torus.eval_K(thetas)
+    K = torus.eval_K(len(thetas))
     with open(os.path.join(out, "torus_K.csv"), "w") as fh:
         fh.write("lambda_index,theta,K1,K2\n")
         for li in range(len(final.lambda_grid)):

@@ -13,13 +13,22 @@ them, not enforced by construction.
 Weighted norms sum |f_k|_O * exp(L(2 pi |k| r)) where |.|_O is the sup over
 the (active part of the) lambda-grid of value plus central-difference
 lambda-derivative, reduced over vector/matrix entries by maximum.  Norms
-and sup bounds sum over the modes in ascending order; a theta-evaluation is
-one matrix product, summed in the order the BLAS takes.
+and sup bounds sum over the modes in ascending order.
+
+A series is sampled only on uniform grids theta_j = j/n (`sample`), with
+the argument j k reduced mod n in integers, so no rounded 2 pi theta k
+enters.  Two kernels, chosen by counted work as products are: a table
+kernel, one matrix product of the cached roots W_n[j k mod n] with the
+coefficient rows, for a block of the grid or few modes over many lambda
+columns; and an FFT kernel, the modes folded mod n and one inverse FFT,
+for the whole grid with many modes over few columns.
 
 Products are direct convolutions, never FFTs: an FFT product carries an
 error of about eps ||a|| ||b|| at every mode, which the weighted norms
 amplify on the small high modes, while a direct sum keeps each output
 coefficient within a few ulps of its own majorant sum_j |a_j| |b_{k-j}|.
+Sampling may use an FFT because its error is absolute, about
+log2(n) eps sum_k |f_k| per value, and no weighted norm reads a sample.
 
 After every algebra operation the rows below DROP_REL times the largest
 coefficient and the rows that are exactly zero are removed, which keeps
@@ -29,6 +38,7 @@ refused with ValueError, and so is a product's factor holding them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -177,13 +187,25 @@ class FourierSeries:
             raise KindMismatch("entry() needs a matrix series")
         return _cleaned(self.lambda_grid, SCALAR, self.modes, self.data[:, :, i, j])
 
-    def eval_theta(self, thetas) -> np.ndarray:
-        """Values on a theta-grid: shape (T, L) + comp shape, one matrix
-        product of exp(2 pi i theta k) with the coefficient rows."""
-        t = np.asarray(thetas, dtype=float)
-        e = np.exp(1j * np.multiply.outer(t, 2 * np.pi * self.modes))
+    def sample(self, n: int, start: int = 0,
+               stop: Optional[int] = None) -> np.ndarray:
+        """Values at theta_j = j/n for start <= j < stop (stop defaults to
+        n): shape (stop - start, L) + comp shape.  The argument j k is
+        reduced mod n in integers, so each value is an exact-argument sum
+        of the coefficients times n-th roots of unity; the whole grid may
+        take the FFT kernel, any other range takes the table kernel."""
+        stop = n if stop is None else stop
+        if not 0 <= start <= stop <= n:
+            raise ValueError("sample: need 0 <= start <= stop <= n")
+        shape = (stop - start,) + self.data.shape[1:]
         rows = self.data.reshape(len(self.modes), math.prod(self.data.shape[1:]))
-        return (e @ rows).reshape((len(t),) + self.data.shape[1:])
+        if rows.size == 0:
+            return np.zeros(shape, complex)
+        if stop - start == n and _fft_wins(len(self.modes), n, rows.shape[1]):
+            vals = _sample_fft(self.modes, rows, n)
+        else:
+            vals = _sample_table(self.modes, rows, n, start, stop)
+        return vals.reshape(shape)
 
     def sup_bound(self, active: Optional[np.ndarray] = None) -> float:
         """sum_k max|f_k|: an upper bound for the sup over theta."""
@@ -408,6 +430,57 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
         for k, v in zip((loop.modes - loop.modes[0]).tolist(), loop.data):
             out[k:k + n] += block(v, rows) if plan == "a" else block(rows, v)
     return _cleaned(a.lambda_grid, out_kind, np.arange(omin, omin + nout), out)
+
+
+# -- theta sampling ---------------------------------------------------------------
+
+# The cost of the two sampling kernels per theta-point, in units of one
+# complex multiply-add of the table kernel's matrix product (see CHANGES.md
+# for the measurement): the table kernel gathers m roots at _TABLE_GATHER
+# each and multiplies them into the cols coefficient columns; the FFT
+# kernel costs _FFT_POINT per column and per factor of log2 n.
+_TABLE_GATHER = 43.0
+_FFT_POINT = 5.5
+
+
+def _fft_wins(m: int, n: int, cols: int) -> bool:
+    """Whether one length-n FFT per column costs less than the table
+    kernel for m modes on the whole n-grid."""
+    return m * (cols + _TABLE_GATHER) > _FFT_POINT * math.log2(n) * cols
+
+
+@functools.lru_cache(maxsize=32)
+def _roots(n: int) -> np.ndarray:
+    """W_n[r] = exp(2 pi i r / n), read-only.  Built from |r| <= n/2 with
+    W_n[n - r] = conj(W_n[r]), so the argument never exceeds pi and the
+    table is exactly conjugate-symmetric."""
+    w = np.empty(n, complex)
+    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    w[:n // 2 + 1] = half
+    w[n // 2 + 1:] = np.conj(half[1:(n + 1) // 2][::-1])
+    w.flags.writeable = False
+    return w
+
+
+def _sample_table(modes: np.ndarray, rows: np.ndarray, n: int, start: int,
+                  stop: int) -> np.ndarray:
+    """sum_k rows[k] W_n[j k mod n] for start <= j < stop: one matrix
+    product of the gathered roots with the coefficient rows."""
+    j = np.arange(start, stop)
+    return _roots(n)[np.multiply.outer(j, modes) % n] @ rows
+
+
+def _sample_fft(modes: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """sum_k rows[k] e^{2 pi i j k / n} for j = 0 .. n-1 by one inverse FFT
+    of the modes folded mod n.  The sorted modes of one period q (k = q n
+    + r) form one run of rows with distinct r, so each period is one
+    indexed add."""
+    folded = np.zeros((n, rows.shape[1]), complex)
+    period = modes // n
+    cuts = (np.flatnonzero(np.diff(period)) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(modes)]):
+        folded[modes[lo:hi] - period[lo] * n] += rows[lo:hi]
+    return np.fft.ifft(folded, axis=0, norm="forward")
 
 
 # -- structure defects -----------------------------------------------------------
@@ -645,19 +718,17 @@ class PowerFourierSeries:
         z = zeros(self.lambda_grid)
         return self.compose_affine(z, z, z, z, d1, d2).term((0, 0))
 
-    def eval_at_points(self, x: np.ndarray, thetas) -> np.ndarray:
-        """Value at pointwise arguments x of shape (T, L, 2); returns
-        (T, L) + comp shape."""
+    def eval_at_points(self, x: np.ndarray) -> np.ndarray:
+        """Value at pointwise arguments x of shape (T, L, 2), x[j] at
+        theta_j = j/T; returns (T, L) + comp shape."""
         acc = None
         for (m1, m2), f in sorted(self.terms.items()):
-            vals = f.eval_theta(thetas)
+            vals = f.sample(len(x))
             mono = (x[..., 0] ** m1) * (x[..., 1] ** m2)
             contrib = vals * mono.reshape(mono.shape + (1,) * (vals.ndim - 2))
             acc = contrib if acc is None else acc + contrib
         if acc is None:
-            shape = (len(np.atleast_1d(thetas)), len(self.lambda_grid)) + \
-                _COMP_SHAPE[self.kind]
-            acc = np.zeros(shape, complex)
+            acc = np.zeros(x.shape[:2] + _COMP_SHAPE[self.kind], complex)
         return acc
 
     def derivative_terms(self, axis: int) -> "PowerFourierSeries":

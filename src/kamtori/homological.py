@@ -388,8 +388,7 @@ def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
         return z, z, 0.0
     n = max(256, _next_pow2(4 * (2 * G.max_mode + 1)))
     n = min(n, 1 << 14)
-    thetas = np.arange(n) / n
-    vals = G.eval_theta(thetas)  # (n, L)
+    vals = G.sample(n)  # (n, L)
     base = np.exp(2j * np.pi * grid)[None, :]
     z = base + vals
     mod = np.abs(z)
@@ -404,8 +403,8 @@ def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
     B_vals = B_vals - np.round(B_vals[0])[None, :]
     rho = _series_from_grid(rho_vals, grid)
     Bs = _series_from_grid(B_vals, grid)
-    recon = (1.0 + rho.eval_theta(thetas)) * np.exp(
-        2j * np.pi * (grid[None, :] + Bs.eval_theta(thetas)))
+    recon = (1.0 + rho.sample(n)) * np.exp(
+        2j * np.pi * (grid[None, :] + Bs.sample(n)))
     defect = float(np.abs(recon - z).max())
     return rho, Bs, defect
 
@@ -664,8 +663,11 @@ def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
     """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
     largest row sum of the width-scaled Toeplitz matrix
     |btilde_{k1-k2}|_O exp(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r))."""
-    c_O = fr._modes_O(_dense(btilde, len(setup.ks)), btilde.lambda_grid,
-                      setup.ctx(r_tilde))
+    n = len(setup.ks)
+    near = btilde.truncate(n)
+    c_O = np.zeros(2 * n - 1)
+    c_O[near.modes + n - 1] = fr._modes_O(near.data, btilde.lambda_grid,
+                                          setup.ctx(r_tilde))
     scale = setup.weight_ratios(r_tilde)
     pe = float((c_O[setup.toeplitz] * scale).sum(axis=1).max())
     return setup.terms(l).s_inv, pe

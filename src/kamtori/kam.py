@@ -409,23 +409,22 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
 
     Returns (worst deviation, equation scale); the identity holds to
     roundoff relative to the equation's own magnitude."""
-    thetas = np.arange(n_theta) / n_theta
     phase = ctx.setup.cf.phase
     grid = ctx.grid
     act = ctx.setup.active
 
     def rhs(subst: SubState, Xvals):
         Zw = ctx.phase_diag + ctx.Vmat + subst.v
-        out = np.einsum("tlij,tlj->tli", Zw.eval_theta(thetas), Xvals)
-        out += np.einsum("tlij,tlj->tli", subst.W.eval_theta(thetas), Xvals)
-        out += subst.U.eval_theta(thetas)
-        out += subst.R.eval_at_points(Xvals, thetas)
+        out = np.einsum("tlij,tlj->tli", Zw.sample(n_theta), Xvals)
+        out += np.einsum("tlij,tlj->tli", subst.W.sample(n_theta), Xvals)
+        out += subst.U.sample(n_theta)
+        out += subst.R.eval_at_points(Xvals)
         return out
 
-    Evals = E.eval_theta(thetas)
-    Dvals = Delta.eval_theta(thetas)
-    EvalsS = E.shift(phase).eval_theta(thetas)
-    DvalsS = Delta.shift(phase).eval_theta(thetas)
+    Evals = E.sample(n_theta)
+    Dvals = Delta.sample(n_theta)
+    EvalsS = E.shift(phase).sample(n_theta)
+    DvalsS = Delta.shift(phase).sample(n_theta)
     worst = 0.0
     scale = 0.0
     for v in probes:

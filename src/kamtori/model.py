@@ -7,7 +7,9 @@ diagonalizes L and puts the linear part into the conjugate-pair matrix
 class.  Invariance of a torus is measured directly: the residual
 R = F(K) - K(. + alpha) is formed in the coefficient algebra, exactly since
 the jet of F is polynomial in x, and its sup per parameter value is taken
-over 4096 theta sampled in fixed-size blocks.
+over the 4096-point grid theta_j = j/4096, sampled in fixed-size blocks of
+j.  Every pointwise evaluation here (eval_F, eval_K) is on such a grid:
+row j of its input or output is theta_j = j/n.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ class SkewMapSpec:
         out[:, 1, 1] = c
         return out
 
-    def eval_F(self, x: np.ndarray, thetas) -> np.ndarray:
-        """F at pointwise x of shape (T, L, 2); complex output, real for
-        real x by construction of the presets."""
+    def eval_F(self, x: np.ndarray) -> np.ndarray:
+        """F at pointwise x of shape (T, L, 2), x[j] at theta_j = j/T;
+        complex output, real for real x by construction of the presets."""
         L = self.rotation()
         lin = np.einsum("lij,tlj->tli", L, x)
-        pert = self.N.eval_at_points(x, thetas)
+        pert = self.N.eval_at_points(x)
         return lin + self.eps * pert
 
 
@@ -75,8 +77,10 @@ class TorusApprox:
     level: int
     lambda_grid: np.ndarray
 
-    def eval_K(self, thetas) -> np.ndarray:
-        v = self.X.eval_theta(thetas)[..., 0]
+    def eval_K(self, n: int, start: int = 0,
+               stop: Optional[int] = None) -> np.ndarray:
+        """K at theta_j = j/n for start <= j < stop: shape (T, L, 2)."""
+        v = self.X.component(0).sample(n, start, stop)
         return np.stack([SQRT2 * v.real, SQRT2 * v.imag], axis=-1)
 
     def real_defect(self, active=None) -> float:
@@ -182,7 +186,6 @@ def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
                step: float = 1e-6, active=None) -> CheckRow:
     """Max |det dF/dx - 1| over an (x, theta, lambda) grid by central
     finite differences."""
-    thetas = np.arange(n_theta) / n_theta
     L = len(spec.lambda_grid)
     xs = np.linspace(-0.3 * spec.s_domain, 0.3 * spec.s_domain, n_x)
     worst = 0.0
@@ -194,8 +197,8 @@ def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
             for col in range(2):
                 dx = np.zeros(2)
                 dx[col] = step
-                fp = spec.eval_F(base + dx, thetas)
-                fm = spec.eval_F(base - dx, thetas)
+                fp = spec.eval_F(base + dx)
+                fm = spec.eval_F(base - dx)
                 jac[..., col] = (fp - fm) / (2 * step)
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
             dev = np.abs(det - 1.0)
@@ -233,10 +236,11 @@ def residual(spec: SkewMapSpec, torus: TorusApprox, n_theta: int = 4096,
     per_lambda = np.zeros(len(spec.lambda_grid))
     kmax = 0.0
     for start in range(0, n_theta, THETA_BLOCK):
-        thetas = np.arange(start, min(start + THETA_BLOCK, n_theta)) / n_theta
-        np.maximum(per_lambda, _norm2(R.eval_theta(thetas)).max(axis=0),
+        stop = min(start + THETA_BLOCK, n_theta)
+        np.maximum(per_lambda,
+                   _norm2(R.sample(n_theta, start, stop)).max(axis=0),
                    out=per_lambda)
-        kvals = _norm2(torus.eval_K(thetas))
+        kvals = _norm2(torus.eval_K(n_theta, start, stop))
         if active is not None:
             kvals = kvals[:, active]
         kmax = max(kmax, float(kvals.max(initial=0.0)))

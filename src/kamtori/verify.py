@@ -27,22 +27,27 @@ GRID5 = np.linspace(0.25, 0.75, 5)
 def rand_scalar(rng, grid, support, scale=1.0, real=False,
                 lam_linear=True) -> fr.FourierSeries:
     """Random trig polynomial; lambda-dependence at most linear so the
-    finite-difference norm calculus stays exact."""
-    modes = {}
+    finite-difference norm calculus stays exact.
+
+    The draws, in order: the slope (if lam_linear), then per mode k = 1 ..
+    support the real and imaginary parts of f_k and, unless real, of
+    f_{-k}, then f_0 (if real)."""
+    grid = np.asarray(grid, float)
     slope = rng.standard_normal() if lam_linear else 0.0
-    lam = np.asarray(grid)
-    for k in range(1, support + 1):
-        c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        vals = c * (1.0 + 0.3 * slope * (lam - 0.5))
-        modes[k] = vals
-        if real:
-            modes[-k] = np.conj(vals)
-        else:
-            c2 = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            modes[-k] = c2 * (1.0 + 0.3 * slope * (lam - 0.5))
+    profile = 1.0 + 0.3 * slope * (grid - 0.5)
+    z = rng.standard_normal((support, 2 if real else 4))
+    pos = scale * (z[:, 0] + 1j * z[:, 1])[:, None] * profile
     if real:
-        modes[0] = scale * rng.standard_normal() * np.ones(len(lam))
-    return fr.from_modes(grid, fr.SCALAR, modes)
+        neg = np.conj(pos)
+        mid = [np.full((1, len(grid)), scale * rng.standard_normal())]
+    else:
+        neg = scale * (z[:, 2] + 1j * z[:, 3])[:, None] * profile
+        mid = []
+    modes = np.arange(-support, support + 1)
+    if not real:
+        modes = modes[modes != 0]
+    data = np.concatenate([neg[::-1]] + mid + [pos])
+    return fr._cleaned(grid, fr.SCALAR, modes, data)
 
 
 # -- weights ---------------------------------------------------------------------
@@ -91,7 +96,7 @@ def fourier_suite(seed: int = 0) -> list:
     rows = []
     rng = np.random.default_rng(1000 + seed)
     grid = GRID5
-    thetas = np.arange(4096) / 4096.0
+    n = 4096
 
     for w, tag in ((wt.WeightFunction("analytic"), "analytic"),
                    (wt.WeightFunction("gevrey", 0.5), "gevrey")):
@@ -115,23 +120,23 @@ def fourier_suite(seed: int = 0) -> list:
                          part.sup_bound(), part.is_zero()))
 
     favg = f.average()
-    quad = f.eval_theta(thetas).mean(axis=0)
+    quad = f.sample(n).mean(axis=0)
     dev = float(np.abs(favg - quad).max())
     rows.append(CheckRow("average equals quadrature", 1e-12, dev, dev <= 1e-12))
 
     g = rand_scalar(rng, grid, 8)
     prod = fr.multiply(f, g)
-    pw = f.eval_theta(thetas) * g.eval_theta(thetas)
-    fhat = np.fft.fft(pw, axis=0) / len(thetas)
+    pw = f.sample(n) * g.sample(n)
+    fhat = np.fft.fft(pw, axis=0) / n
     worst = 0.0
     for k, v in zip(prod.modes.tolist(), prod.data):
-        worst = max(worst, float(np.abs(fhat[k % len(thetas)] - v).max()))
+        worst = max(worst, float(np.abs(fhat[k % n] - v).max()))
     rows.append(CheckRow("multiply matches quadrature re-extraction", 1e-10,
                          worst, worst <= 1e-10))
 
     B = rand_scalar(rng, grid, 4, scale=0.02, real=True)
     eB = fr.exp_i_scalar(B, 1)
-    mod_dev = float(np.abs(np.abs(eB.eval_theta(thetas[::16])) - 1.0).max())
+    mod_dev = float(np.abs(np.abs(eB.sample(256)) - 1.0).max())
     rows.append(CheckRow("exp_i_scalar unit modulus", 1e-10, mod_dev,
                          mod_dev <= 1e-10))
     inv = fr.multiply(eB, fr.exp_i_scalar(B.scale(-1.0), 1)) - fr.one(grid)
@@ -352,16 +357,15 @@ def homological_suite(seed: int = 0) -> list:
                          worst <= 1.0))
 
     # polar decomposition reconstruction
-    thetas = np.arange(4096) / 4096.0
     worst = 0.0
     for _ in range(50):
         G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
         nG = fr.norm_r(G, fr.WeightedNormContext(w, 0.05))
         G = G.scale(0.1 * rng.uniform(0.1, 1.0) / max(nG, 1e-300))
         rho, B, defect = hm.polar_decompose(G)
-        z = np.exp(2j * np.pi * grid)[None, :] + G.eval_theta(thetas)
-        recon = (1.0 + rho.eval_theta(thetas)) * np.exp(
-            2j * np.pi * (grid[None, :] + B.eval_theta(thetas)))
+        z = np.exp(2j * np.pi * grid)[None, :] + G.sample(4096)
+        recon = (1.0 + rho.sample(4096)) * np.exp(
+            2j * np.pi * (grid[None, :] + B.sample(4096)))
         worst = max(worst, float(np.abs(recon - z).max()))
     rows.append(CheckRow("polar reconstruction pointwise", 1e-12, worst,
                          worst <= 1e-12, "50 trials, 4096 points"))
@@ -418,24 +422,24 @@ def model_suite(seed: int = 0) -> list:
     rng = np.random.default_rng(3000 + seed)
     gm = cfr.golden_mean()
     grid = np.linspace(0.25, 0.75, 7)
-    thetas = np.arange(128) / 128.0
+    n = 128
 
     spec = md.build_preset("generating", 1e-4, gm, grid, d_max=4)
     conj = md.conjugate_to_su11(spec)
     worst = 0.0
     for _ in range(5):
         v = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.1
-        X = np.empty((len(thetas), len(grid), 2), complex)
+        X = np.empty((n, len(grid), 2), complex)
         X[..., 0] = v
         X[..., 1] = np.conj(v)
         x = np.einsum("ij,tlj->tli", md.M_INV, X)
-        lhs = np.einsum("ij,tlj->tli", md.M_MAT, spec.eval_F(x, thetas))
+        lhs = np.einsum("ij,tlj->tli", md.M_MAT, spec.eval_F(x))
         A = np.exp(2j * np.pi * grid)
         rhs = np.stack([A[None, :] * X[..., 0],
                         np.conj(A)[None, :] * X[..., 1]], axis=-1)
-        rhs = rhs + conj.U.eval_theta(thetas)
-        rhs = rhs + np.einsum("tlij,tlj->tli", conj.W.eval_theta(thetas), X)
-        rhs = rhs + conj.R.eval_at_points(X, thetas)
+        rhs = rhs + conj.U.sample(n)
+        rhs = rhs + np.einsum("tlij,tlj->tli", conj.W.sample(n), X)
+        rhs = rhs + conj.R.eval_at_points(X)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     rows.append(CheckRow("conjugation identity MF(M^-1 X) = AX+U+WX+R",
                          1e-10, worst, worst <= 1e-10))

@@ -198,7 +198,6 @@ def test_criterion_06_b_equation():
 def test_criterion_07_polar():
     rng = np.random.default_rng(707)
     grid = np.linspace(0.25, 0.75, 5)
-    thetas = np.arange(4096) / 4096.0
     ctx = WeightedNormContext(ANALYTIC, 0.05)
     worst = 0.0
     for _ in range(50):
@@ -206,9 +205,9 @@ def test_criterion_07_polar():
         G = G.scale(0.1 * rng.uniform(0.1, 1.0)
                     / max(fr.norm_r(G, ctx), 1e-300))
         rho, B, defect = hm.polar_decompose(G)
-        z = np.exp(2j * np.pi * grid)[None, :] + G.eval_theta(thetas)
-        recon = (1 + rho.eval_theta(thetas)) * np.exp(
-            2j * np.pi * (grid[None, :] + B.eval_theta(thetas)))
+        z = np.exp(2j * np.pi * grid)[None, :] + G.sample(4096)
+        recon = (1 + rho.sample(4096)) * np.exp(
+            2j * np.pi * (grid[None, :] + B.sample(4096)))
         worst = max(worst, float(np.abs(recon - z).max()))
     report(7, worst <= 1e-12, "50 trials, worst pointwise %.2e" % worst)
 

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from kamtori.fourier import WeightedNormContext
 from kamtori.weights import WeightFunction, eval_lambda
 
 GRID = np.linspace(0.25, 0.75, 5)
-THETAS = np.arange(4096) / 4096.0
+N_THETA = 4096
 ANALYTIC = WeightFunction("analytic")
 GEVREY = WeightFunction("gevrey", 0.5)
 
@@ -98,7 +99,7 @@ def test_average_examples():
     assert np.all(fr.constant(GRID, 3.0).average() == 3.0)
     rng = np.random.default_rng(6)
     f = rand_scalar(rng, GRID, 7)
-    quad = f.eval_theta(THETAS).mean(axis=0)
+    quad = f.sample(N_THETA).mean(axis=0)
     assert np.abs(f.average() - quad).max() < 1e-12
 
 
@@ -123,10 +124,10 @@ def test_multiply_quadrature_oracle():
     f = rand_scalar(rng, GRID, 9)
     g = rand_scalar(rng, GRID, 6)
     prod = fr.multiply(f, g)
-    pointwise = f.eval_theta(THETAS) * g.eval_theta(THETAS)
-    fft = np.fft.fft(pointwise, axis=0) / len(THETAS)
+    pointwise = f.sample(N_THETA) * g.sample(N_THETA)
+    fft = np.fft.fft(pointwise, axis=0) / N_THETA
     for k, v in prod.coeffs.items():
-        assert np.abs(fft[k % len(THETAS)] - v).max() < 1e-10
+        assert np.abs(fft[k % N_THETA] - v).max() < 1e-10
 
 
 def test_multiply_kind_dispatch():
@@ -162,16 +163,17 @@ def test_shift_matches_pointwise():
     f = rand_scalar(rng, GRID, 5)
     sh = f.shift(gm.phase)
     alpha = float(gm.alpha)
-    direct = f.eval_theta((THETAS[:64] + alpha) % 1.0)
-    assert np.abs(sh.eval_theta(THETAS[:64]) - direct).max() < 1e-9
+    # off the grid: the loop at theta + alpha
+    direct = eval_theta_loop(f, 1, (np.arange(64) / N_THETA + alpha) % 1.0)
+    assert np.abs(sh.sample(N_THETA, 0, 64) - direct).max() < 1e-9
 
 
 def test_conj_series_pointwise():
     rng = np.random.default_rng(11)
     f = rand_scalar(rng, GRID, 5)
     c = f.conj()
-    assert np.abs(c.eval_theta(THETAS[:64])
-                  - np.conj(f.eval_theta(THETAS[:64]))).max() < 1e-13
+    assert np.abs(c.sample(N_THETA, 0, 64)
+                  - np.conj(f.sample(N_THETA, 0, 64))).max() < 1e-13
 
 
 # -- exponentials ---------------------------------------------------------------------
@@ -190,8 +192,8 @@ def test_exp_i_scalar_trivial():
 def test_exp_i_scalar_pointwise_oracle():
     B = fr.from_modes(GRID, fr.SCALAR, {1: 0.005, -1: 0.005})  # 0.01 cos
     e = fr.exp_i_scalar(B, 1)
-    vals = e.eval_theta(THETAS)
-    expect = np.exp(2j * np.pi * B.eval_theta(THETAS))
+    vals = e.sample(N_THETA)
+    expect = np.exp(2j * np.pi * B.sample(N_THETA))
     assert np.abs(vals - expect).max() < 1e-10
     assert np.abs(np.abs(vals) - 1).max() < 1e-10
 
@@ -227,10 +229,10 @@ def test_exp_su11_determinant_random():
     for _ in range(10):
         d = rand_scalar(rng, GRID, 4, scale=0.02)
         E, E_inv = fr.exp_su11(fr.off_diagonal(d))
-        vals = E.eval_theta(THETAS[::16])
+        vals = E.sample(256)
         det = vals[..., 0, 0] * vals[..., 1, 1] - vals[..., 0, 1] * vals[..., 1, 0]
         assert np.abs(det - 1).max() < 1e-12
-        inv = E_inv.eval_theta(THETAS[::16])
+        inv = E_inv.sample(256)
         prod = np.einsum("tlij,tljk->tlik", vals, inv)
         assert np.abs(prod - np.eye(2)).max() < 1e-12
 
@@ -320,10 +322,9 @@ def test_jet_eval_and_compose():
     d2 = d1.conj()
     val = jet.eval_at_series(d1, d2)
     # pointwise oracle
-    x = np.stack([d1.eval_theta(THETAS[:128]), d2.eval_theta(THETAS[:128])],
-                 axis=-1)
-    direct = jet.eval_at_points(x, THETAS[:128])
-    assert np.abs(val.eval_theta(THETAS[:128]) - direct).max() < 1e-12
+    x = np.stack([d1.sample(128), d2.sample(128)], axis=-1)
+    direct = jet.eval_at_points(x)
+    assert np.abs(val.sample(128) - direct).max() < 1e-12
 
 
 def test_jet_affine_composition_exact():
@@ -337,18 +338,18 @@ def test_jet_affine_composition_exact():
     comp = jet.compose_affine(e[0], e[1], e[2], e[3], d1, d2)
     assert all(sum(m) <= 3 for m in comp.terms)
     # pointwise oracle at random y
-    th = THETAS[:64]
+    n = 64
     for v in (0.05 + 0.02j, -0.07j):
-        y = np.empty((len(th), len(GRID), 2), complex)
+        y = np.empty((n, len(GRID), 2), complex)
         y[..., 0] = v
         y[..., 1] = 0.3 * np.conj(v)
         x = np.empty_like(y)
-        x[..., 0] = (e[0].eval_theta(th) * y[..., 0]
-                     + e[1].eval_theta(th) * y[..., 1] + d1.eval_theta(th))
-        x[..., 1] = (e[2].eval_theta(th) * y[..., 0]
-                     + e[3].eval_theta(th) * y[..., 1] + d2.eval_theta(th))
-        lhs = comp.eval_at_points(y, th)
-        rhs = jet.eval_at_points(x, th)
+        x[..., 0] = (e[0].sample(n) * y[..., 0]
+                     + e[1].sample(n) * y[..., 1] + d1.sample(n))
+        x[..., 1] = (e[2].sample(n) * y[..., 0]
+                     + e[3].sample(n) * y[..., 1] + d2.sample(n))
+        lhs = comp.eval_at_points(y)
+        rhs = jet.eval_at_points(x)
         assert np.abs(lhs - rhs).max() < 1e-13
 
 
@@ -358,8 +359,7 @@ def test_jet_derivative_matches_central_difference():
     for m in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1),
               (2, 2), (0, 4)]:
         jet.set_term(m, fr.conjugate_pair(rand_scalar(rng, GRID, 2)))
-    th = THETAS[:64]
-    x = rng.uniform(-0.5, 0.5, (len(th), len(GRID), 2)).astype(complex)
+    x = rng.uniform(-0.5, 0.5, (64, len(GRID), 2)).astype(complex)
     h = 1e-6
     for axis in (0, 1):
         der = jet.derivative_terms(axis)
@@ -367,9 +367,9 @@ def test_jet_derivative_matches_central_difference():
         assert set(der.terms) == {(m1 - down[0], m2 - down[1])
                                   for m1, m2 in jet.terms if (m1, m2)[axis]}
         step = h * down
-        fd = (jet.eval_at_points(x + step, th)
-              - jet.eval_at_points(x - step, th)) / (2 * h)
-        exact = der.eval_at_points(x, th)
+        fd = (jet.eval_at_points(x + step)
+              - jet.eval_at_points(x - step)) / (2 * h)
+        exact = der.eval_at_points(x)
         assert np.abs(fd - exact).max() <= 1e-6 * np.abs(exact).max()
     # the degree-0 term drops out of both derivatives
     const = fr.PowerFourierSeries(4, GRID, fr.C2VECTOR,
@@ -681,7 +681,7 @@ def test_store_zero_series_and_empty_grid():
         assert z.conj().is_zero() and z.truncate(3).is_zero()
         assert z.project_tail(3).is_zero() and z.max_mode == 0
         assert fr.norm_r(z, ctx) == 0.0 and z.sup_bound() == 0.0
-        assert not np.any(z.eval_theta(THETAS[:4]))
+        assert not np.any(z.sample(N_THETA, 0, 4))
         assert not np.any(z.coeff(2))
         assert fr.multiply(fr.one(GRID), z).is_zero()
     assert fr.real_defect(fr.zeros(GRID)) == 0.0
@@ -692,7 +692,7 @@ def test_store_zero_series_and_empty_grid():
     assert e.is_zero() and e.data.shape == (0, 0)
     assert e.sup_bound() == 0.0 and fr.real_defect(e) == 0.0
     assert fr.multiply(e, e).is_zero()
-    assert e.eval_theta(THETAS[:3]).shape == (3, 0)
+    assert e.sample(N_THETA, 0, 3).shape == (3, 0)
 
 
 def test_store_refuses_non_finite_rows():
@@ -880,34 +880,85 @@ def test_multiply_refuses_non_finite(kinds, bad):
             fr.multiply(g, bad_f)
 
 
-# -- theta evaluation -----------------------------------------------------------
+# -- theta sampling -------------------------------------------------------------
 
 
-def eval_theta_loop(s, thetas):
-    """The sum over the modes, one mode at a time."""
-    t = np.asarray(thetas, dtype=float)
-    out = np.zeros((len(t),) + s.data.shape[1:], complex)
+def eval_theta_loop(s, n, j):
+    """The values at theta = j/n, one mode at a time.  For integer j the
+    argument k j is reduced mod n in integers, so it is exact; a float j is
+    a point off the grid, and its argument k j / n is rounded."""
+    j = np.asarray(j)
+    out = np.zeros((len(j),) + s.data.shape[1:], complex)
     for k, v in zip(s.modes.tolist(), s.data):
-        e = np.exp(2j * np.pi * k * t)
-        out += e.reshape((len(t),) + (1,) * v.ndim) * v[None, ...]
+        e = np.exp(2j * np.pi * ((k * j) % n / n))
+        out += e.reshape((len(j),) + (1,) * v.ndim) * v[None, ...]
     return out
 
 
+def both_kernels(f, n):
+    rows = f.data.reshape(len(f.modes), -1)
+    shape = (n,) + f.data.shape[1:]
+    return (fr._sample_table(f.modes, rows, n, 0, n).reshape(shape),
+            fr._sample_fft(f.modes, rows, n).reshape(shape))
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_eval_theta_matches_mode_loop(kind):
+def test_sample_matches_mode_loop(kind):
     rng = np.random.default_rng(50)
-    uniform = THETAS[::8]
-    scattered = np.sort(rng.random(300)) * 3.0 - 1.0   # not a uniform grid
     for modes in (GAPPED, tuple(range(-40, 41)), (-300, 2, 511)):
         f, a = gapped(rng, kind, modes)
         scale = sum(float(np.abs(v).max()) for v in a.values())
-        for thetas in (uniform, scattered, THETAS[:1]):
-            vals = f.eval_theta(thetas)
-            assert vals.shape == (len(thetas), len(GRID)) + \
+        # full grids, then grids smaller than the span, where modes alias
+        for n in (4096, 512, 64, 7, 1):
+            ref = eval_theta_loop(f, n, np.arange(n))
+            for vals in both_kernels(f, n) + (f.sample(n),):
+                assert vals.shape == (n, len(GRID)) + fr._COMP_SHAPE[kind]
+                assert np.abs(vals - ref).max() <= 1e-14 * scale
+        # blocks of a grid take the table kernel
+        for n, start, stop in ((4096, 1000, 1256), (512, 511, 512),
+                               (64, 3, 40)):
+            vals = f.sample(n, start, stop)
+            assert vals.shape == (stop - start, len(GRID)) + \
                 fr._COMP_SHAPE[kind]
-            assert np.abs(vals - eval_theta_loop(f, thetas)).max() \
-                <= 1e-14 * scale
+            assert np.abs(vals - eval_theta_loop(f, n, np.arange(start, stop))
+                          ).max() <= 1e-14 * scale
+        assert f.sample(64, 3, 3).shape == (0, len(GRID)) + \
+            fr._COMP_SHAPE[kind]
     z = fr.zeros(GRID, kind)
-    assert z.eval_theta(scattered).shape == (len(scattered), len(GRID)) + \
-        fr._COMP_SHAPE[kind]
-    assert not np.any(z.eval_theta(scattered))
+    assert z.sample(64, 10, 20).shape == (10, len(GRID)) + fr._COMP_SHAPE[kind]
+    assert not np.any(z.sample(64))
+
+
+def test_sample_high_modes_match_mpmath():
+    # the rounded argument 2 pi theta k of an exp matrix is off by about
+    # 2e-13 of the scale at mode 511; reducing j k mod n keeps 1e-14
+    rng = np.random.default_rng(51)
+    grid = GRID[:2]
+    modes = (-300, 2, 511)
+    coeffs = {k: rng.standard_normal(2) + 1j * rng.standard_normal(2)
+              for k in modes}
+    f = fr.from_modes(grid, fr.SCALAR, coeffs)
+    scale = sum(float(np.abs(v).max()) for v in coeffs.values())
+    cs = [[mpmath.mpc(complex(x)) for x in coeffs[k]] for k in modes]
+    with mpmath.workdps(30):
+        for n in (512, 4096):
+            ref = np.empty((n, len(grid)), complex)
+            for j in range(n):
+                ph = [mpmath.expjpi(mpmath.mpf(2 * j * k) / n) for k in modes]
+                for li in range(len(grid)):
+                    ref[j, li] = complex(mpmath.fsum(p * c[li]
+                                                     for p, c in zip(ph, cs)))
+            for vals in both_kernels(f, n) + (f.sample(n),):
+                assert np.abs(vals - ref).max() <= 1e-14 * scale
+
+
+def test_sample_kernel_choice_and_range():
+    # the FFT kernel only for the whole grid and only where it is cheaper:
+    # many modes over few columns, not few modes over many columns
+    assert fr._fft_wins(50, 4096, 5)
+    assert not fr._fft_wins(20, 4096, 514)
+    assert not fr._fft_wins(8, 256, 1028)
+    f = fr.from_modes(GRID, fr.SCALAR, {k: 1.0 for k in range(-25, 25)})
+    for start, stop in ((-1, 3), (3, 2), (0, 65)):
+        with pytest.raises(ValueError):
+            f.sample(64, start, stop)

@@ -13,7 +13,7 @@ from kamtori.fourier import WeightedNormContext
 from kamtori.weights import WeightFunction, eval_lambda
 
 GRID = np.linspace(0.25, 0.75, 9)
-THETAS = np.arange(4096) / 4096.0
+N_THETA = 4096
 ANALYTIC = WeightFunction("analytic")
 GM = cfr.golden_mean()
 
@@ -261,9 +261,9 @@ def test_polar_random_reconstruction():
         rho, B, defect = hm.polar_decompose(G)
         assert fr.real_defect(rho) < 1e-12
         assert fr.real_defect(B) < 1e-12
-        z = np.exp(2j * np.pi * GRID)[None, :] + G.eval_theta(THETAS)
-        recon = (1 + rho.eval_theta(THETAS)) * np.exp(
-            2j * np.pi * (GRID[None, :] + B.eval_theta(THETAS)))
+        z = np.exp(2j * np.pi * GRID)[None, :] + G.sample(N_THETA)
+        recon = (1 + rho.sample(N_THETA)) * np.exp(
+            2j * np.pi * (GRID[None, :] + B.sample(N_THETA)))
         assert np.abs(recon - z).max() <= 1e-12
 
 

@@ -220,28 +220,28 @@ def test_sub_step_substitution_oracle_independent():
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 3e-8,
                                                  0.01, 0.008, 0.5,
                                                  hess_prev=1.0, force=True)
-    thetas = np.arange(4096) / 4096.0
+    n = 4096
     alpha_phase = GM.phase
 
     def rhs(s, Xv):
         Zw = ctx.phase_diag + ctx.Vmat + s.v
-        out = np.einsum("tlij,tlj->tli", Zw.eval_theta(thetas), Xv)
-        out += np.einsum("tlij,tlj->tli", s.W.eval_theta(thetas), Xv)
-        out += s.U.eval_theta(thetas)
-        out += s.R.eval_at_points(Xv, thetas)
+        out = np.einsum("tlij,tlj->tli", Zw.sample(n), Xv)
+        out += np.einsum("tlij,tlj->tli", s.W.sample(n), Xv)
+        out += s.U.sample(n)
+        out += s.R.eval_at_points(Xv)
         return out
 
     worst, scale = 0.0, 0.0
     for v in (0.11 + 0.03j, -0.02 + 0.09j):
-        Y = np.empty((len(thetas), len(grid), 2), complex)
+        Y = np.empty((n, len(grid), 2), complex)
         Y[..., 0] = v
         Y[..., 1] = np.conj(v)
-        Xj = np.einsum("tlij,tlj->tli", E.eval_theta(thetas), Y) \
-            + Delta.eval_theta(thetas)
+        Xj = np.einsum("tlij,tlj->tli", E.sample(n), Y) \
+            + Delta.sample(n)
         t_old = rhs(sub, Xj)
         t_new = np.einsum("tlij,tlj->tli",
-                          E.shift(alpha_phase).eval_theta(thetas),
-                          rhs(new, Y)) + Delta.shift(alpha_phase).eval_theta(thetas)
+                          E.shift(alpha_phase).sample(n),
+                          rhs(new, Y)) + Delta.shift(alpha_phase).sample(n)
         worst = max(worst, float(np.abs(t_old - t_new)[:, act].max()))
         scale = max(scale, float(np.abs(t_old)[:, act].max()))
     assert worst <= 1e-10 * scale

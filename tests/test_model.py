@@ -12,7 +12,7 @@ from kamtori import verify as vf
 
 GRID = np.linspace(0.25, 0.75, 7)
 GM = cfr.golden_mean()
-THETAS = np.arange(256) / 256.0
+N_THETA = 256
 SQ2 = math.sqrt(2.0)
 
 
@@ -62,16 +62,16 @@ def test_conjugation_identity_pointwise():
     A = np.exp(2j * np.pi * GRID)
     for _ in range(5):
         v = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.1
-        X = np.empty((len(THETAS), len(GRID), 2), complex)
+        X = np.empty((N_THETA, len(GRID), 2), complex)
         X[..., 0] = v
         X[..., 1] = np.conj(v)
         x = np.einsum("ij,tlj->tli", md.M_INV, X)
-        lhs = np.einsum("ij,tlj->tli", md.M_MAT, spec.eval_F(x, THETAS))
+        lhs = np.einsum("ij,tlj->tli", md.M_MAT, spec.eval_F(x))
         rhs = np.stack([A[None, :] * X[..., 0],
                         np.conj(A)[None, :] * X[..., 1]], axis=-1)
-        rhs = rhs + conj.U.eval_theta(THETAS)
-        rhs = rhs + np.einsum("tlij,tlj->tli", conj.W.eval_theta(THETAS), X)
-        rhs = rhs + conj.R.eval_at_points(X, THETAS)
+        rhs = rhs + conj.U.sample(N_THETA)
+        rhs = rhs + np.einsum("tlij,tlj->tli", conj.W.sample(N_THETA), X)
+        rhs = rhs + conj.R.eval_at_points(X)
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -150,12 +150,15 @@ def test_residual_lipschitz_in_noise():
 
 def residual_pointwise(spec, torus, n_theta):
     """F(K) - K(. + alpha) evaluated pointwise on the whole theta-grid: the
-    reference for model.residual.  Returns (per-lambda sup, sup |K|)."""
-    thetas = np.arange(n_theta) / n_theta
-    K = torus.eval_K(thetas).astype(complex)
-    FK = spec.eval_F(K, thetas)
+    reference for model.residual.  Returns (per-lambda sup, sup |K|).
+    K is sampled by the table kernel, the one model.residual's partial
+    theta-blocks take, so that sup |K| can be compared bit for bit."""
+    X1 = torus.X.component(0)
+    v = fr._sample_table(X1.modes, X1.data, n_theta, 0, n_theta)
+    K = np.stack([SQ2 * v.real, SQ2 * v.imag], axis=-1).astype(complex)
+    FK = spec.eval_F(K)
     Kshift = md.TorusApprox(torus.X.shift(spec.cf.phase), torus.level,
-                            torus.lambda_grid).eval_K(thetas)
+                            torus.lambda_grid).eval_K(n_theta)
     diff = FK - Kshift
     per_lambda = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).max(axis=0)
     kmax = float(np.sqrt((np.abs(K) ** 2).sum(axis=-1)).max())
@@ -221,7 +224,7 @@ def test_reconstruct_empty_and_constant_factor():
                               fr.conjugate_pair(fr.constant(GRID, c)))
     t1 = md.reconstruct_torus([fac], GRID)
     # K = M^{-1}(c, cbar)^T = sqrt2 (Re c, Im c)
-    K = t1.eval_K(np.array([0.0, 0.3]))
+    K = t1.eval_K(10)
     assert np.allclose(K[..., 0], SQ2 * c.real)
     assert np.allclose(K[..., 1], SQ2 * c.imag)
     assert t1.real_defect() < 1e-15
@@ -245,7 +248,7 @@ def test_torus_stays_real_through_factors():
     factors = [kam.TransformFactor(E, off)]
     t = md.reconstruct_torus(factors, GRID)
     assert t.real_defect() < 1e-12
-    K = t.eval_K(THETAS)
+    K = t.eval_K(N_THETA)
     assert np.abs(np.imag(K)).max() < 1e-12
 
 
