@@ -317,18 +317,16 @@ def _dump_states(out: str, summary) -> None:
                                     st.W.entry(i, j))
     # the final torus: coefficient dump plus a theta-grid table
     final = summary.states[-1]
-    torus = md.reconstruct_torus(final.factors, final.lambda_grid,
-                                 level=final.n)
-    fr.write_coeff_dump(os.path.join(out, "torus_X0.dump"),
-                        torus.X.component(0))
-    thetas = np.arange(256) / 256.0
-    K = torus.eval_K(len(thetas))
+    X1 = final.torus().component(0)
+    fr.write_coeff_dump(os.path.join(out, "torus_X0.dump"), X1)
+    thetas = (np.arange(256) / 256.0).tolist()
+    K = md.torus_K(X1.sample(len(thetas)))
     with open(os.path.join(out, "torus_K.csv"), "w") as fh:
         fh.write("lambda_index,theta,K1,K2\n")
         for li in range(len(final.lambda_grid)):
-            for ti, th in enumerate(thetas):
-                fh.write("%d,%r,%r,%r\n" % (li, float(th), float(K[ti, li, 0]),
-                                            float(K[ti, li, 1])))
+            fh.write("".join("%d,%r,%r,%r\n" % (li, th, k1, k2) for th, k1, k2
+                             in zip(thetas, K[:, li, 0].tolist(),
+                                    K[:, li, 1].tolist())))
 
 
 def cmd_verify(args) -> int:

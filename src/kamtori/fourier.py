@@ -128,11 +128,14 @@ class FourierSeries:
         self._compat(other)
         modes = _union(self.modes, other.modes)
         data = np.zeros((len(modes),) + self.data.shape[1:], complex)
-        data[np.searchsorted(modes, self.modes)] = self.data
+        mine = np.searchsorted(modes, self.modes)
+        data[mine] = self.data
+        held = np.zeros(len(modes), bool)
+        held[mine] = True
         # a row only one side holds is copied, not added to 0, which would
         # turn its -0.0 parts into +0.0
         at = np.searchsorted(modes, other.modes)
-        both = np.isin(other.modes, self.modes)
+        both = held[at]
         data[at[both]] += other.data[both]
         data[at[~both]] = other.data[~both]
         return _cleaned(self.lambda_grid, self.kind, modes, data)
@@ -539,7 +542,6 @@ def det_minus_one(m: FourierSeries) -> FourierSeries:
 class WeightedNormContext:
     weight: WeightFunction
     r: float
-    include_lambda_derivative: bool = True
     active: Optional[np.ndarray] = None    # bool mask over the lambda-grid
 
     def __post_init__(self):
@@ -559,7 +561,7 @@ def _modes_O(a: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> np.nd
     if a.size == 0:
         return np.zeros(len(a))
     mag = np.abs(a)
-    if ctx.include_lambda_derivative and len(grid) >= 2:
+    if len(grid) >= 2:
         mag = mag + np.abs(np.gradient(a, grid, axis=1))
     return mag.reshape(len(a), -1).max(axis=1)
 
@@ -832,9 +834,9 @@ def write_coeff_dump(path, s: FourierSeries):
         raise KindMismatch("dump format is per scalar component")
     with open(path, "w") as fh:
         for k, v in zip(s.modes.tolist(), s.data):
-            for li in range(s.nlambda):
-                fh.write("%d %d %r %r\n" % (li, k, float(v[li].real),
-                                            float(v[li].imag)))
+            fh.write("".join("%d %d %r %r\n" % (li, k, re, im) for li, (re, im)
+                             in enumerate(zip(v.real.tolist(),
+                                              v.imag.tolist()))))
 
 
 def read_coeff_dump(path, lambda_grid) -> FourierSeries:

@@ -4,9 +4,13 @@ One outer step at level n runs L sub-steps, each of which absorbs the
 diagonal part of the matrix perturbation into the normal form, solves two
 homological equations (offset and off-diagonal generator), and reassembles
 the new equation exactly in the coefficient algebra.  Every displayed
-inequality of the scheme is re-measured and reported as a check row; the
-theoretical smallness constants are evaluated but never enforced, since the
-engine's value is certifying the mechanism at reachable scales.
+inequality of the scheme is re-measured and reported as a check row.  The
+theoretical smallness constants are reported, not enforced, since the
+engine's value is certifying the mechanism at reachable scales; but
+solve_homological raises PreconditionError when any of its precondition
+rows fails, gating or not, unless force is set (run.force in a config).
+TransformFactor.then folds each sub-step into its level's factor and each
+level's factor into the state's transform; the torus is its offset.
 """
 
 from __future__ import annotations
@@ -198,7 +202,7 @@ def _first_gamma_crossing(weight: WeightFunction, target: float) -> float:
 
 @dataclass
 class TransformFactor:
-    """One appended change of variables X = matrix . X' + offset."""
+    """The change of variables X = matrix . X' + offset."""
 
     matrix: FourierSeries   # su11matrix
     offset: FourierSeries   # c2vector
@@ -206,6 +210,12 @@ class TransformFactor:
     @staticmethod
     def identity(grid) -> "TransformFactor":
         return TransformFactor(fr.eye(grid), fr.zeros(grid, fr.C2VECTOR))
+
+    def then(self, E: FourierSeries, Delta: FourierSeries) -> "TransformFactor":
+        """This change followed by X' = E X'' + Delta: X = (matrix E) X'' +
+        offset + matrix Delta."""
+        return TransformFactor(fr.multiply(self.matrix, E),
+                               self.offset + fr.multiply(self.matrix, Delta))
 
 
 @dataclass
@@ -216,18 +226,27 @@ class KamState:
     W: FourierSeries                # su11matrix
     R: PowerFourierSeries           # c2vector coefficients, degrees >= 2
     omega: IntervalUnion            # certified parameter set so far
-    factors: list                   # accumulated TransformFactor list
+    # the composition of every level so far; None (the identity) at level 0,
+    # which keeps level 1's factor out of a product with fr.eye
+    transform: Optional[TransformFactor]
     lambda_grid: np.ndarray
 
     def active_mask(self) -> np.ndarray:
         return self.omega.contains(self.lambda_grid)
+
+    def torus(self) -> FourierSeries:
+        """The c2vector torus X, the image of X' = 0 under transform."""
+        if self.transform is None:
+            return fr.zeros(self.lambda_grid, fr.C2VECTOR)
+        return self.transform.offset
 
 
 def initial_state(U: FourierSeries, W: FourierSeries, R: PowerFourierSeries,
                   lambda_grid) -> KamState:
     grid = np.asarray(lambda_grid, float)
     return KamState(n=0, V=fr.zeros(grid, fr.SU11MATRIX), U=U, W=W, R=R,
-                    omega=IntervalUnion.full(), factors=[], lambda_grid=grid)
+                    omega=IntervalUnion.full(), transform=None,
+                    lambda_grid=grid)
 
 
 @dataclass
@@ -245,11 +264,10 @@ class LevelContext:
 
     grid: np.ndarray
     Vmat: FourierSeries
-    rho: FourierSeries
     setup: SolveSetup               # B, cf, the mask and the level's solves
     phase_diag: FourierSeries       # diag(e^{2 pi i lambda}, e^{-2 pi i lambda})
     phase1: FourierSeries
-    phase2: FourierSeries
+    rho_phase_B: FourierSeries      # rho e^{2 pi i lambda} e^{2 pi i B}
     zetac_base: FourierSeries       # e^{-2 pi i lambda} + conj G
 
     def ctx(self, r) -> WeightedNormContext:
@@ -263,9 +281,9 @@ def _level_context(state: KamState, rho: FourierSeries,
     pm1 = fr.lambda_phase(grid, -1)
     z = fr.zeros(grid)
     return LevelContext(
-        grid=grid, Vmat=state.V, rho=rho, setup=setup,
-        phase_diag=fr.matrix_from_scalars(p1, z, z, pm1),
-        phase1=p1, phase2=fr.lambda_phase(grid, 2),
+        grid=grid, Vmat=state.V, setup=setup,
+        phase_diag=fr.matrix_from_scalars(p1, z, z, pm1), phase1=p1,
+        rho_phase_B=fr.multiply(fr.multiply(rho, p1), setup.exp_B(1)),
         zetac_base=pm1 + state.V.entry(1, 1))
 
 
@@ -298,8 +316,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     zeta_c = ctx.zetac_base + g1c
 
     # offset equation: (e^{2 pi i lambda} + G + g) delta - delta(.+a) = -u
-    b_delta = fr.multiply(fr.multiply(ctx.rho, ctx.phase1),
-                          setup.exp_B(1)) + g1
+    b_delta = ctx.rho_phase_B + g1
     u_delta = sub.U.component(0).scale(-1.0)
     if u_delta.is_zero():
         delta = fr.zeros(grid)
@@ -317,7 +334,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     else:
         h = fr.multiply(ctx.phase1, zeta_c) - fr.one(grid)
         recip = fr.multiply(ctx.phase1, fr.inverse_one_plus(h))
-        e4pi = fr.multiply(ctx.phase2, setup.exp_B(2))
+        e4pi = setup.terms(2).phase_B
         b_gen = fr.multiply(g1 - fr.multiply(e4pi, g1c), recip)
         w_rhs = fr.multiply(W2_01.scale(-1.0), recip)
         sol2 = hm.solve_homological(b_gen, w_rhs, 2, setup, float(r_j),
@@ -501,7 +518,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     sub = SubState(0, fr.zeros(grid, fr.SU11MATRIX), state.U, state.W, state.R)
     hess_prev = fr.hessian_norm_bound(state.R, ctx.ctx(rt0), st0)
     hess_start = hess_prev
-    factors_j = []
+    level = TransformFactor.identity(grid)
     sub_u_norms = [fr.norm_r(sub.U, ctx.ctx(rt0))]
     s_j = st0
     for j in range(L):
@@ -515,7 +532,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
         rows += _tag(sub_rows, "n=%d j=%d" % (n, j))
         if E is None:
             break
-        factors_j.append((E, Delta))
+        level = level.then(E, Delta)
         if j == 0:      # the substitution oracle on the level's first pass
             defect, eq_scale = substitution_defect(ctx, sub_old, sub, E, Delta)
             tol = 1e-10 * max(eq_scale, 1e-300)
@@ -531,24 +548,16 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     rows.append(CheckRow("schedule s_L >= s_{n+1}", sched.s(n + 1), s_j,
                          s_j >= sched.s(n + 1) - 1e-15))
 
-    # ordered composition of the sub-factors
-    prefix = fr.eye(grid)
-    offset = fr.zeros(grid, fr.C2VECTOR)
-    for E, Delta in factors_j:
-        offset = offset + fr.multiply(prefix, Delta)
-        prefix = fr.multiply(prefix, E)
-    factor = TransformFactor(prefix, offset)
-
     ctx_next = ctx.ctx(sched.r(n + 1))
-    em1 = fr.norm_r(prefix - fr.eye(grid), ctx_next)
+    em1 = fr.norm_r(level.matrix - fr.eye(grid), ctx_next)
     ebound = math.exp(4.0 * eps_t ** (1 / 3)) - 1.0
     rows.append(CheckRow("||e^{D_{n+1}} - I|| <= e^{4eps_n^(1/3)}-1", ebound,
                          em1, em1 <= ebound, gating=False))
-    doff = fr.norm_r(offset, ctx_next)
+    doff = fr.norm_r(level.offset, ctx_next)
     rows.append(CheckRow("||Delta_{n+1}|| <= 4 eps_n^(5/6)",
                          4.0 * eps_t ** (5 / 6), doff,
                          doff <= 4.0 * eps_t ** (5 / 6), gating=False))
-    det_dev = fr.det_minus_one(prefix).sup_bound(active)
+    det_dev = fr.det_minus_one(level.matrix).sup_bound(active)
     rows.append(CheckRow("composed factor det-1 <= 1e-8", 1e-8, det_dev,
                          det_dev <= 1e-8))
 
@@ -579,8 +588,10 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     rows.append(CheckRow("||d2R_{n+1}|| <= e^{24 eps_n^(1/3)} ||d2R_n||", hb,
                          hess_end, hess_end <= hb or hess_start == 0.0))
 
+    transform = level if state.transform is None \
+        else state.transform.then(level.matrix, level.offset)
     new_state = KamState(n=n + 1, V=V_new, U=sub.U, W=sub.W, R=sub.R,
-                         omega=dc.intervals, factors=state.factors + [factor],
+                         omega=dc.intervals, transform=transform,
                          lambda_grid=grid)
     report = StepReport(level=n, L=L, rows=rows, removed_measure=removed,
                         U_norm=nU, W_norm=nW, sub_u_norms=sub_u_norms,
@@ -695,9 +706,8 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False) -> RunSummary:
 
 
 def _torus_residual(spec, state: KamState) -> tuple:
-    """(max over the active lambda of the invariance residual of the torus
-    reconstructed from state's factors, its rows)."""
+    """(max over the active lambda of the invariance residual of state's
+    torus, its rows)."""
     mask = state.active_mask()
-    torus = md.reconstruct_torus(state.factors, spec.lambda_grid, state.n)
-    res, rows = md.residual(spec, torus, active=mask)
+    res, rows = md.residual(spec, state.torus(), active=mask)
     return (float(res[mask].max()) if mask.any() else 0.0), rows

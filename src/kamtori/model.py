@@ -4,19 +4,21 @@ F(x, theta, lambda) = L(lambda) x + eps N(x, theta, lambda) with L a rigid
 rotation by 2 pi lambda.  The Taylor split at x = 0 produces the constant,
 linear and remainder data; the constant change of variables K = M^{-1} X
 diagonalizes L and puts the linear part into the conjugate-pair matrix
-class.  Invariance of a torus is measured directly: the residual
-R = F(K) - K(. + alpha) is formed in the coefficient algebra, exactly since
-the jet of F is polynomial in x, and its sup per parameter value is taken
-over the 4096-point grid theta_j = j/4096, sampled in fixed-size blocks of
-j.  Every pointwise evaluation here (eval_F, eval_K) is on such a grid:
-row j of its input or output is theta_j = j/n.
+class.  A torus arrives in those coordinates as the c2vector series X that
+the KAM iteration composes (kam.KamState.torus); K = M^{-1} X, which
+torus_K reads from samples of X1.  Invariance of a torus is measured
+directly: the residual R = F(K) - K(. + alpha) is formed in the coefficient
+algebra, exactly since the jet of F is polynomial in x, and its sup per
+parameter value is taken over the 4096-point grid theta_j = j/4096,
+sampled in fixed-size blocks of j.  Every pointwise evaluation here
+(eval_F, the samples of R and X1) is on such a grid: row j of its input or
+output is theta_j = j/n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -69,22 +71,10 @@ class SkewMapSpec:
         return lin + self.eps * pert
 
 
-@dataclass
-class TorusApprox:
-    """Reconstructed approximate invariant torus in matrix coordinates."""
-
-    X: FourierSeries               # c2vector series; K = sqrt2 (Re X1, Im X1)
-    level: int
-    lambda_grid: np.ndarray
-
-    def eval_K(self, n: int, start: int = 0,
-               stop: Optional[int] = None) -> np.ndarray:
-        """K at theta_j = j/n for start <= j < stop: shape (T, L, 2)."""
-        v = self.X.component(0).sample(n, start, stop)
-        return np.stack([SQRT2 * v.real, SQRT2 * v.imag], axis=-1)
-
-    def real_defect(self, active=None) -> float:
-        return fr.c2_pair_defect(self.X, active)
+def torus_K(x1: np.ndarray) -> np.ndarray:
+    """K = M^{-1} X = sqrt2 (Re X1, Im X1) from samples x1 of the torus's
+    first component X1 (any shape; K adds a last axis of length 2)."""
+    return np.stack([SQRT2 * x1.real, SQRT2 * x1.imag], axis=-1)
 
 
 # -- presets --------------------------------------------------------------------
@@ -212,20 +202,21 @@ def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
 # -- invariance residual -----------------------------------------------------------------
 
 
-def residual(spec: SkewMapSpec, torus: TorusApprox, n_theta: int = 4096,
+def residual(spec: SkewMapSpec, X: FourierSeries, n_theta: int = 4096,
              active=None) -> tuple:
-    """Per-lambda sup of |F(K(theta)) - K(theta + alpha)|; the headline
-    observable.  Returns (per-lambda array, rows); the analyticity-ball row
-    takes sup |K| over the active lambda (all of them when active is None).
+    """Per-lambda sup of |F(K(theta)) - K(theta + alpha)| for the torus X
+    (a c2vector series in matrix coordinates); the headline observable.
+    Returns (per-lambda array, rows); the analyticity-ball row takes sup |K|
+    over the active lambda (all of them when active is None).
 
     R = F(K) - K(. + alpha) is one vector series, formed in the algebra
     from K1 = (X1 + conj X1)/sqrt2 and K2 = (X1 - conj X1)/(sqrt2 i), the K
-    that TorusApprox.eval_K samples: L(lambda) K by per-lambda scaling and
-    eps N(K) by eval_at_series, exact because the jet is polynomial in x.
-    R and K are then sampled on n_theta points, THETA_BLOCK at a time, so
-    no array spans the whole theta-grid.
+    that torus_K gives from samples of X1: L(lambda) K by per-lambda scaling
+    and eps N(K) by eval_at_series, exact because the jet is polynomial in
+    x.  R and X1 are then sampled on n_theta points, THETA_BLOCK at a time,
+    so no array spans the whole theta-grid.
     """
-    X1 = torus.X.component(0)
+    X1 = X.component(0)
     K1 = (X1 + X1.conj()).scale(1 / SQRT2)
     K2 = (X1 - X1.conj()).scale(-1j / SQRT2)
     L = spec.rotation()
@@ -240,7 +231,7 @@ def residual(spec: SkewMapSpec, torus: TorusApprox, n_theta: int = 4096,
         np.maximum(per_lambda,
                    _norm2(R.sample(n_theta, start, stop)).max(axis=0),
                    out=per_lambda)
-        kvals = _norm2(torus.eval_K(n_theta, start, stop))
+        kvals = _norm2(torus_K(X1.sample(n_theta, start, stop)))
         if active is not None:
             kvals = kvals[:, active]
         kmax = max(kmax, float(kvals.max(initial=0.0)))
@@ -254,13 +245,3 @@ def _norm2(v: np.ndarray) -> np.ndarray:
     numpy reduces a length-2 axis slowly; the same bits as
     sqrt((|v|**2).sum(axis=-1))."""
     return np.sqrt(np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
-
-
-def reconstruct_torus(factors, lambda_grid, level: Optional[int] = None) -> TorusApprox:
-    """Push X = 0 through the factor list (X = E X' + Delta, right to left)."""
-    grid = np.asarray(lambda_grid, float)
-    X = fr.zeros(grid, fr.C2VECTOR)
-    for f in reversed(list(factors)):
-        X = fr.multiply(f.matrix, X) + f.offset
-    return TorusApprox(X=X, level=len(list(factors)) if level is None else level,
-                       lambda_grid=grid)

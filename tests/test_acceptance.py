@@ -289,13 +289,13 @@ def test_criterion_11_area_preservation():
     grid = np.linspace(0.25, 0.75, 17)
     spec = md.build_preset("generating", 1e-8, GM, grid, d_max=4)
     summary = kam.run(spec, sched, n_max=2, force=True)
-    worst = 0.0
     final = summary.states[-1]
-    prod = fr.eye(grid)
-    for f in final.factors:
-        worst = max(worst, fr.det_minus_one(f.matrix).sup_bound())
-        prod = fr.multiply(prod, f.matrix)
-    worst_total = fr.det_minus_one(prod).sup_bound()
+    # each level factor on its active lambda (the rows), the composition of
+    # the levels so far on every lambda
+    worst = max(r.actual for r in summary.rows
+                if r.check == "composed factor det-1 <= 1e-8")
+    worst_total = max(fr.det_minus_one(st.transform.matrix).sup_bound()
+                      for st in summary.states[1:])
     row = md.check_area(spec, active=final.active_mask())
     ok = worst <= 1e-8 and worst_total <= 1e-8 and row.actual <= 1e-8
     report(11, ok, "factor det %.2e, end-to-end %.2e, map %.2e"

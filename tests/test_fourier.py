@@ -48,11 +48,9 @@ def test_norm_cos_gevrey():
 def test_norm_includes_lambda_derivative():
     vals = 1.0 + (GRID - 0.5)  # slope 1 in lambda
     f = fr.from_modes(GRID, fr.SCALAR, {0: vals})
-    ctx = WeightedNormContext(ANALYTIC, 0.1, include_lambda_derivative=True)
+    ctx = WeightedNormContext(ANALYTIC, 0.1)
     # sup(|f| + |df/dlambda|) = 1.25 + 1 at the right endpoint
     assert fr.norm_r(f, ctx) == pytest.approx(2.25, rel=1e-12)
-    ctx2 = WeightedNormContext(ANALYTIC, 0.1, include_lambda_derivative=False)
-    assert fr.norm_r(f, ctx2) == pytest.approx(1.25, rel=1e-12)
 
 
 def test_norm_vector_matrix_max_over_entries():
@@ -532,7 +530,7 @@ def ref_coeff_O(v, grid, ctx):
     if v.size == 0:
         return 0.0
     mag = np.abs(v)
-    if ctx.include_lambda_derivative and len(grid) >= 2:
+    if len(grid) >= 2:
         mag = mag + np.abs(np.gradient(v, grid, axis=0))
     return float(mag.max())
 
@@ -655,9 +653,7 @@ def test_store_norms_per_mode(kind, weight):
     f, a = gapped(rng, kind)
     act = np.array([True, False, True, True, False])
     for ctx in (WeightedNormContext(weight, 0.05),
-                WeightedNormContext(weight, 0.05, active=act),
-                WeightedNormContext(weight, 0.05,
-                                    include_lambda_derivative=False)):
+                WeightedNormContext(weight, 0.05, active=act)):
         tot, analytic, sup = 0.0, 0.0, 0.0
         for k in sorted(a):       # ascending, as the store sums
             c = ref_coeff_O(a[k], GRID, ctx)

@@ -12,6 +12,8 @@ from kamtori import verify as vf
 from kamtori.fourier import WeightedNormContext
 from kamtori.weights import WeightFunction, eval_lambda
 
+from test_fourier import ref_coeff_O
+
 GRID = np.linspace(0.25, 0.75, 9)
 N_THETA = 4096
 ANALYTIC = WeightFunction("analytic")
@@ -423,20 +425,6 @@ def test_solver_conditioning_error():
 
 
 # -- the per-level solver object ----------------------------------------------------------
-
-
-def ref_coeff_O(v, grid, ctx):
-    """|f_k|_O of one coefficient: sup over the active lambda of |entry| +
-    |d/dlambda entry|, max over entries."""
-    if ctx.active is not None:
-        v = v[ctx.active]
-        grid = grid[ctx.active]
-    if v.size == 0:
-        return 0.0
-    mag = np.abs(v)
-    if ctx.include_lambda_derivative and len(grid) >= 2:
-        mag = mag + np.abs(np.gradient(v, grid, axis=0))
-    return float(mag.max())
 
 
 def conditioning_oracle(btilde, l, setup, r_tilde):

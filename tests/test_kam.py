@@ -9,6 +9,7 @@ from kamtori import fourier as fr
 from kamtori import homological as hm
 from kamtori import kam
 from kamtori import model as md
+from kamtori import verify as vf
 from kamtori.weights import WeightFunction
 
 GM = cfr.golden_mean()
@@ -251,6 +252,36 @@ def test_sub_step_substitution_oracle_independent():
     assert new.R.low_degree_mass() == 0.0
 
 
+# -- changes of variables ---------------------------------------------------------------
+
+
+def test_transform_then_pointwise():
+    # X = E1 X' + D1 followed by X' = E2 X'' + D2 is X = E1(E2 X'' + D2) + D1:
+    # the composed series against the two factors applied in turn, sampled
+    rng = np.random.default_rng(51)
+    grid = np.linspace(0.25, 0.75, 9)
+    n = 64
+
+    def factor():
+        E, _ = fr.exp_su11(fr.off_diagonal(vf.rand_scalar(rng, grid, 4,
+                                                           scale=0.05)))
+        return kam.TransformFactor(E, fr.conjugate_pair(
+            vf.rand_scalar(rng, grid, 5, scale=0.1)))
+
+    def apply(M, D, Y):
+        return np.einsum("tlij,tlj->tli", M.sample(n), Y) + D.sample(n)
+
+    f1, f2 = factor(), factor()
+    comp = f1.then(f2.matrix, f2.offset)
+    for v in (0.0, 0.3 - 0.2j, -0.1 + 0.4j):
+        Y = np.empty((n, len(grid), 2), complex)
+        Y[..., 0] = v
+        Y[..., 1] = np.conj(v)
+        ref = apply(f1.matrix, f1.offset, apply(f2.matrix, f2.offset, Y))
+        got = apply(comp.matrix, comp.offset, Y)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # -- outer step and runs ---------------------------------------------------------------
 
 
@@ -262,8 +293,9 @@ def test_kam_step_zero_perturbation():
     assert new.n == 1
     assert new.U.is_zero() and new.W.is_zero()
     assert new.V.is_zero()
-    assert len(new.factors) == 1
-    assert (new.factors[0].matrix - fr.eye(grid)).sup_bound() == 0.0
+    assert state.transform is None
+    assert (new.transform.matrix - fr.eye(grid)).sup_bound() == 0.0
+    assert new.torus().is_zero()
     assert all(r.passed for r in rep.rows if r.gating)
 
 
@@ -276,10 +308,13 @@ def test_run_preset_a_one_step_kills_perturbation():
     assert summary.records[1].U_norm == 0.0
     assert summary.records[1].residual <= 1e-2 * summary.records[0].residual
     assert all(r.passed for r in summary.rows if r.gating)
-    # area preservation of every factor in the algebra
+    # area preservation of every level factor and of their composition
+    det_rows = [r for r in summary.rows
+                if r.check == "composed factor det-1 <= 1e-8"]
+    assert len(det_rows) == 2
+    assert all(r.actual <= 1e-10 for r in det_rows)
     for st in summary.states[1:]:
-        for f in st.factors:
-            assert fr.det_minus_one(f.matrix).sup_bound() <= 1e-10
+        assert fr.det_minus_one(st.transform.matrix).sup_bound() <= 1e-10
 
 
 def test_run_preset_b_forced_mechanism():

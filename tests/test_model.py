@@ -119,8 +119,8 @@ def test_check_area_nonsymplectic_counterexample():
 
 
 def test_residual_zero_map_zero_torus():
-    torus = md.reconstruct_torus([], GRID)
-    res, rows = md.residual(empty_spec(), torus, n_theta=256)
+    res, rows = md.residual(empty_spec(), fr.zeros(GRID, fr.C2VECTOR),
+                            n_theta=256)
     assert res.max() == 0.0
     # leaving the analyticity ball decides the exit code
     [ball] = [r for r in rows if r.check.startswith("torus stays in")]
@@ -130,35 +130,33 @@ def test_residual_zero_map_zero_torus():
 def test_residual_level0_equals_forcing_size():
     eps = 1e-8
     spec = md.build_preset("constant_forcing", eps, GM, GRID)
-    torus = md.reconstruct_torus([], GRID)
-    res, _ = md.residual(spec, torus, n_theta=512)
+    res, _ = md.residual(spec, fr.zeros(GRID, fr.C2VECTOR), n_theta=512)
     assert res.max() == pytest.approx(eps, rel=1e-10)  # |N(0,theta)| = 1
 
 
 def test_residual_lipschitz_in_noise():
     eps = 1e-8
     spec = md.build_preset("constant_forcing", eps, GM, GRID)
-    base = md.reconstruct_torus([], GRID)
+    base = fr.zeros(GRID, fr.C2VECTOR)
     res0, _ = md.residual(spec, base, n_theta=512)
     noise = 1e-6
     pert = fr.conjugate_pair(fr.constant(GRID, noise / SQ2))
-    noisy = md.TorusApprox(base.X + pert, 0, GRID)
-    res1, _ = md.residual(spec, noisy, n_theta=512)
+    res1, _ = md.residual(spec, base + pert, n_theta=512)
     bump = res1.max() - res0.max()
     assert 0.05 * noise <= bump <= 20 * noise
 
 
-def residual_pointwise(spec, torus, n_theta):
-    """F(K) - K(. + alpha) evaluated pointwise on the whole theta-grid: the
-    reference for model.residual.  Returns (per-lambda sup, sup |K|).
-    K is sampled by the table kernel, the one model.residual's partial
-    theta-blocks take, so that sup |K| can be compared bit for bit."""
-    X1 = torus.X.component(0)
+def residual_pointwise(spec, X, n_theta):
+    """F(K) - K(. + alpha) evaluated pointwise on the whole theta-grid for
+    the torus X: the reference for model.residual.  Returns (per-lambda
+    sup, sup |K|).  K is sampled by the table kernel, the one
+    model.residual's partial theta-blocks take, so that sup |K| can be
+    compared bit for bit."""
+    X1 = X.component(0)
     v = fr._sample_table(X1.modes, X1.data, n_theta, 0, n_theta)
     K = np.stack([SQ2 * v.real, SQ2 * v.imag], axis=-1).astype(complex)
     FK = spec.eval_F(K)
-    Kshift = md.TorusApprox(torus.X.shift(spec.cf.phase), torus.level,
-                            torus.lambda_grid).eval_K(n_theta)
+    Kshift = md.torus_K(X1.shift(spec.cf.phase).sample(n_theta))
     diff = FK - Kshift
     per_lambda = np.sqrt((np.abs(diff) ** 2).sum(axis=-1)).max(axis=0)
     kmax = float(np.sqrt((np.abs(K) ** 2).sum(axis=-1)).max())
@@ -172,9 +170,9 @@ def test_residual_matches_pointwise_formula(preset):
     for n_theta in (4096, 1000):  # 1000: a partial last theta-block
         for _ in range(3):
             X1 = vf.rand_scalar(rng, GRID, 6, scale=0.02)
-            torus = md.TorusApprox(fr.conjugate_pair(X1), 0, GRID)
-            res, rows = md.residual(spec, torus, n_theta=n_theta)
-            ref, kmax = residual_pointwise(spec, torus, n_theta)
+            X = fr.conjugate_pair(X1)
+            res, rows = md.residual(spec, X, n_theta=n_theta)
+            ref, kmax = residual_pointwise(spec, X, n_theta)
             assert ref.max() > 1e-3
             assert np.abs(res - ref).max() <= 1e-12 * ref.max()
             [ball] = [r for r in rows if r.check.startswith("torus stays in")]
@@ -186,12 +184,11 @@ def test_residual_ball_row_reads_only_active_lambda():
     spec = empty_spec()
     vals = np.full(len(GRID), 0.01, complex)
     vals[0] = 0.8 / SQ2
-    torus = md.TorusApprox(fr.conjugate_pair(fr.constant(GRID, vals)), 0,
-                           GRID)
+    X = fr.conjugate_pair(fr.constant(GRID, vals))
     active = np.arange(len(GRID)) > 0
 
     def ball(mask):
-        _, rows = md.residual(spec, torus, n_theta=64, active=mask)
+        _, rows = md.residual(spec, X, n_theta=64, active=mask)
         [row] = [r for r in rows if r.check.startswith("torus stays in")]
         return row
 
@@ -205,10 +202,10 @@ def test_residual_memory_stays_in_theta_blocks():
     grid = np.linspace(0.25, 0.75, 257)
     spec = md.build_preset("generating", 1e-3, GM, grid)
     X1 = vf.rand_scalar(np.random.default_rng(34), grid, 6, scale=0.01)
-    torus = md.TorusApprox(fr.conjugate_pair(X1), 0, grid)
+    X = fr.conjugate_pair(X1)
     tracemalloc.start()
     try:
-        md.residual(spec, torus, n_theta=4096)
+        md.residual(spec, X, n_theta=4096)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -217,17 +214,20 @@ def test_residual_memory_stays_in_theta_blocks():
 
 
 def test_reconstruct_empty_and_constant_factor():
-    t0 = md.reconstruct_torus([], GRID)
-    assert t0.X.is_zero()
+    # the level-0 state carries no transform: its torus is X = 0
+    assert kam.initial_state(fr.zeros(GRID, fr.C2VECTOR),
+                             fr.zeros(GRID, fr.SU11MATRIX),
+                             fr.PowerFourierSeries(4, GRID, fr.C2VECTOR, {}),
+                             GRID).torus().is_zero()
     c = 0.1 + 0.05j
-    fac = kam.TransformFactor(fr.eye(GRID),
-                              fr.conjugate_pair(fr.constant(GRID, c)))
-    t1 = md.reconstruct_torus([fac], GRID)
+    X = kam.TransformFactor(fr.eye(GRID),
+                            fr.conjugate_pair(fr.constant(GRID, c))).offset
     # K = M^{-1}(c, cbar)^T = sqrt2 (Re c, Im c)
-    K = t1.eval_K(10)
+    K = md.torus_K(X.component(0).sample(10))
+    assert K.shape == (10, len(GRID), 2)
     assert np.allclose(K[..., 0], SQ2 * c.real)
     assert np.allclose(K[..., 1], SQ2 * c.imag)
-    assert t1.real_defect() < 1e-15
+    assert fr.c2_pair_defect(X) < 1e-15
 
 
 def test_reconstruct_invariant_under_zero_factor():
@@ -235,20 +235,21 @@ def test_reconstruct_invariant_under_zero_factor():
     d = fr.from_modes(GRID, fr.SCALAR,
                       {1: 0.1 * rng.standard_normal(), 0: 0.05})
     fac = kam.TransformFactor(fr.eye(GRID), fr.conjugate_pair(d))
-    t1 = md.reconstruct_torus([fac], GRID)
-    t2 = md.reconstruct_torus([fac, kam.TransformFactor.identity(GRID)], GRID)
-    assert (t1.X - t2.X).sup_bound() <= 1e-12
+    ident = kam.TransformFactor.identity(GRID)
+    assert (fac.then(ident.matrix, ident.offset).offset
+            - fac.offset).sup_bound() <= 1e-12
 
 
 def test_torus_stays_real_through_factors():
-    rng = np.random.default_rng(32)
     d1 = fr.from_modes(GRID, fr.SCALAR, {1: 0.02 + 0.01j})
-    E, _ = fr.exp_su11(fr.off_diagonal(d1))
-    off = fr.conjugate_pair(fr.from_modes(GRID, fr.SCALAR, {2: 0.05j}))
-    factors = [kam.TransformFactor(E, off)]
-    t = md.reconstruct_torus(factors, GRID)
-    assert t.real_defect() < 1e-12
-    K = t.eval_K(N_THETA)
+    d2 = fr.from_modes(GRID, fr.SCALAR, {-2: 0.03 - 0.01j})
+    E1, _ = fr.exp_su11(fr.off_diagonal(d1))
+    E2, _ = fr.exp_su11(fr.off_diagonal(d2))
+    off1 = fr.conjugate_pair(fr.from_modes(GRID, fr.SCALAR, {2: 0.05j}))
+    off2 = fr.conjugate_pair(fr.from_modes(GRID, fr.SCALAR, {1: 0.04}))
+    X = kam.TransformFactor(E1, off1).then(E2, off2).offset
+    assert fr.c2_pair_defect(X) < 1e-12
+    K = md.torus_K(X.component(0).sample(N_THETA))
     assert np.abs(np.imag(K)).max() < 1e-12
 
 
