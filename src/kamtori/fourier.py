@@ -13,7 +13,11 @@ them, not enforced by construction.
 Weighted norms sum |f_k|_O * exp(L(2 pi |k| r)) where |.|_O is the sup over
 the (active part of the) lambda-grid of value plus central-difference
 lambda-derivative, reduced over vector/matrix entries by maximum.  Norms
-and sup bounds sum over the modes in ascending order.
+and sup bounds sum over the modes in ascending order.  Every per-mode
+maximum (norms, sup bounds, the drop rule) is reduced one block of mode
+rows at a time, BLOCK_VALUES complex values per block (block_rows), so no
+temporary grows with modes times L; theta-grid checks elsewhere sample in
+blocks of the same size.
 
 A series is sampled only on uniform grids theta_j = j/n (`sample`), with
 the argument j k reduced mod n in integers, so no rounded 2 pi theta k
@@ -212,10 +216,7 @@ class FourierSeries:
 
     def sup_bound(self, active: Optional[np.ndarray] = None) -> float:
         """sum_k max|f_k|: an upper bound for the sup over theta."""
-        d = self.data if active is None else self.data[:, active]
-        if d.size == 0:
-            return 0.0
-        return sum(np.abs(d).reshape(len(d), -1).max(axis=1).tolist(), 0.0)
+        return sum(_row_max(self.data, active).tolist(), 0.0)
 
     def _compat(self, other: "FourierSeries"):
         if self.kind != other.kind:
@@ -322,6 +323,49 @@ def lambda_phase(lambda_grid, l: int = 1) -> FourierSeries:
     return constant(grid, np.exp(2j * np.pi * l * grid), SCALAR)
 
 
+# -- blocked row reductions -------------------------------------------------------
+
+# complex values in one block of a per-mode reduction or a theta-grid check:
+# its temporaries stay near BLOCK_VALUES * 16 bytes (0.25 MiB) whatever the
+# number of modes, lambda points or theta points
+BLOCK_VALUES = 1 << 14
+
+
+def block_rows(row_values: int) -> int:
+    """Rows of row_values complex values each that fill one block."""
+    return max(1, BLOCK_VALUES // max(row_values, 1))
+
+
+def _row_max(a: np.ndarray, active: Optional[np.ndarray] = None,
+             grid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per row of a[k, lambda, ...]: the max over the active lambda and the
+    entries of |a_k|, plus |d/dlambda a_k| by np.gradient on grid when a
+    grid of at least two active points is given; active is a bool mask over
+    the lambda-grid.  Reduced one block of rows at a time; a row with no
+    active lambda reads 0."""
+    if len(a) == 0:
+        return np.zeros(0)
+    if active is None:
+        width = a.size // len(a)
+    else:
+        width = np.count_nonzero(active) * math.prod(a.shape[2:])
+        if grid is not None:
+            grid = grid[active]
+    if width == 0:
+        return np.zeros(len(a))
+    out = np.empty(len(a))
+    step = block_rows(width)
+    for lo in range(0, len(a), step):
+        blk = a[lo:lo + step]
+        if active is not None:
+            blk = blk[:, active]
+        mag = np.abs(blk)
+        if grid is not None and len(grid) >= 2:
+            mag += np.abs(np.gradient(blk, grid, axis=1))
+        out[lo:lo + step] = mag.reshape(len(blk), -1).max(axis=1)
+    return out
+
+
 # -- the coefficient drop rule --------------------------------------------------
 
 
@@ -331,7 +375,7 @@ def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
     grid = np.asarray(grid, float)
     if data.size == 0:
         return zeros(grid, kind)
-    rowmax = np.abs(data).reshape(len(data), -1).max(axis=1)
+    rowmax = _row_max(data)
     top = rowmax.max()
     if not np.isfinite(top):
         raise ValueError("series coefficients hold NaN or inf")
@@ -555,15 +599,7 @@ class WeightedNormContext:
 def _modes_O(a: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> np.ndarray:
     """|a_k|_O of every row of a[k, lambda, ...]: sup over active lambda of
     |entry| + |d/dlambda entry|, max over entries."""
-    if ctx.active is not None:
-        a = a[:, ctx.active]
-        grid = grid[ctx.active]
-    if a.size == 0:
-        return np.zeros(len(a))
-    mag = np.abs(a)
-    if len(grid) >= 2:
-        mag = mag + np.abs(np.gradient(a, grid, axis=1))
-    return mag.reshape(len(a), -1).max(axis=1)
+    return _row_max(a, ctx.active, grid)
 
 
 def _exp(y: float) -> float:
@@ -720,12 +756,15 @@ class PowerFourierSeries:
         z = zeros(self.lambda_grid)
         return self.compose_affine(z, z, z, z, d1, d2).term((0, 0))
 
-    def eval_at_points(self, x: np.ndarray) -> np.ndarray:
+    def eval_at_points(self, x: np.ndarray, n: Optional[int] = None,
+                       start: int = 0) -> np.ndarray:
         """Value at pointwise arguments x of shape (T, L, 2), x[j] at
-        theta_j = j/T; returns (T, L) + comp shape."""
+        theta = (start + j)/n on the n-grid (n defaults to T, a whole
+        grid); returns (T, L) + comp shape."""
+        n = len(x) if n is None else n
         acc = None
         for (m1, m2), f in sorted(self.terms.items()):
-            vals = f.sample(len(x))
+            vals = f.sample(n, start, start + len(x))
             mono = (x[..., 0] ** m1) * (x[..., 1] ** m2)
             contrib = vals * mono.reshape(mono.shape + (1,) * (vals.ndim - 2))
             acc = contrib if acc is None else acc + contrib

@@ -372,22 +372,27 @@ def tail_bound(f: FourierSeries, K: int, r: float, sigma: float,
 # -- polar decomposition -----------------------------------------------------------------
 
 
+# the largest theta-grid polar_decompose samples on
+POLAR_GRID_CAP = 1 << 14
+
+
 def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
     """Real rho, B with (1 + rho) e^{2 pi i (lambda + B)} = e^{2 pi i lambda} + G.
 
     The argument is unwrapped continuously in theta from the principal
     branch at theta = 0 (zero winding for small G keeps B periodic), then
-    rho and B are re-expanded on a theta-grid oversampled 4 times.  Returns
-    (rho, B, pointwise reconstruction defect).
+    rho and B are re-expanded on a theta-grid oversampled 4 times, capped
+    at POLAR_GRID_CAP points.  Returns (rho, B, pointwise reconstruction
+    defect, the grid size the oversampling wanted before the cap).
     """
     if G.kind != fr.SCALAR:
         raise fr.KindMismatch("polar_decompose needs a scalar series")
     grid = G.lambda_grid
+    wanted = max(256, _next_pow2(4 * (2 * G.max_mode + 1)))
     if G.is_zero():
         z = fr.zeros(grid, fr.SCALAR)
-        return z, z, 0.0
-    n = max(256, _next_pow2(4 * (2 * G.max_mode + 1)))
-    n = min(n, 1 << 14)
+        return z, z, 0.0, wanted
+    n = min(wanted, POLAR_GRID_CAP)
     vals = G.sample(n)  # (n, L)
     base = np.exp(2j * np.pi * grid)[None, :]
     z = base + vals
@@ -406,7 +411,7 @@ def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
     recon = (1.0 + rho.sample(n)) * np.exp(
         2j * np.pi * (grid[None, :] + Bs.sample(n)))
     defect = float(np.abs(recon - z).max())
-    return rho, Bs, defect
+    return rho, Bs, defect, wanted
 
 
 def _loop_winding(z: np.ndarray) -> np.ndarray:

@@ -422,40 +422,49 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
                         probes=(0.1 + 0.05j, -0.03 + 0.2j)) -> tuple:
     """Direct check that the transform maps the old equation to the new one:
     for X_j = E X_{j+1} + Delta the old right side at X_j must equal
-    E(.+a) . (new right side at X_{j+1}) + Delta(.+a), pointwise.
+    E(.+a) . (new right side at X_{j+1}) + Delta(.+a), pointwise on the
+    n_theta-grid at every active lambda.
 
     Returns (worst deviation, equation scale); the identity holds to
-    roundoff relative to the equation's own magnitude."""
+    roundoff relative to the equation's own magnitude.  The grid is taken
+    in blocks of fr.block_rows(4 L) theta-points with running maxima of
+    the deviation and the scale, so no array spans the whole grid."""
     phase = ctx.setup.cf.phase
-    grid = ctx.grid
     act = ctx.setup.active
+    nlam = len(ctx.grid)
+    # (Zw, W, U, R) of each side; Zw = diag(e^{+-2 pi i lambda}) + V + v
+    sides = [(ctx.phase_diag + ctx.Vmat + s.v, s.W, s.U, s.R)
+             for s in (sub_old, sub_new)]
+    maps = (E, Delta, E.shift(phase), Delta.shift(phase))
+    step = fr.block_rows(4 * nlam)
 
-    def rhs(subst: SubState, Xvals):
-        Zw = ctx.phase_diag + ctx.Vmat + subst.v
-        out = np.einsum("tlij,tlj->tli", Zw.sample(n_theta), Xvals)
-        out += np.einsum("tlij,tlj->tli", subst.W.sample(n_theta), Xvals)
-        out += subst.U.sample(n_theta)
-        out += subst.R.eval_at_points(Xvals)
+    def rhs(side, lo, hi, Xvals):
+        Zw, W, U, R = side
+        out = np.einsum("tlij,tlj->tli", Zw.sample(n_theta, lo, hi), Xvals)
+        out += np.einsum("tlij,tlj->tli", W.sample(n_theta, lo, hi), Xvals)
+        out += U.sample(n_theta, lo, hi)
+        out += R.eval_at_points(Xvals, n_theta, lo)
         return out
 
-    Evals = E.sample(n_theta)
-    Dvals = Delta.sample(n_theta)
-    EvalsS = E.shift(phase).sample(n_theta)
-    DvalsS = Delta.shift(phase).sample(n_theta)
     worst = 0.0
     scale = 0.0
-    for v in probes:
-        Y = np.empty((n_theta, len(grid), 2), complex)
-        Y[..., 0] = v
-        Y[..., 1] = np.conj(v)
-        Xj = np.einsum("tlij,tlj->tli", Evals, Y) + Dvals
-        t_old = rhs(sub_old, Xj)
-        t_new = np.einsum("tlij,tlj->tli", EvalsS, rhs(sub_new, Y)) + DvalsS
-        dev = np.abs(t_old - t_new)[:, act]
-        mag = np.abs(t_old)[:, act]
-        if dev.size:
-            worst = max(worst, float(dev.max()))
-            scale = max(scale, float(mag.max()))
+    for lo in range(0, n_theta, step):
+        hi = min(lo + step, n_theta)
+        Evals, Dvals, EvalsS, DvalsS = (m.sample(n_theta, lo, hi)
+                                        for m in maps)
+        for v in probes:
+            Y = np.empty((hi - lo, nlam, 2), complex)
+            Y[..., 0] = v
+            Y[..., 1] = np.conj(v)
+            Xj = np.einsum("tlij,tlj->tli", Evals, Y) + Dvals
+            t_old = rhs(sides[0], lo, hi, Xj)
+            t_new = np.einsum("tlij,tlj->tli", EvalsS,
+                              rhs(sides[1], lo, hi, Y)) + DvalsS
+            dev = np.abs(t_old - t_new)[:, act]
+            mag = np.abs(t_old)[:, act]
+            if dev.size:
+                worst = max(worst, float(dev.max()))
+                scale = max(scale, float(mag.max()))
     return worst, scale
 
 
@@ -481,9 +490,12 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     grid = state.lambda_grid
     rows: list = []
 
-    rho, B, defect = hm.polar_decompose(state.V.entry(0, 0))
+    rho, B, defect, polar_n = hm.polar_decompose(state.V.entry(0, 0))
     rows.append(CheckRow("polar reconstruction pointwise <= 1e-12", 1e-12,
                          defect, defect <= 1e-12, "n=%d" % n))
+    rows.append(CheckRow("polar grid <= 1<<14", float(hm.POLAR_GRID_CAP),
+                         float(polar_n), polar_n <= hm.POLAR_GRID_CAP,
+                         "n=%d" % n, gating=False))
 
     # the level-n resonance band K_{n-3} <= |k| <= K_n around lambda + [B]
     dc = hm.dc_from_exclusion(sched.cf, sched.gamma(n), sched.tau, sched.K(n),

@@ -35,11 +35,6 @@ M_INV = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / SQRT2
 
 PRESETS = ("constant_forcing", "generating", "nonsymplectic")
 
-# theta values sampled at once by residual: (THETA_BLOCK, L, 2) arrays stay
-# a few MiB at L = 257 whatever n_theta is
-THETA_BLOCK = 256
-
-
 @dataclass
 class SkewMapSpec:
     """eps, the x-jet of N (2-vector coefficients) and the rotation number."""
@@ -213,8 +208,8 @@ def residual(spec: SkewMapSpec, X: FourierSeries, n_theta: int = 4096,
     from K1 = (X1 + conj X1)/sqrt2 and K2 = (X1 - conj X1)/(sqrt2 i), the K
     that torus_K gives from samples of X1: L(lambda) K by per-lambda scaling
     and eps N(K) by eval_at_series, exact because the jet is polynomial in
-    x.  R and X1 are then sampled on n_theta points, THETA_BLOCK at a time,
-    so no array spans the whole theta-grid.
+    x.  R and X1 are then sampled on n_theta points, fr.block_rows(2 L) at
+    a time, so no array spans the whole theta-grid.
     """
     X1 = X.component(0)
     K1 = (X1 + X1.conj()).scale(1 / SQRT2)
@@ -226,8 +221,9 @@ def residual(spec: SkewMapSpec, X: FourierSeries, n_theta: int = 4096,
     R = FK - fr.vector_from_scalars(K1, K2).shift(spec.cf.phase)
     per_lambda = np.zeros(len(spec.lambda_grid))
     kmax = 0.0
-    for start in range(0, n_theta, THETA_BLOCK):
-        stop = min(start + THETA_BLOCK, n_theta)
+    step = fr.block_rows(2 * len(spec.lambda_grid))
+    for start in range(0, n_theta, step):
+        stop = min(start + step, n_theta)
         np.maximum(per_lambda,
                    _norm2(R.sample(n_theta, start, stop)).max(axis=0),
                    out=per_lambda)

@@ -362,7 +362,7 @@ def homological_suite(seed: int = 0) -> list:
         G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
         nG = fr.norm_r(G, fr.WeightedNormContext(w, 0.05))
         G = G.scale(0.1 * rng.uniform(0.1, 1.0) / max(nG, 1e-300))
-        rho, B, defect = hm.polar_decompose(G)
+        rho, B, _, _ = hm.polar_decompose(G)
         z = np.exp(2j * np.pi * grid)[None, :] + G.sample(4096)
         recon = (1.0 + rho.sample(4096)) * np.exp(
             2j * np.pi * (grid[None, :] + B.sample(4096)))
@@ -370,19 +370,30 @@ def homological_suite(seed: int = 0) -> list:
     rows.append(CheckRow("polar reconstruction pointwise", 1e-12, worst,
                          worst <= 1e-12, "50 trials, 4096 points"))
 
-    # solver versus dense full-pivot oracle
+    # solver versus dense full-pivot oracle, inside the solver's hypotheses:
+    # B and b are scaled to half and 0.3 of their precondition bounds
     K = 16
     consts = dict(weight=w, q_next=89, qbar_n=8, r_b=0.05, sigma=0.001,
                   eps0=1e-6)
-    worst_bound, worst_resid = 0.0, 0.0
-    for _ in range(20):
+    r_tilde = 0.005
+
+    def solver_instance():
         B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
+        B = B.scale(0.5 * consts["eps0"] ** (1 / 3) / fr.norm_r(
+            B, fr.WeightedNormContext(w, consts["r_b"])))
         dc = hm.dc_from_exclusion(gm, 0.05, 2.0, K, grid, B)
-        res = hm.solve_homological(b, u, int(rng.integers(1, 3)),
-                                   hm.SolveSetup(B, dc, **consts), 0.005,
-                                   force=True)
+        setup = hm.SolveSetup(B, dc, **consts)
+        bb = setup.gamma**2 / 12.0 / float(setup.q_next) ** (2 * setup.tau**2)
+        b = b.scale(0.3 * bb / fr.norm_r(b, setup.ctx(r_tilde)))
+        return b, u, setup
+
+    worst_bound, worst_resid = 0.0, 0.0
+    for _ in range(20):
+        b, u, setup = solver_instance()
+        res = hm.solve_homological(b, u, int(rng.integers(1, 3)), setup,
+                                   r_tilde)
         worst_resid = max(worst_resid,
                           max(r.actual for r in res.rows
                               if r.check.startswith("truncated-system")))
@@ -396,12 +407,8 @@ def homological_suite(seed: int = 0) -> list:
 
     # dense oracle on one instance per l
     for l in (1, 2):
-        B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
-        b = rand_scalar(rng, grid, 4, scale=1e-3)
-        u = rand_scalar(rng, grid, K - 1, scale=1e-2)
-        dc = hm.dc_from_exclusion(gm, 0.05, 2.0, K, grid, B)
-        setup = hm.SolveSetup(B, dc, **consts)
-        res = hm.solve_homological(b, u, l, setup, 0.005, force=True)
+        b, u, setup = solver_instance()
+        res = hm.solve_homological(b, u, l, setup, r_tilde)
         A, rhs, mine = dense_system(u, res, l, setup)
         worst = 0.0
         for li in np.nonzero(setup.active)[0]:

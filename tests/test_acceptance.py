@@ -204,7 +204,7 @@ def test_criterion_07_polar():
         G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
         G = G.scale(0.1 * rng.uniform(0.1, 1.0)
                     / max(fr.norm_r(G, ctx), 1e-300))
-        rho, B, defect = hm.polar_decompose(G)
+        rho, B, _, _ = hm.polar_decompose(G)
         z = np.exp(2j * np.pi * grid)[None, :] + G.sample(4096)
         recon = (1 + rho.sample(4096)) * np.exp(
             2j * np.pi * (grid[None, :] + B.sample(4096)))

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -665,6 +666,52 @@ def test_store_norms_per_mode(kind, weight):
         assert fr.norm_r(f, ctx) == tot
         assert fr.analytic_norm(f, ctx) == analytic
         assert f.sup_bound(ctx.active) == sup
+
+
+def _wide_store(rows=500, L=257):
+    """A (rows, L, 2, 2) complex store on an L-point lambda-grid, a mask
+    over that grid, and the grid."""
+    rng = np.random.default_rng(45)
+    shape = (rows, L, 2, 2)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid = np.linspace(0.25, 0.75, L)
+    return a, rng.random(L) < 0.6, grid
+
+
+def test_blocked_row_reductions_match_whole_array():
+    # 500 rows of 257 x 4 values: 15-row blocks, so block edges fall
+    # inside the data and the last block is partial
+    a, act, grid = _wide_store()
+    assert fr.block_rows(a[0].size) == 15 and len(a) % 15 != 0
+    for mask in (None, act):
+        d, g = (a, grid) if mask is None else (a[:, mask], grid[mask])
+        ref = (np.abs(d) + np.abs(np.gradient(d, g, axis=1))).reshape(
+            len(a), -1).max(axis=1)
+        got = fr._modes_O(a, grid, WeightedNormContext(ANALYTIC, 0.1, mask))
+        assert np.array_equal(got, ref)         # bit for bit
+        s = fr.FourierSeries(grid, fr.SU11MATRIX, np.arange(len(a)), a)
+        assert s.sup_bound(mask) == sum(
+            np.abs(d).reshape(len(a), -1).max(axis=1).tolist(), 0.0)
+    # no active lambda: every row reads 0
+    none = np.zeros(len(grid), bool)
+    assert not fr._modes_O(a, grid, WeightedNormContext(ANALYTIC, 0.1,
+                                                        none)).any()
+
+
+def test_blocked_row_reductions_bounded_memory():
+    # the blocked reduction's temporaries stay near one block however many
+    # modes and lambda points the store has: the store is 7.8 MiB, and one
+    # |.| over all of it would already be 3.9 MiB of floats
+    a, act, grid = _wide_store()
+    for mask in (None, act):
+        ctx = WeightedNormContext(ANALYTIC, 0.1, mask)
+        tracemalloc.start()
+        try:
+            fr._modes_O(a, grid, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_store_zero_series_and_empty_grid():

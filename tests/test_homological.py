@@ -229,14 +229,15 @@ def test_tail_bound_domain_error():
 
 
 def test_polar_zero():
-    rho, B, defect = hm.polar_decompose(fr.zeros(GRID))
+    rho, B, defect, wanted = hm.polar_decompose(fr.zeros(GRID))
     assert rho.is_zero() and B.is_zero() and defect == 0.0
+    assert wanted == 256
 
 
 def test_polar_real_constant():
     lam = np.array([0.5])
     G = fr.from_modes(lam, fr.SCALAR, {0: 0.1})
-    rho, B, defect = hm.polar_decompose(G)
+    rho, B, defect, _ = hm.polar_decompose(G)
     # -1 + 0.1 = -0.9 = 0.9 e^{i pi}: rho = -0.1, B = 0
     assert rho.average().real[0] == pytest.approx(-0.1, abs=1e-12)
     assert abs(B.average()[0]) < 1e-12
@@ -246,7 +247,7 @@ def test_polar_real_constant():
 def test_polar_imaginary_constant():
     lam = np.array([0.5])
     G = fr.from_modes(lam, fr.SCALAR, {0: 0.1j})
-    rho, B, defect = hm.polar_decompose(G)
+    rho, B, defect, _ = hm.polar_decompose(G)
     assert rho.average().real[0] == pytest.approx(math.sqrt(1.01) - 1,
                                                   abs=1e-12)
     assert B.average().real[0] == pytest.approx(-math.atan(0.1) / (2 * math.pi),
@@ -260,7 +261,7 @@ def test_polar_random_reconstruction():
     for _ in range(50):
         G = rand_scalar(rng, GRID, int(rng.integers(1, 8)), scale=0.02)
         G = G.scale(0.1 * rng.uniform(0.1, 1.0) / max(fr.norm_r(G, ctx), 1e-300))
-        rho, B, defect = hm.polar_decompose(G)
+        rho, B, defect, _ = hm.polar_decompose(G)
         assert fr.real_defect(rho) < 1e-12
         assert fr.real_defect(B) < 1e-12
         z = np.exp(2j * np.pi * GRID)[None, :] + G.sample(N_THETA)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -154,7 +156,7 @@ def _blank_state(grid):
 
 def _level_pieces(grid, gamma=0.05, K=12, state=None):
     state = _blank_state(grid) if state is None else state
-    rho, B, _ = hm.polar_decompose(state.V.entry(0, 0))
+    rho, B, _, _ = hm.polar_decompose(state.V.entry(0, 0))
     dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid, B)
     setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=89, qbar_n=8,
                           r_b=0.05, sigma=0.002, eps0=1e-6)
@@ -252,6 +254,117 @@ def test_sub_step_substitution_oracle_independent():
     assert new.R.low_degree_mass() == 0.0
 
 
+def _whole_grid_substitution_defect(ctx, sub_old, sub_new, E, Delta,
+                                    n_theta=256,
+                                    probes=(0.1 + 0.05j, -0.03 + 0.2j)):
+    """The substitution oracle on the whole theta-grid at once: every
+    series sampled on all n_theta points, then the same pointwise identity
+    and maxima as kam.substitution_defect; the reference for its blocks."""
+    phase = ctx.setup.cf.phase
+    act = ctx.setup.active
+
+    def rhs(s, Xvals):
+        Zw = ctx.phase_diag + ctx.Vmat + s.v
+        out = np.einsum("tlij,tlj->tli", Zw.sample(n_theta), Xvals)
+        out += np.einsum("tlij,tlj->tli", s.W.sample(n_theta), Xvals)
+        out += s.U.sample(n_theta)
+        out += s.R.eval_at_points(Xvals)
+        return out
+
+    worst, scale = 0.0, 0.0
+    for v in probes:
+        Y = np.empty((n_theta, len(ctx.grid), 2), complex)
+        Y[..., 0] = v
+        Y[..., 1] = np.conj(v)
+        Xj = np.einsum("tlij,tlj->tli", E.sample(n_theta), Y) \
+            + Delta.sample(n_theta)
+        t_old = rhs(sub_old, Xj)
+        t_new = np.einsum("tlij,tlj->tli", E.shift(phase).sample(n_theta),
+                          rhs(sub_new, Y)) + Delta.shift(phase).sample(n_theta)
+        worst = max(worst, float(np.abs(t_old - t_new)[:, act].max()))
+        scale = max(scale, float(np.abs(t_old)[:, act].max()))
+    return worst, scale
+
+
+def _generating_level0(monkeypatch, grid, perturb=None):
+    """kam_step at level 0 of a generating run on grid, with the arguments
+    of its substitution_defect call recorded; perturb, if given, maps the
+    Delta of the first sub-step before the level uses it."""
+    calls = []
+    real_defect, real_step = kam.substitution_defect, kam.sub_iteration_step
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_defect(*args, **kwargs)
+
+    def step(ctx, sub, *args, **kwargs):
+        new, E, Delta, rows = real_step(ctx, sub, *args, **kwargs)
+        if perturb is not None and sub.j == 0:
+            Delta = perturb(Delta)
+        return new, E, Delta, rows
+
+    monkeypatch.setattr(kam, "substitution_defect", spy)
+    monkeypatch.setattr(kam, "sub_iteration_step", step)
+    spec = md.build_preset("generating", 1e-6, GM, grid, d_max=4)
+    conj = md.conjugate_to_su11(spec)
+    state = kam.initial_state(conj.U, conj.W, conj.R, grid)
+    _, rep = kam.kam_step(state, make_sched(K_cap=32, L_cap=4), force=True)
+    [row] = [r for r in rep.rows
+             if r.check == "substitution oracle <= 1e-10 relative"]
+    return calls, row
+
+
+def test_substitution_oracle_blocks_match_whole_grid(monkeypatch):
+    # 33 lambda: blocks of 124 theta-points, so 256 ends in a partial
+    # block of 8 and 100 is one partial block
+    grid = np.linspace(0.25, 0.75, 33)
+    calls, row = _generating_level0(monkeypatch, grid)
+    assert row.passed and len(calls) == 1
+    assert fr.block_rows(4 * len(grid)) == 124
+    for n_theta in (256, 100):
+        got = kam.substitution_defect(*calls[0], n_theta=n_theta)
+        ref = _whole_grid_substitution_defect(*calls[0], n_theta=n_theta)
+        assert ref[0] > 0.0 and ref[1] > 0.0
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-15 * r
+
+
+def test_substitution_oracle_row_fails_on_seeded_delta_error(monkeypatch):
+    grid = np.linspace(0.25, 0.75, 33)
+    shift = fr.conjugate_pair(fr.constant(grid, 1e-6))
+    _, row = _generating_level0(monkeypatch, grid,
+                                perturb=lambda Delta: Delta + shift)
+    assert not row.passed and row.gating
+    assert row.actual > 1e4 * row.bound
+
+
+def test_substitution_defect_memory_stays_in_theta_blocks():
+    # L = 257: one (256, L, 2, 2) complex grid is 4 MiB; the oracle holds
+    # about a dozen such grids when it samples the whole theta-grid
+    rng = np.random.default_rng(43)
+    grid = np.linspace(0.25, 0.75, 257)
+    dc, act, ctx = _level_pieces(grid)
+    U = fr.conjugate_pair(vf.rand_scalar(rng, grid, 6, scale=1e-8))
+    w1 = vf.rand_scalar(rng, grid, 4, scale=1e-4)
+    w2 = vf.rand_scalar(rng, grid, 4, scale=1e-4)
+    W = fr.matrix_from_scalars(w1, w2, w2.conj(), w1.conj())
+    r20 = vf.rand_scalar(rng, grid, 3, scale=0.1)
+    R = fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {})
+    R.set_term((2, 0), fr.vector_from_scalars(r20, fr.zeros(grid)))
+    R.set_term((0, 2), fr.vector_from_scalars(fr.zeros(grid), r20.conj()))
+    sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX), U, W, R)
+    new, E, Delta, _ = kam.sub_iteration_step(ctx, sub, 3e-8, 0.01, 0.008,
+                                              0.5, hess_prev=1.0, force=True)
+    tracemalloc.start()
+    try:
+        worst, scale = kam.substitution_defect(ctx, sub, new, E, Delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-10 * scale
+    assert peak < 8 * 2**20
+
+
 # -- changes of variables ---------------------------------------------------------------
 
 
@@ -341,6 +454,20 @@ def test_run_polar_reconstruction_row_every_level():
     assert [r.detail for r in polar] == ["n=0", "n=1", "n=2"]
     assert all(r.gating and r.passed for r in polar)
     assert polar[0].actual == 0.0 and polar[1].actual > 0.0
+
+
+def test_polar_grid_cap_row_reads_fail():
+    # max mode 2048 wants a 4-times oversampled grid of 32768 > 1 << 14
+    # points: the non-gating row reports it, the level still runs
+    grid = np.linspace(0.25, 0.75, 3)
+    g = fr.from_modes(grid, fr.SCALAR, {2048: 1e-4})
+    V = fr.matrix_from_scalars(g, fr.zeros(grid), fr.zeros(grid), g.conj())
+    state = dataclasses.replace(_blank_state(grid), V=V)
+    _, rep = kam.kam_step(state, make_sched())
+    [row] = [r for r in rep.rows if r.check == "polar grid <= 1<<14"]
+    assert not row.passed and not row.gating
+    assert row.actual == 32768.0 and row.bound == 16384.0
+    assert row.detail == "n=0"
 
 
 def test_run_depth_stop():

@@ -149,11 +149,14 @@ def test_residual_lipschitz_in_noise():
 def residual_pointwise(spec, X, n_theta):
     """F(K) - K(. + alpha) evaluated pointwise on the whole theta-grid for
     the torus X: the reference for model.residual.  Returns (per-lambda
-    sup, sup |K|).  K is sampled by the table kernel, the one
-    model.residual's partial theta-blocks take, so that sup |K| can be
-    compared bit for bit."""
+    sup, sup |K|).  X1 is sampled on the theta-blocks model.residual takes
+    (fr.block_rows(2 L) points; a single block is the whole grid, which
+    may take the FFT kernel), so that sup |K| can be compared bit for
+    bit."""
     X1 = X.component(0)
-    v = fr._sample_table(X1.modes, X1.data, n_theta, 0, n_theta)
+    step = fr.block_rows(2 * len(spec.lambda_grid))
+    v = np.concatenate([X1.sample(n_theta, lo, min(lo + step, n_theta))
+                        for lo in range(0, n_theta, step)])
     K = np.stack([SQ2 * v.real, SQ2 * v.imag], axis=-1).astype(complex)
     FK = spec.eval_F(K)
     Kshift = md.torus_K(X1.shift(spec.cf.phase).sample(n_theta))
@@ -167,7 +170,8 @@ def residual_pointwise(spec, X, n_theta):
 def test_residual_matches_pointwise_formula(preset):
     rng = np.random.default_rng(33)
     spec = md.build_preset(preset, 0.05, GM, GRID)
-    for n_theta in (4096, 1000):  # 1000: a partial last theta-block
+    # 4096: a partial last theta-block; 1000: one block, the whole grid
+    for n_theta in (4096, 1000):
         for _ in range(3):
             X1 = vf.rand_scalar(rng, GRID, 6, scale=0.02)
             X = fr.conjugate_pair(X1)
