@@ -456,8 +456,10 @@ class SolveSetup:
     """What every homological solve of one KAM level shares.  Built once per
     level from B, the level's DC set (cf, gamma, tau, K, active mask, grid
     and shift) and the level constants; computed when first needed: bcal
-    (the B-equation's solution), e^{2 pi i l B}, terms(l), the norms of the
-    B hypotheses and the conditioning weight ratios."""
+    (the B-equation's solution), e^{2 pi i l B}, terms(l) and the norms of
+    the B hypotheses.  It holds no (n, n) array over the n = 2K - 1 modes:
+    the conditioning check works in O(n) memory (_conditioning) and the
+    dense fallback builds its Toeplitz index only for a point it solves."""
 
     def __init__(self, B: FourierSeries, dc: DcSet, *, weight: WeightFunction,
                  q_next: int, qbar_n: int, r_b: float, sigma: float,
@@ -472,11 +474,8 @@ class SolveSetup:
         self.sigma, self.eps0 = sigma, eps0
         self.lam_t = self.grid + np.real(B.average())
         self.ks = np.arange(-self.K + 1, self.K)
-        # position of mode k1 - k2 among the modes 2 - 2K .. 2K - 2
-        self.toeplitz = self.ks[:, None] - self.ks[None, :] + 2 * self.K - 2
         self._exp_B: dict = {}
         self._terms: dict = {}
-        self._ratio_r, self._ratios = None, None
 
     def ctx(self, r: float) -> WeightedNormContext:
         return WeightedNormContext(self.weight, float(r), active=self.active)
@@ -522,16 +521,6 @@ class SolveSetup:
                 phase_B=fr.multiply(fr.lambda_phase(grid, l), self.exp_B(l)),
                 diagonal=diagonal, s_inv=self._s_inv(diagonal, l))
         return self._terms[l]
-
-    def weight_ratios(self, r: float) -> np.ndarray:
-        """exp(min(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r), 700)) over the
-        modes |k| < K, kept for the last r: the l = 1 and l = 2 solves of a
-        sub-step share it."""
-        if self._ratio_r != r:
-            lw = eval_lambda(self.weight, 2 * math.pi * np.abs(self.ks) * r)
-            self._ratios = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
-            self._ratio_r = r
-        return self._ratios
 
     def _s_inv(self, diagonal: np.ndarray, l: int) -> float:
         """Measured row-sum norm of S^{-1}, lambda-derivative included."""
@@ -666,16 +655,44 @@ def _preconditions(b, setup: SolveSetup, r_tilde: float) -> list:
 def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
                   r_tilde: float) -> tuple:
     """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
-    largest row sum of the width-scaled Toeplitz matrix
-    |btilde_{k1-k2}|_O exp(Lambda(2 pi |k1| r) - Lambda(2 pi |k2| r))."""
+    largest row sum pe_i of the width-scaled Toeplitz matrix
+    c_O[k1 - k2] exp(min(lw_1 - lw_2, 700)), c_O[k] = |btilde_k|_O and
+    lw = Lambda(2 pi |k| r_tilde), over the n = 2K - 1 modes |k| < K.
+
+    Each row sum is a convolution: with m = (max lw + min lw)/2,
+
+        pe_i = sum_j c_O[i - j] e^{lw_i - lw_j}
+             = e^{lw_i - m} (c_O * e^{m - lw})_i,
+
+    one real np.convolve of the 2n - 1 majorants with n exponentials.  It
+    is exact while max lw - min lw <= 700: no ratio then reaches the clamp
+    and no factor leaves e^{+-350}.  c_O is scaled by a power of two to
+    max 1 first, so no term underflows.  A wider spread (a large width)
+    takes the clamped formula one block of fr.block_rows(n) rows at a
+    time.  No (n, n) array is built either way."""
     n = len(setup.ks)
     near = btilde.truncate(n)
     c_O = np.zeros(2 * n - 1)
     c_O[near.modes + n - 1] = fr._modes_O(near.data, btilde.lambda_grid,
                                           setup.ctx(r_tilde))
-    scale = setup.weight_ratios(r_tilde)
-    pe = float((c_O[setup.toeplitz] * scale).sum(axis=1).max())
-    return setup.terms(l).s_inv, pe
+    expo = math.frexp(float(c_O.max()))[1]
+    c_O = np.ldexp(c_O, -expo)
+    lw = eval_lambda(setup.weight, 2 * math.pi * np.abs(setup.ks) * r_tilde)
+    lo, hi = float(lw.min()), float(lw.max())
+    if hi - lo <= 700.0:
+        m = (hi + lo) / 2
+        conv = np.convolve(c_O, np.exp(m - lw))[n - 1:2 * n - 1]
+        pe = float((np.exp(lw - m) * conv).max())
+    else:
+        pe = 0.0
+        cols = np.arange(n)
+        step = fr.block_rows(n)
+        for i0 in range(0, n, step):
+            i = cols[i0:i0 + step, None]
+            ratio = np.exp(np.minimum(lw[i] - lw[None, :], 700.0))
+            sums = (c_O[i - cols + n - 1] * ratio).sum(axis=1)
+            pe = max(pe, float(sums.max()))
+    return setup.terms(l).s_inv, float(np.ldexp(pe, expo))
 
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
@@ -719,9 +736,11 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         prev[run] = step
         run = run[~done & shrinking]
     dense = np.concatenate(stuck + [run]).astype(int)
+    cols = np.arange(n)
     for i in dense:
-        M = diffs[i][setup.toeplitz]
-        M[np.arange(n), np.arange(n)] += sdiag[i]
+        # entry (k1, k2) is mode k1 - k2 of btilde, row k1 - k2 + n - 1 of diffs
+        M = diffs[i][cols[:, None] - cols[None, :] + n - 1]
+        M[cols, cols] += sdiag[i]
         x[i] = np.linalg.solve(M, rhs[i])
     sol = np.zeros((n, len(setup.grid)), complex)
     sol[:, idxs] = x.T

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,52 +459,80 @@ def conditioning_oracle(btilde, l, setup, r_tilde):
     return s_inv, pe
 
 
-@pytest.mark.parametrize("K", [12, 40])
+# (K, r_tilde): K = 256 is the liouville-33 size; at r_tilde = 2500 the
+# weights' spread max lw - min lw exceeds 700 (612 k analytic, 783 gevrey),
+# so the clamped row-block formula runs instead of the convolution
+@pytest.mark.parametrize("K, r_tilde", [(12, R_TILDE), (40, R_TILDE),
+                                        (256, R_TILDE), (40, 2500.0)],
+                         ids=["12", "40", "256", "wide-40"])
 @pytest.mark.parametrize("weight", [ANALYTIC, WeightFunction("gevrey", 0.5)],
                          ids=["analytic", "gevrey"])
-def test_conditioning_matches_double_loop(K, weight):
+def test_conditioning_matches_double_loop(K, r_tilde, weight):
     rng = np.random.default_rng(60 + K)
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
     dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
     assert dc.active_mask().sum() >= 2
     setup = make_setup(B, dc, weight=weight)
+    lw = eval_lambda(weight, 2 * math.pi * np.arange(K) * r_tilde)
+    assert (lw.max() - lw.min() > 700) == (r_tilde != R_TILDE)
     for l in (1, 2):
         b = rand_scalar(rng, grid, 4, scale=1e-3)
         u = rand_scalar(rng, grid, K - 1, scale=1e-2)
         res = hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
-        s_inv, pe = hm._conditioning(res.btilde, setup, l, R_TILDE)
-        s_ref, pe_ref = conditioning_oracle(res.btilde, l, setup, R_TILDE)
+        s_inv, pe = hm._conditioning(res.btilde, setup, l, r_tilde)
+        s_ref, pe_ref = conditioning_oracle(res.btilde, l, setup, r_tilde)
         assert s_inv == s_ref
         assert pe == pytest.approx(pe_ref, rel=1e-12, abs=0)
 
 
-def test_conditioning_shares_weight_ratios():
-    # the l = 1 and l = 2 solves at one r_tilde share the level's weight-ratio
-    # matrix; another r_tilde builds a new one; pe is the same bits as with
-    # a matrix built for the call
+def test_conditioning_same_bits_shared_or_fresh_setup():
+    # pe depends on the solve's inputs only: a setup shared by the l = 1 and
+    # l = 2 solves and at two widths gives the bits of a fresh one
     rng = np.random.default_rng(62)
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
     dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid, B)
     setup = make_setup(B, dc)
-    shared = setup.weight_ratios(R_TILDE)
     b = rand_scalar(rng, grid, 4, scale=1e-3)
     u = rand_scalar(rng, grid, 11, scale=1e-2)
     for l in (1, 2):
         res = hm.solve_homological(b, u, l, setup, R_TILDE, force=True)
-        assert setup.weight_ratios(R_TILDE) is shared
-        _, pe = hm._conditioning(res.btilde, setup, l, R_TILDE)
-        _, fresh = hm._conditioning(res.btilde, make_setup(B, dc), l,
-                                    R_TILDE)
-        assert pe == fresh
-    other = setup.weight_ratios(0.004)
-    assert other is not shared
-    lw = eval_lambda(ANALYTIC, 2 * math.pi * np.abs(setup.ks) * 0.004)
-    assert np.array_equal(other, np.exp(np.minimum(lw[:, None] - lw[None, :],
-                                                   700.0)))
-    assert setup.weight_ratios(R_TILDE) is not shared
-    assert np.array_equal(setup.weight_ratios(R_TILDE), shared)
+        for r in (R_TILDE, 0.004, R_TILDE):
+            _, pe = hm._conditioning(res.btilde, setup, l, r)
+            _, fresh = hm._conditioning(res.btilde, make_setup(B, dc), l, r)
+            assert pe == fresh
+
+
+def test_conditioning_working_set_is_linear_in_modes():
+    # K = 256 (n = 511 modes) on 33 lambda: the setup holds no (n, n) array
+    # and one conditioning call builds none (an (n, n) float array is 2 MiB)
+    rng = np.random.default_rng(63)
+    K = 256
+    grid = np.linspace(0.25, 0.75, 33)
+    B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
+    tracemalloc.start()
+    try:
+        setup = make_setup(B, dc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+    b = rand_scalar(rng, grid, 4, scale=1e-3)
+    u = rand_scalar(rng, grid, K - 1, scale=1e-2)
+    res = hm.solve_homological(b, u, 2, setup, R_TILDE, force=True)
+    fresh = make_setup(B, dc)
+    fresh.terms(2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hm._conditioning(res.btilde, fresh, 2, R_TILDE)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2**20
+    assert kept - start < 4096
 
 
 def test_solver_refuses_other_l():
@@ -547,3 +576,16 @@ def test_b_norms_measured_once_per_level():
     assert "dense" not in residual_row(fresh[0]).detail
     assert residual_row(fresh[1]).detail.endswith(
         " dense at lambda=0.3125 0.6875")
+
+
+def test_verify_oracle_rows_feel_the_off_diagonal():
+    # the verify suite's solver trials use constants where b delta is felt:
+    # a solver that dropped P would miss the full-pivot solution by far more
+    # than the rows' 1e-10
+    rows = [r for r in vf.homological_suite(0)
+            if r.check.startswith("solver matches full-pivot oracle")]
+    assert len(rows) == 2
+    for r in rows:
+        assert r.passed
+        felt = re.fullmatch(r"off-diagonal moves F by (\S+)", r.detail)
+        assert float(felt[1]) > 100 * r.bound
