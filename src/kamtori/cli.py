@@ -9,6 +9,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -416,7 +417,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# glibc's mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap_warm() -> bool:
+    """On glibc, serve blocks up to 8 MiB from the heap and keep up to
+    16 MiB of it free; returns whether it did.  The defaults map a block
+    above the largest one freed so far and give the heap top back past
+    twice that size, so the solvers' 0.3-8 MiB temporaries were faulted in
+    afresh on every call (kam-run, Liouvillean alpha on 33 lambda: 148 k
+    minor faults, 7.9 k with these settings; golden mean on 257 lambda:
+    241 k, 14 k)."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not libc.startswith("glibc"):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+    return True
+
+
 def main(argv=None) -> int:
+    _keep_heap_warm()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -32,6 +32,7 @@ from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fourier as fr
 from .cfrac import ContinuedFraction
@@ -458,8 +459,8 @@ class SolveSetup:
     and shift) and the level constants; computed when first needed: bcal
     (the B-equation's solution), e^{2 pi i l B}, terms(l) and the norms of
     the B hypotheses.  It holds no (n, n) array over the n = 2K - 1 modes:
-    the conditioning check works in O(n) memory (_conditioning) and the
-    dense fallback builds its Toeplitz index only for a point it solves."""
+    the conditioning check sums its matrix in row blocks (_conditioning)
+    and the dense fallback builds its matrix only for a point it solves."""
 
     def __init__(self, B: FourierSeries, dc: DcSet, *, weight: WeightFunction,
                  q_next: int, qbar_n: int, r_b: float, sigma: float,
@@ -655,44 +656,30 @@ def _preconditions(b, setup: SolveSetup, r_tilde: float) -> list:
 def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
                   r_tilde: float) -> tuple:
     """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
-    largest row sum pe_i of the width-scaled Toeplitz matrix
-    c_O[k1 - k2] exp(min(lw_1 - lw_2, 700)), c_O[k] = |btilde_k|_O and
-    lw = Lambda(2 pi |k| r_tilde), over the n = 2K - 1 modes |k| < K.
-
-    Each row sum is a convolution: with m = (max lw + min lw)/2,
-
-        pe_i = sum_j c_O[i - j] e^{lw_i - lw_j}
-             = e^{lw_i - m} (c_O * e^{m - lw})_i,
-
-    one real np.convolve of the 2n - 1 majorants with n exponentials.  It
-    is exact while max lw - min lw <= 700: no ratio then reaches the clamp
-    and no factor leaves e^{+-350}.  c_O is scaled by a power of two to
-    max 1 first, so no term underflows.  A wider spread (a large width)
-    takes the clamped formula one block of fr.block_rows(n) rows at a
-    time.  No (n, n) array is built either way."""
+    largest row sum of the width-scaled Toeplitz matrix
+    |btilde_{k1-k2}|_O exp(min(lw(k1) - lw(k2), 700)) over the n = 2K - 1
+    modes |k| < K, lw(k) = Lambda(2 pi |k| r).  It is summed one block of
+    fr.block_rows(n) rows at a time, so no (n, n) array is built."""
     n = len(setup.ks)
     near = btilde.truncate(n)
     c_O = np.zeros(2 * n - 1)
     c_O[near.modes + n - 1] = fr._modes_O(near.data, btilde.lambda_grid,
                                           setup.ctx(r_tilde))
-    expo = math.frexp(float(c_O.max()))[1]
-    c_O = np.ldexp(c_O, -expo)
     lw = eval_lambda(setup.weight, 2 * math.pi * np.abs(setup.ks) * r_tilde)
-    lo, hi = float(lw.min()), float(lw.max())
-    if hi - lo <= 700.0:
-        m = (hi + lo) / 2
-        conv = np.convolve(c_O, np.exp(m - lw))[n - 1:2 * n - 1]
-        pe = float((np.exp(lw - m) * conv).max())
-    else:
-        pe = 0.0
-        cols = np.arange(n)
-        step = fr.block_rows(n)
-        for i0 in range(0, n, step):
-            i = cols[i0:i0 + step, None]
-            ratio = np.exp(np.minimum(lw[i] - lw[None, :], 700.0))
-            sums = (c_O[i - cols + n - 1] * ratio).sum(axis=1)
-            pe = max(pe, float(sums.max()))
-    return setup.terms(l).s_inv, float(np.ldexp(pe, expo))
+    toeplitz = _toeplitz(c_O, n)
+    step = fr.block_rows(n)
+    sums = []
+    for i0 in range(0, n, step):
+        ratio = np.exp(np.minimum(lw[i0:i0 + step, None] - lw, 700.0))
+        sums.append((toeplitz[i0:i0 + step] * ratio).sum(axis=1))
+    return setup.terms(l).s_inv, float(np.concatenate(sums).max())
+
+
+def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n) Toeplitz matrix T[i, j] = c[i - j + n - 1] of the 2n - 1
+    values c (the modes 2 - 2K .. 2K - 2), as a read-only view: row i is
+    c[i + n - 1], ..., c[i], a reversed window of c."""
+    return sliding_window_view(c, n)[:, ::-1]
 
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
@@ -736,11 +723,9 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         prev[run] = step
         run = run[~done & shrinking]
     dense = np.concatenate(stuck + [run]).astype(int)
-    cols = np.arange(n)
     for i in dense:
-        # entry (k1, k2) is mode k1 - k2 of btilde, row k1 - k2 + n - 1 of diffs
-        M = diffs[i][cols[:, None] - cols[None, :] + n - 1]
-        M[cols, cols] += sdiag[i]
+        M = _toeplitz(diffs[i], n).copy()
+        M[np.arange(n), np.arange(n)] += sdiag[i]
         x[i] = np.linalg.solve(M, rhs[i])
     sol = np.zeros((n, len(setup.grid)), complex)
     sol[:, idxs] = x.T

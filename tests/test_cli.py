@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -281,3 +282,33 @@ def test_benchmark_tracer_reads_solver_arguments(tmp_path):
     spans = (tmp_path / "spans.csv").read_text().splitlines()
     assert any(line.split(",")[1] == "homological.solve_homological"
                for line in spans[1:])
+
+
+HEAP_ROUNDS = """
+import resource
+import numpy as np
+from kamtori import cli
+cli._keep_heap_warm()
+def rounds():
+    for _ in range(20):
+        blocks = [np.ones(1 << 17) for _ in range(3)]
+        del blocks
+rounds()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rounds()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+def test_cli_keeps_freed_heap_for_temporaries():
+    # three 1 MiB arrays made and freed, twenty rounds: glibc's defaults give
+    # the 3 MiB heap top back after each round and fault it in again (9600
+    # minor faults without the call); as the CLI sets it up, the pages stay
+    if not cli._keep_heap_warm():
+        pytest.skip("tunes glibc's allocator only")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
