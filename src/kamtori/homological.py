@@ -95,20 +95,24 @@ class IntervalUnion:
         return not self.intervals
 
     def subtract(self, zones: Iterable[tuple]) -> "IntervalUnion":
-        """Remove open neighborhoods [lo, hi] from the union."""
-        current = [list(p) for p in self.intervals]
-        for zlo, zhi in zones:
-            nxt = []
-            for a, b in current:
-                if zhi <= a or zlo >= b:
-                    nxt.append([a, b])
-                    continue
-                if zlo > a:
-                    nxt.append([a, min(zlo, b)])
-                if zhi < b:
-                    nxt.append([max(zhi, a), b])
-            current = [iv for iv in nxt if iv[1] > iv[0]]
-        return IntervalUnion(tuple((float(a), float(b)) for a, b in current))
+        """Remove the open zones (lo, hi) from the union in one sweep over
+        the zones merged by from_list; pieces of zero width are dropped."""
+        cuts = IntervalUnion.from_list(zones).intervals
+        if not cuts:
+            return self
+        out, i = [], 0
+        for a, b in self.intervals:
+            while i < len(cuts) and cuts[i][1] <= a:
+                i += 1
+            j = i
+            while j < len(cuts) and cuts[j][0] < b:
+                if cuts[j][0] > a:
+                    out.append((a, cuts[j][0]))
+                a = max(a, cuts[j][1])
+                j += 1
+            if a < b:
+                out.append((a, b))
+        return IntervalUnion(tuple(out))
 
     def contains(self, x) -> np.ndarray:
         pts = np.atleast_1d(np.asarray(x, float))
@@ -123,62 +127,63 @@ class IntervalUnion:
 
 def resonance_zones(cf: ContinuedFraction, gamma: float, tau: float,
                     k_values: Iterable[int], domain: IntervalUnion,
-                    lambda_grid: Optional[np.ndarray] = None,
-                    shift: Optional[np.ndarray] = None) -> tuple:
-    """Zones where ||l (lambda + beta(lambda)) - k alpha|| < gamma/(|k|+l)^tau.
+                    grid: np.ndarray, shift: np.ndarray) -> tuple:
+    """Zones where ||l (lambda + beta(lambda)) - k alpha|| < gamma/(|k|+l)^tau,
+    beta = shift on the lambda grid.  k = 0 participates: the truncated
+    system's zeroth divisor exp(2 pi i l lambda~) - 1 vanishes at 1/2, l = 2.
 
-    k = 0 participates: the truncated system's zeroth divisor is
-    exp(2 pi i l lambda~) - 1, which vanishes at lambda~ = 1/2 for l = 2.
-
-    With beta = 0 the zones are closed-form intervals of half-width
-    gamma / (l (|k|+l)^tau) around (k alpha + m)/l.  Otherwise the crossing
-    is located on the tabulated grid and the half-width is inflated by the
-    certified lower bound on the slope l (1 - max|beta'|).
+    One search serves every beta, 0 included: a zone is centred wherever
+    h = l (lambda + beta) - k alpha, piecewise linear on the grid and
+    continued along its end segments to w past the hull of the domain and
+    the grid, crosses or meets an integer m, so zones centred past a grid
+    end are found too.  The half-width w = gamma / ((|k|+l)^tau l (1 -
+    max|beta'|)) uses the certified lower bound on the slope.  Zones come
+    ordered by (k, l), then m, then lambda.
     """
-    zones = []
+    if len(grid) < 2:
+        raise ValueError("the zone search needs a lambda grid of >= 2 points")
     rows: list = []
     if domain.is_empty():
-        return zones, rows
-    lo = min(a for a, _ in domain.intervals)
-    hi = max(b for _, b in domain.intervals)
-    use_shift = shift is not None and np.any(shift)
-    max_dbeta = 0.0
-    if use_shift:
-        if lambda_grid is None or len(lambda_grid) != len(shift):
-            raise ValueError("shift requires a matching lambda grid")
-        if len(lambda_grid) >= 2:
-            max_dbeta = float(np.abs(np.gradient(shift, lambda_grid)).max())
+        return [], rows
+    max_dbeta = float(np.abs(np.gradient(shift, grid)).max())
+    tlw = []
     for k in k_values:
         t = cf.frac_k(k) if k > 0 else (-cf.frac_k(-k) if k else 0.0)
         for l in _LS:
-            slope_lb = l * (1.0 - max_dbeta) if use_shift else float(l)
+            slope_lb = l * (1.0 - max_dbeta)
             if slope_lb < 0.5:
                 rows.append(CheckRow("resonance slope >= 1/2", 0.5, slope_lb,
                                      False, "k=%d l=%d" % (k, l)))
                 slope_lb = max(slope_lb, 1e-6)
-            w = gamma / ((abs(k) + l) ** tau * slope_lb)
-            if not use_shift:
-                m_lo = math.ceil(l * (lo - w) - t)
-                m_hi = math.floor(l * (hi + w) - t)
-                for m in range(m_lo, m_hi + 1):
-                    c = (t + m) / l
-                    zones.append((c - w, c + w))
-            else:
-                h = l * (lambda_grid + shift) - t
-                m_lo = math.ceil(h.min() - l * w)
-                m_hi = math.floor(h.max() + l * w)
-                for m in range(m_lo, m_hi + 1):
-                    g = h - m
-                    for i in range(len(g) - 1):
-                        if g[i] == 0.0:
-                            zones.append((lambda_grid[i] - w, lambda_grid[i] + w))
-                        elif g[i] * g[i + 1] < 0:
-                            c = lambda_grid[i] - g[i] * (
-                                lambda_grid[i + 1] - lambda_grid[i]) / (g[i + 1] - g[i])
-                            zones.append((c - w, c + w))
-                    if g[-1] == 0.0:
-                        zones.append((lambda_grid[-1] - w, lambda_grid[-1] + w))
-    return [(float(a), float(b)) for a, b in zones], rows
+            tlw.append((t, l, gamma / ((abs(k) + l) ** tau * slope_lb)))
+    # one row of h per (k, l), continued along its end segments to w past
+    # the hull of the domain and the grid
+    t, l, w = np.array(tlw, float).reshape(-1, 3).T
+    x = np.column_stack((min(domain.intervals[0][0], grid[0]) - w,
+                         np.broadcast_to(grid, (len(w), len(grid))),
+                         max(domain.intervals[-1][1], grid[-1]) + w))
+    h = l[:, None] * (grid + shift) - t[:, None]
+    d0 = (h[:, 1] - h[:, 0]) / (grid[1] - grid[0])
+    d1 = (h[:, -1] - h[:, -2]) / (grid[-1] - grid[-2])
+    h = np.column_stack((h[:, 0] + (x[:, 0] - grid[0]) * d0, h,
+                         h[:, -1] + (x[:, -1] - grid[-1]) * d1))
+    # h - m changes sign on a segment for each integer m strictly inside
+    # its range of h, and vanishes at a node where h is an integer
+    first = np.floor(np.minimum(h[:, :-1], h[:, 1:])) + 1
+    count = np.ceil(np.maximum(h[:, :-1], h[:, 1:])) - first
+    flat = np.repeat(np.arange(count.size),
+                     np.maximum(count, 0).astype(int).ravel())
+    m = first.ravel()[flat] + np.arange(len(flat)) - np.searchsorted(flat, flat)
+    row, seg = np.divmod(flat, count.shape[1])
+    g0, g1 = h[row, seg] - m, h[row, seg + 1] - m
+    c = x[row, seg] - g0 * (x[row, seg + 1] - x[row, seg]) / (g1 - g0)
+    zrow, node = np.nonzero(h == np.floor(h))
+    row, m = np.concatenate((row, zrow)), np.concatenate((m, h[zrow, node]))
+    c = np.concatenate((c, x[zrow, node]))
+    at = np.concatenate((2 * seg + 1, 2 * node))    # node i, then segment i
+    order = np.lexsort((at, m, row))        # by (k, l), then m, then lambda
+    c, w = c[order], w[row[order]]
+    return list(zip((c - w).tolist(), (c + w).tolist())), rows
 
 
 # -- Diophantine sets --------------------------------------------------------------
@@ -333,9 +338,9 @@ def b_equation_rows(B: FourierSeries, bcal: FourierSeries, qbar: int,
     ctx_rbar = WeightedNormContext(weight, rbar, active=active)
     resid = bcal.shift(cf.phase) - bcal + B.truncate(qbar) - \
         fr.constant(B.lambda_grid, B.average(), fr.SCALAR)
-    rows = [CheckRow("B-equation coefficient residual", 1e-14,
-                     resid.sup_bound(), resid.sup_bound() <= 1e-14
-                     * max(1.0, B.sup_bound()))]
+    tol = 1e-14 * max(1.0, B.sup_bound())
+    rows = [CheckRow("B-equation coefficient residual", tol,
+                     resid.sup_bound(), resid.sup_bound() <= tol)]
     eb = fr.exp_i_scalar(bcal, 1)
     lhs = fr.norm_r(eb, ctx_rbar)
     rhs = math.exp(min(8 * math.pi**2 * r0 * fr.norm_r(B, ctx_r), 700.0))
@@ -592,9 +597,9 @@ def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
     if len(dense):
         how += " dense at lambda=" + " ".join("%.6g" % v
                                               for v in setup.grid[dense])
+    res_sup = sys_res.sup_bound(setup.active)
     rows.append(CheckRow("truncated-system residual <= 1e-10 ||u||",
-                         1e-10 * u_scale, sys_res.sup_bound(setup.active),
-                         sys_res.sup_bound(setup.active) <= 1e-10 * u_scale,
+                         1e-10 * u_scale, res_sup, res_sup <= 1e-10 * u_scale,
                          how))
 
     delta = fr.multiply(t.e_minus, delta_tilde)

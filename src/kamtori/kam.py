@@ -56,10 +56,6 @@ class Schedule:
     tau: float
     s0: float
     r0: Fraction
-    A: float
-    T_theory: float
-    T_used: float
-    c_const: float = 1.0
     L_cap: int = 64
     K_cap: int = 256
     rows: list = field(default_factory=list)
@@ -181,9 +177,8 @@ def make_schedule(cf: ContinuedFraction, bridges: BridgeSelection,
                          eps0 <= small, "reported, not enforced", gating=False))
 
     return Schedule(cf=cf, bridges=bridges, weight=weight, n0=n0, eps0=eps0,
-                    gamma0=gamma0, tau=tau, s0=s0, r0=Fraction(r0), A=A,
-                    T_theory=T_theory, T_used=T_used, c_const=c_const,
-                    L_cap=L_cap, K_cap=K_cap, rows=rows)
+                    gamma0=gamma0, tau=tau, s0=s0, r0=r0, L_cap=L_cap,
+                    K_cap=K_cap, rows=rows)
 
 
 def _first_gamma_crossing(weight: WeightFunction, target: float) -> float:
@@ -256,6 +251,8 @@ class SubState:
     U: FourierSeries
     W: FourierSeries
     R: PowerFourierSeries
+    U_norm: float                   # ||U||_{r_j}, measured once
+    hess: float                     # ||d2R||_{r_j, s_j}, measured once
 
 
 @dataclass
@@ -291,8 +288,7 @@ def _level_context(state: KamState, rho: FourierSeries,
 
 
 def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
-                       r_j1, s_j1: float, hess_prev: float,
-                       force: bool = False):
+                       r_j1, s_j1: float, force: bool = False):
     """One j -> j+1 pass; returns (new SubState, E, Delta, rows)."""
     grid = ctx.grid
     setup = ctx.setup
@@ -302,9 +298,9 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     eps_j1 = eps_j / math.e
 
     if sub.U.is_zero() and sub.W.is_zero():
-        # fixed point of the sub-iteration: nothing to absorb or solve
-        new = SubState(sub.j + 1, sub.v, sub.U, sub.W, sub.R)
-        return new, None, None, rows
+        # fixed point of the sub-iteration: nothing to absorb or solve; the
+        # norms carry over (||U|| is 0 at every width)
+        return dataclasses.replace(sub, j=sub.j + 1), None, None, rows
 
     z = fr.zeros(grid)
     W1mat = fr.matrix_from_scalars(sub.W.entry(0, 0), z, z, sub.W.entry(1, 1))
@@ -378,12 +374,12 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     nDel = fr.norm_r(Delta, cj)
     rows.append(CheckRow("sub ||Delta_j|| <= eps_j^(5/6)", eps_j ** (5 / 6),
                          nDel, nDel <= eps_j ** (5 / 6), gating=False))
-    nU0 = fr.norm_r(sub.U, cj)
     nU1 = fr.norm_r(U_next, cj1)
     rows.append(CheckRow("sub ||U_{j+1}|| <= eps_{j+1}", eps_j1, nU1,
                          nU1 <= eps_j1))
     rows.append(CheckRow("sub contraction ||U_{j+1}|| <= (1.1/e)||U_j||",
-                         1.1 * nU0 / math.e, nU1, nU1 <= 1.1 * nU0 / math.e,
+                         1.1 * sub.U_norm / math.e, nU1,
+                         nU1 <= 1.1 * sub.U_norm / math.e,
                          gating=False))
     nW1 = fr.norm_r(W_next, cj1)
     rows.append(CheckRow("sub ||W_{j+1}|| <= eps_{j+1}^(1/2)",
@@ -394,9 +390,9 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     rows.append(CheckRow("sub ||v_{j+1}|| <= sum eps_m^(1/2)", vbound, nv,
                          nv <= vbound))
     hess = fr.hessian_norm_bound(R_next, cj1, s_j1)
-    hbound = (1.0 + 6.0 * eps_j ** (1 / 3)) * hess_prev
+    hbound = (1.0 + 6.0 * eps_j ** (1 / 3)) * sub.hess
     rows.append(CheckRow("sub ||d2R_{j+1}|| <= (1+6eps_j^(1/3))||d2R_j||",
-                         hbound, hess, hess <= hbound or hess_prev == 0.0))
+                         hbound, hess, hess <= hbound or sub.hess == 0.0))
 
     sdef = fr.su11_defect(W_next, act)
     wscale = max(1.0, W_next.sup_bound(act))
@@ -407,7 +403,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     rows.append(CheckRow("sub conjugate pair of U_{j+1}", 1e-12 * uscale, cdef,
                          cdef <= 1e-12 * uscale))
 
-    new = SubState(sub.j + 1, v1, U_next, W_next, R_next)
+    new = SubState(sub.j + 1, v1, U_next, W_next, R_next, nU1, hess)
     return new, E, Delta, rows
 
 
@@ -473,8 +469,6 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
 
 @dataclass
 class StepReport:
-    level: int
-    L: int
     rows: list
     removed_measure: float
     U_norm: float
@@ -527,11 +521,12 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     active = setup.active
     ctx = _level_context(state, rho, setup)
 
-    sub = SubState(0, fr.zeros(grid, fr.SU11MATRIX), state.U, state.W, state.R)
-    hess_prev = fr.hessian_norm_bound(state.R, ctx.ctx(rt0), st0)
-    hess_start = hess_prev
+    sub = SubState(0, fr.zeros(grid, fr.SU11MATRIX), state.U, state.W, state.R,
+                   fr.norm_r(state.U, ctx.ctx(rt0)),
+                   fr.hessian_norm_bound(state.R, ctx.ctx(rt0), st0))
+    hess_start = sub.hess
     level = TransformFactor.identity(grid)
-    sub_u_norms = [fr.norm_r(sub.U, ctx.ctx(rt0))]
+    sub_u_norms = [sub.U_norm]
     s_j = st0
     for j in range(L):
         r_j = rt0 - j * sigma_abs
@@ -540,7 +535,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
         eps_j = eps_t * math.exp(-j)
         sub_old = sub
         sub, E, Delta, sub_rows = sub_iteration_step(
-            ctx, sub, eps_j, r_j, r_j1, s_j1, hess_prev, force=force)
+            ctx, sub, eps_j, r_j, r_j1, s_j1, force=force)
         rows += _tag(sub_rows, "n=%d j=%d" % (n, j))
         if E is None:
             break
@@ -551,8 +546,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
             rows.append(CheckRow("substitution oracle <= 1e-10 relative",
                                  tol, defect, defect <= tol,
                                  "n=%d j=%d" % (n, j)))
-        hess_prev = fr.hessian_norm_bound(sub.R, ctx.ctx(r_j1), s_j1)
-        sub_u_norms.append(fr.norm_r(sub.U, ctx.ctx(r_j1)))
+        sub_u_norms.append(sub.U_norm)
         s_j = s_j1
 
     # widths land exactly on the next level (rational schedule)
@@ -584,11 +578,10 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     vscale = max(1.0, V_new.sup_bound(active))
     rows.append(CheckRow("V_{n+1} stays diagonal conjugate pair",
                          1e-12 * vscale, vdef, vdef <= 1e-12 * vscale))
-    rows.append(CheckRow("R jet degree<=1 vanishes", 0.0,
-                         sub.R.low_degree_mass(active),
-                         sub.R.low_degree_mass(active) == 0.0))
+    low = sub.R.low_degree_mass(active)
+    rows.append(CheckRow("R jet degree<=1 vanishes", 0.0, low, low == 0.0))
 
-    nU = fr.norm_r(sub.U, ctx_next)
+    nU = sub.U_norm
     nW = fr.norm_r(sub.W, ctx_next)
     eps_next = sched.eps(n + 1)
     rows.append(CheckRow("||U_{n+1}|| <= eps_{n+1}", eps_next, nU,
@@ -605,7 +598,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
     new_state = KamState(n=n + 1, V=V_new, U=sub.U, W=sub.W, R=sub.R,
                          omega=dc.intervals, transform=transform,
                          lambda_grid=grid)
-    report = StepReport(level=n, L=L, rows=rows, removed_measure=removed,
+    report = StepReport(rows=rows, removed_measure=removed,
                         U_norm=nU, W_norm=nW, sub_u_norms=sub_u_norms,
                         zones=list(dc.zones))
     return new_state, report

@@ -157,8 +157,8 @@ def conjugate_to_su11(spec: SkewMapSpec) -> ConjugatedSystem:
 
     swap = R.conj_swap_defect()
     scale = max([1.0] + [f.sup_bound() for f in R.terms.values()])
-    rows = [CheckRow("R jet degree<=1 vanishes", 0.0, R.low_degree_mass(),
-                     R.low_degree_mass() == 0.0),
+    low = R.low_degree_mass()
+    rows = [CheckRow("R jet degree<=1 vanishes", 0.0, low, low == 0.0),
             CheckRow("R conjugate-swap symmetry", 1e-12 * scale, swap,
                      swap <= 1e-12 * scale)]
     return ConjugatedSystem(U=U, W=W, R=R, rows=rows)

@@ -521,7 +521,7 @@ def kam_suite(seed: int = 0) -> list:
                          max(r.actual for r in area),
                          all(r.passed for r in area)))
 
-    # closed-form measure oracle at level 0 (B = 0)
+    # level 0 (B = 0): the measure left is 1/2 less the union of the zones
     dc = hm.dc_from_exclusion(gm, sched.gamma(0), 2.0, sched.K(0), grid)
     measured = dc.intervals.measure()
     clipped = []

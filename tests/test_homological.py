@@ -37,6 +37,45 @@ def test_interval_union_subtract_and_measure():
     assert w.is_empty()
 
 
+def _subtract_zone_by_zone(union, zones):
+    """The reference: split every interval of the union by each zone in
+    turn, dropping pieces of zero width after each zone."""
+    current = [list(p) for p in union.intervals]
+    for zlo, zhi in zones:
+        nxt = []
+        for a, b in current:
+            if zhi <= a or zlo >= b:
+                nxt.append([a, b])
+                continue
+            if zlo > a:
+                nxt.append([a, min(zlo, b)])
+            if zhi < b:
+                nxt.append([max(zhi, a), b])
+        current = [iv for iv in nxt if iv[1] > iv[0]]
+    return tuple((float(a), float(b)) for a, b in current)
+
+
+def test_interval_union_subtract_matches_zone_by_zone():
+    # endpoints on a coarse lattice, so zones nest, touch each other and
+    # the intervals, fall outside the range, shrink to points and leave
+    # pieces of zero width
+    rng = np.random.default_rng(7)
+    lattice = np.arange(-4, 21) / 16
+
+    def pairs(n):
+        ends = np.sort(rng.choice(lattice, size=(n, 2)), axis=1)
+        return [tuple(p) for p in ends.tolist()]
+
+    for _ in range(2000):
+        union = hm.IntervalUnion.from_list(pairs(rng.integers(0, 5)))
+        if rng.random() < 0.3:      # touching pieces, as point zones leave
+            union = hm.IntervalUnion(_subtract_zone_by_zone(
+                union, [(p, p) for p, _ in pairs(2)]))
+        zones = pairs(rng.integers(0, 7))
+        assert union.subtract(zones).intervals == \
+            _subtract_zone_by_zone(union, zones), (union, zones)
+
+
 def test_interval_union_merge():
     u = hm.IntervalUnion.from_list([(0.3, 0.4), (0.35, 0.5), (0.6, 0.7)])
     assert u.intervals == ((0.3, 0.5), (0.6, 0.7))
@@ -60,6 +99,18 @@ def test_b_equation_cos_coefficient_division():
     resid = bc.shift(GM.phase) - bc + B.truncate(5) \
         - fr.constant(GRID, B.average(), fr.SCALAR)
     assert resid.sup_bound() <= 1e-14
+
+
+def test_b_equation_row_prints_the_bound_it_tests():
+    # sup B > 1: the residual is held to 1e-14 sup B, and the row says so
+    B = fr.from_modes(GRID, fr.SCALAR, {0: 1.5, 1: 0.2, -1: 0.2})
+    bcal = hm.solve_b_equation(B, 5, GM)
+    [row, _] = hm.b_equation_rows(B, bcal, 5, GM, ANALYTIC, r=0.05,
+                                  rbar=0.04, r0=0.05)
+    tested = 1e-14 * B.sup_bound()
+    assert B.sup_bound() > 1.0
+    assert float(row.as_csv().split(",")[1]) == row.bound == tested
+    assert row.passed == (row.actual <= tested)
 
 
 def test_b_equation_high_modes_only():
@@ -113,6 +164,47 @@ def test_dc_k0_l2_zone_around_half():
     lgrid = np.linspace(0.25, 0.75, 101)
     dc = hm.dc_from_exclusion(GM, 0.04, 2.0, 3, lgrid)
     assert not dc.intervals.contains([0.5])[0]
+
+
+def _zones_cell_by_cell(cf, gamma, tau, ks, lo, hi, grid, shift):
+    # the reference: the same crossings found by a loop over m and over the
+    # cells of the grid, continued by one cell of width w at each end
+    zones = []
+    dbeta = np.abs(np.gradient(shift, grid)).max()
+    for k in ks:
+        t = cf.frac_k(k) if k > 0 else (-cf.frac_k(-k) if k else 0.0)
+        for l in (1, 2):
+            w = gamma / ((abs(k) + l) ** tau * (l * (1.0 - dbeta)))
+            h = list(l * (grid + shift) - t)
+            x = [min(lo, grid[0]) - w] + list(grid) + [max(hi, grid[-1]) + w]
+            h = [h[0] + (x[0] - x[1]) * ((h[1] - h[0]) / (x[2] - x[1]))] + h \
+                + [h[-1] + (x[-1] - x[-2]) * ((h[-1] - h[-2]) / (x[-2] - x[-3]))]
+            for m in range(math.ceil(min(h)), math.floor(max(h)) + 1):
+                g = [v - m for v in h]
+                for i in range(len(x)):
+                    if g[i] == 0.0:
+                        zones.append((x[i] - w, x[i] + w))
+                    elif i + 1 < len(x) and g[i] * g[i + 1] < 0:
+                        c = x[i] - g[i] * (x[i + 1] - x[i]) / (g[i + 1] - g[i])
+                        zones.append((c - w, c + w))
+    return zones
+
+
+@pytest.mark.parametrize("domain", [(0.25, 0.75), (0.3, 0.6)])
+def test_resonance_zones_match_cell_loop(domain):
+    # a shift varying in lambda whose k = 1, l = 1 zone is centred just past
+    # the grid's right end; a domain equal to the grid or inside it
+    grid = np.linspace(0.25, 0.75, 33)
+    shift = 0.01 * np.sin(6 * np.pi * grid) + GM.frac_k(1) - 0.761
+    ks = [0] + [s * k for k in range(1, 13) for s in (1, -1)]
+    dom = hm.IntervalUnion.from_list([domain, (0.65, 0.7)])
+    zones, rows = hm.resonance_zones(GM, 0.01, 2.0, ks, dom, grid, shift)
+    assert zones == _zones_cell_by_cell(GM, 0.01, 2.0, ks, dom.intervals[0][0],
+                                        dom.intervals[-1][1], grid, shift)
+    assert rows == []
+    assert any(a < 0.75 < (a + b) / 2 for a, b in zones)
+    with pytest.raises(ValueError, match="lambda grid"):
+        hm.resonance_zones(GM, 0.01, 2.0, ks, dom, grid[:1], shift[:1])
 
 
 def test_resonant_lambda_detected():

@@ -92,11 +92,22 @@ def test_schedule_depth_error():
 
 
 def test_exclusion_closed_form_oracle():
-    # B = 0 at level 0: zones are intervals of half-width
-    # gamma_0/(l (|k|+l)^tau) around (k alpha + m)/l, k = 0 included
+    # edge: the k = 1, l = 1 zone of this constant shift is centred w/2 past
+    # the grid's right end (w = gamma(0)/4, its half-width), so it still
+    # reaches lambda = 3/4
+    edge = GM.frac_k(1) - 0.75 - make_sched().gamma(0) / 8
+    for shift in (0.0, 0.0731, edge):
+        _check_closed_form_oracle(shift)
+
+
+def _check_closed_form_oracle(shift):
+    # a constant B = shift: zones are intervals of half-width
+    # gamma_0/(l (|k|+l)^tau) around (k alpha + m)/l - shift, k = 0 included
     sched = make_sched()
     grid = np.linspace(0.25, 0.75, 33)
-    dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0), grid)
+    B = fr.constant(grid, shift)
+    dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0),
+                              grid, B)
     removed = hm.IntervalUnion.full().measure() - dc.intervals.measure()
     g0 = sched.gamma(0)
     tau = sched.tau
@@ -107,11 +118,13 @@ def test_exclusion_closed_form_oracle():
             for l in (1, 2):
                 w = g0 / (l * (abs(sk) + l) ** tau)
                 for m in range(-3, 4):
-                    c = (t + m) / l
+                    c = (t + m) / l - shift
                     if 0.25 - w <= c <= 0.75 + w:
                         oracle.append((max(c - w, 0.25), min(c + w, 0.75)))
     merged = hm.IntervalUnion.from_list([z for z in oracle if z[1] > z[0]])
-    assert removed == pytest.approx(merged.measure(), abs=1e-12)
+    assert removed == pytest.approx(merged.measure(), abs=1e-12), shift
+    [row] = dc.certify()
+    assert row.passed, (shift, row)
 
 
 def test_exclusion_measure_vanishes_with_gamma():
@@ -164,15 +177,20 @@ def _level_pieces(grid, gamma=0.05, K=12, state=None):
     return dc, setup.active, ctx
 
 
+def _sub_state(ctx, U, W, R, hess):
+    """Sub-step 0 of a level at width r_0 = 0.01 with ||d2R|| = hess."""
+    return kam.SubState(0, fr.zeros(ctx.grid, fr.SU11MATRIX), U, W, R,
+                        fr.norm_r(U, ctx.ctx(0.01)), hess)
+
+
 def test_sub_step_zero_fixed_point():
     grid = np.linspace(0.25, 0.75, 9)
     dc, act, ctx = _level_pieces(grid)
-    sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX),
-                       fr.zeros(grid, fr.C2VECTOR),
-                       fr.zeros(grid, fr.SU11MATRIX),
-                       fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}))
+    sub = _sub_state(ctx, fr.zeros(grid, fr.C2VECTOR),
+                     fr.zeros(grid, fr.SU11MATRIX),
+                     fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}), 0.0)
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-8,
-                                                 0.01, 0.008, 0.5, 0.0)
+                                                 0.01, 0.008, 0.5)
     assert E is None and Delta is None
     assert new.j == 1
     assert new.U.is_zero() and new.W.is_zero()
@@ -184,11 +202,10 @@ def test_sub_step_diagonal_W_absorbed():
     dc, act, ctx = _level_pieces(grid)
     w1 = fr.from_modes(grid, fr.SCALAR, {1: 1e-5, -1: 2e-5})
     W = fr.matrix_from_scalars(w1, fr.zeros(grid), fr.zeros(grid), w1.conj())
-    sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX),
-                       fr.zeros(grid, fr.C2VECTOR), W,
-                       fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}))
+    sub = _sub_state(ctx, fr.zeros(grid, fr.C2VECTOR), W,
+                     fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}), 0.0)
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-8,
-                                                 0.01, 0.008, 0.5, 0.0)
+                                                 0.01, 0.008, 0.5)
     assert Delta.is_zero()
     assert (E - fr.eye(grid)).sup_bound() == 0.0   # D = 0 exactly
     assert (new.v.entry(0, 0) - w1).sup_bound() < 1e-20
@@ -219,10 +236,10 @@ def test_sub_step_substitution_oracle_independent():
     r20 = rando(3, 0.1)
     R.set_term((2, 0), fr.vector_from_scalars(r20, fr.zeros(grid)))
     R.set_term((0, 2), fr.vector_from_scalars(fr.zeros(grid), r20.conj()))
-    sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX), U, W, R)
+    sub = _sub_state(ctx, U, W, R, 1.0)
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 3e-8,
                                                  0.01, 0.008, 0.5,
-                                                 hess_prev=1.0, force=True)
+                                                 force=True)
     n = 4096
     alpha_phase = GM.phase
 
@@ -352,9 +369,9 @@ def test_substitution_defect_memory_stays_in_theta_blocks():
     R = fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {})
     R.set_term((2, 0), fr.vector_from_scalars(r20, fr.zeros(grid)))
     R.set_term((0, 2), fr.vector_from_scalars(fr.zeros(grid), r20.conj()))
-    sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX), U, W, R)
+    sub = _sub_state(ctx, U, W, R, 1.0)
     new, E, Delta, _ = kam.sub_iteration_step(ctx, sub, 3e-8, 0.01, 0.008,
-                                              0.5, hess_prev=1.0, force=True)
+                                              0.5, force=True)
     tracemalloc.start()
     try:
         worst, scale = kam.substitution_defect(ctx, sub, new, E, Delta)
@@ -527,11 +544,10 @@ def test_sub_step_generator_equation_residual():
                                    + 1j * rng.standard_normal())
                         for k in range(-4, 5)})
     W = fr.matrix_from_scalars(fr.zeros(grid), w2, w2.conj(), fr.zeros(grid))
-    sub = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX),
-                       fr.zeros(grid, fr.C2VECTOR), W,
-                       fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}))
+    sub = _sub_state(ctx, fr.zeros(grid, fr.C2VECTOR), W,
+                     fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}), 0.0)
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-7,
-                                                 0.01, 0.008, 0.5, 0.0,
+                                                 0.01, 0.008, 0.5,
                                                  force=True)
     # a correct generator kills the off-diagonal to quadratic order;
     # what survives in W_{j+1} is the |d|^2-sized diagonal, absorbed next pass
@@ -579,13 +595,13 @@ def test_shared_solve_setup_is_bit_identical(monkeypatch):
     w1, w2 = rando(4, 1e-4), rando(4, 1e-4)
     W = fr.matrix_from_scalars(w1, w2, w2.conj(), w1.conj())
     R = fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {})
-    start = kam.SubState(0, fr.zeros(grid, fr.SU11MATRIX), U, W, R)
+    start = _sub_state(ctx, U, W, R, 1.0)
 
     def two_steps():
         sub, out = start, []
         for r_j, r_j1 in ((0.01, 0.008), (0.008, 0.006)):
             sub, E, Delta, rows = kam.sub_iteration_step(
-                ctx, sub, 3e-8, r_j, r_j1, 0.5, 1.0, force=True)
+                ctx, sub, 3e-8, r_j, r_j1, 0.5, force=True)
             out.append((E, Delta, rows))
         return out
 
