@@ -309,29 +309,6 @@ def verify_bridges(cf: ContinuedFraction, sel: BridgeSelection) -> list[CheckRow
     return rows
 
 
-def best_approx_rows(cf: ContinuedFraction, depth: Optional[int] = None) -> list[CheckRow]:
-    """1/(q_n + q_{n+1}) < ||q_n alpha|| <= 1/q_{n+1} at every computed depth.
-
-    Starts at n = 1 unless a_1 >= 2: for a_1 = 1 the 0th convergent 0/1 is
-    not the nearest integer to alpha (alpha > 1/2) and the stated bracket
-    is false at n = 0; every use in the scheme has q_{n+1} >= 2.
-    """
-    rows = []
-    dmax = cf.depth - 1 if depth is None else min(depth, cf.depth - 1)
-    n0 = 0 if cf.a[1] >= 2 else 1
-    with mpmath.workprec(cf.prec_bits):
-        for n in range(n0, dmax + 1):
-            qn, qn1 = cf.q[n], cf.q[n + 1]
-            v = mpmath.frac(cf.alpha * qn)
-            d = min(v, 1 - v)
-            lo_ok = d > mpf(1) / (qn + qn1)
-            hi_ok = d <= mpf(1) / qn1
-            rows.append(CheckRow("best-approx bracket n=%d" % n, 0.0,
-                                 float(d), bool(lo_ok and hi_ok),
-                                 "q_n=%d" % qn))
-    return rows
-
-
 def alpha_as_fraction(cf: ContinuedFraction, depth: int) -> Fraction:
     """Convergent p_depth / q_depth as an exact rational."""
     if not (1 <= depth <= cf.depth):

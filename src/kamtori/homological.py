@@ -320,8 +320,7 @@ def solve_b_equation(B: FourierSeries, qbar: int, cf: ContinuedFraction) -> Four
         raise ZeroDivisionError("vanishing divisor at k=%d" % ks[small][0])
     bcal = FourierSeries(B.lambda_grid, fr.SCALAR, ks,
                          -B.data[keep] / div[:, None])
-    resid = bcal.shift(cf.phase) - bcal + B.truncate(qbar) \
-        - fr.constant(B.lambda_grid, B.average(), fr.SCALAR)
+    resid = _b_residual(B, bcal, qbar, cf)
     if resid.max_mode >= qbar and not resid.is_zero():
         raise AssertionError("truncation produced modes beyond qbar")
     if resid.sup_bound() > 1e-14 * max(scale, 1.0):
@@ -330,14 +329,20 @@ def solve_b_equation(B: FourierSeries, qbar: int, cf: ContinuedFraction) -> Four
     return bcal
 
 
+def _b_residual(B: FourierSeries, bcal: FourierSeries, qbar: int,
+                cf: ContinuedFraction) -> FourierSeries:
+    """Bcal(theta + alpha) - Bcal(theta) + T_qbar B - [B]_theta."""
+    return bcal.shift(cf.phase) - bcal + B.truncate(qbar) \
+        - fr.constant(B.lambda_grid, B.average(), fr.SCALAR)
+
+
 def b_equation_rows(B: FourierSeries, bcal: FourierSeries, qbar: int,
                     cf: ContinuedFraction, weight: WeightFunction, r: float,
                     rbar: float, r0: float, active=None) -> list:
     """Residual and exponential-growth certification for the B-equation."""
     ctx_r = WeightedNormContext(weight, r, active=active)
     ctx_rbar = WeightedNormContext(weight, rbar, active=active)
-    resid = bcal.shift(cf.phase) - bcal + B.truncate(qbar) - \
-        fr.constant(B.lambda_grid, B.average(), fr.SCALAR)
+    resid = _b_residual(B, bcal, qbar, cf)
     tol = 1e-14 * max(1.0, B.sup_bound())
     rows = [CheckRow("B-equation coefficient residual", tol,
                      resid.sup_bound(), resid.sup_bound() <= tol)]

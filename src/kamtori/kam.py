@@ -321,7 +321,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
                                     force=force)
         delta = sol1.delta
         rows += _tag(sol1.precondition_rows + sol1.rows, "l=1")
-    Delta = fr.vector_from_scalars(delta, delta.conj())
+    Delta = fr.conjugate_pair(delta)
 
     # generator equation, divided by the second diagonal entry
     W2_01 = sub.W.entry(0, 1)
@@ -337,7 +337,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
                                     force=force)
         dgen = sol2.delta
         rows += _tag(sol2.precondition_rows + sol2.rows, "l=2")
-    Dmat = fr.matrix_from_scalars(z, dgen, dgen.conj(), z)
+    Dmat = fr.off_diagonal(dgen)
 
     E, Einv = fr.exp_su11(Dmat)
     EinvS = Einv.shift(phase)

@@ -1,16 +1,20 @@
-"""Invariant verification suites behind `kamtori verify`.
+"""Invariant verification suites behind `kamtori verify`, and the oracles
+they share with the test suite.
 
 Each suite returns CheckRow lists; one row per certified property, built
-from deterministic seeded instances so reruns are bit-identical.  The
-random series, the full-pivot solve and the dense rebuild of the solver's
-truncated system are the oracles the test suite shares.
+from deterministic seeded instances so reruns are bit-identical.  Each
+property that a suite, an acceptance criterion and a unit test all measure
+is one function here; every caller passes its own random generator and
+trial count and applies its own tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import cfrac as cfr
@@ -53,11 +57,14 @@ def rand_scalar(rng, grid, support, scale=1.0, real=False,
 # -- weights ---------------------------------------------------------------------
 
 
+# (family, param) of the four weight families the suite checks
+_WEIGHT_FAMILIES = (("analytic", 0.0), ("gevrey", 0.5), ("exp_log_pow", 0.5),
+                    ("log_pow", 2.0))
+
+
 def weights_suite(seed: int = 0) -> list:
     rows = []
-    fams = [wt.WeightFunction("analytic"), wt.WeightFunction("gevrey", 0.5),
-            wt.WeightFunction("exp_log_pow", 0.5),
-            wt.WeightFunction("log_pow", 2.0)]
+    fams = [wt.WeightFunction(fam, param) for fam, param in _WEIGHT_FAMILIES]
     for w in fams:
         rows.append(wt.check_h1(w, 1000, seed=seed))
     # Gamma is eventually monotone; each family turns at a known point
@@ -76,20 +83,32 @@ def weights_suite(seed: int = 0) -> list:
     return rows
 
 
-_WEIGHT_PARAMS = {"analytic": 0.0, "gevrey": 0.5, "exp_log_pow": 0.5,
-                  "log_pow": 2.0}
-
-
 def weights_row_origin(row: CheckRow) -> tuple:
     """(family, param) a weights-suite row refers to (for the CSV table)."""
-    text = row.check + " " + row.detail
-    for fam in ("exp_log_pow", "log_pow", "gevrey", "analytic"):
-        if fam in text:
-            return fam, _WEIGHT_PARAMS[fam]
+    words = set(re.findall(r"\w+", row.check + " " + row.detail))
+    for fam, param in _WEIGHT_FAMILIES:
+        if fam in words:
+            return fam, param
     return "", 0.0
 
 
 # -- fourier ---------------------------------------------------------------------
+
+
+def banach_ratio(rng, grid, ctx, trials: int, lam_linear=True) -> float:
+    """Worst ||fg||_r / (||f||_r ||g||_r) in the norm of ctx over trials
+    random pairs, each of support 1 .. 32."""
+    worst = 0.0
+    for _ in range(trials):
+        f = rand_scalar(rng, grid, int(rng.integers(1, 33)),
+                        lam_linear=lam_linear)
+        g = rand_scalar(rng, grid, int(rng.integers(1, 33)),
+                        lam_linear=lam_linear)
+        num = fr.norm_r(fr.multiply(f, g), ctx)
+        den = fr.norm_r(f, ctx) * fr.norm_r(g, ctx)
+        if den > 0:
+            worst = max(worst, num / den)
+    return worst
 
 
 def fourier_suite(seed: int = 0) -> list:
@@ -100,15 +119,7 @@ def fourier_suite(seed: int = 0) -> list:
 
     for w, tag in ((wt.WeightFunction("analytic"), "analytic"),
                    (wt.WeightFunction("gevrey", 0.5), "gevrey")):
-        ctx = fr.WeightedNormContext(w, 0.05)
-        worst = 0.0
-        for _ in range(200):
-            f = rand_scalar(rng, grid, rng.integers(1, 33))
-            g = rand_scalar(rng, grid, rng.integers(1, 33))
-            num = fr.norm_r(fr.multiply(f, g), ctx)
-            den = fr.norm_r(f, ctx) * fr.norm_r(g, ctx)
-            if den > 0:
-                worst = max(worst, num / den)
+        worst = banach_ratio(rng, grid, fr.WeightedNormContext(w, 0.05), 200)
         rows.append(CheckRow("Banach algebra ||fg|| <= ||f|| ||g|| (%s)" % tag,
                              1.0 + 1e-10, worst, worst <= 1.0 + 1e-10,
                              "200 trials"))
@@ -182,23 +193,48 @@ def euclid_cf(frac: Fraction, max_depth: int) -> list:
     return out
 
 
+def convergents_match(cf: cfr.ContinuedFraction, approx: Fraction,
+                      depth: int) -> bool:
+    """a_1 .. a_depth equal Euclid's quotients of approx (a rational close
+    enough to alpha), and q_0 .. q_depth equal the recurrence
+    q_k = a_k q_{k-1} + q_{k-2} from q_0 = 1, q_1 = a_1."""
+    oracle = euclid_cf(approx, depth + 1)
+    q = [1, cf.a[1]]
+    for k in range(2, depth + 1):
+        q.append(cf.a[k] * q[-1] + q[-2])
+    return oracle[1:depth + 1] == cf.a[1:depth + 1] and q == cf.q[:depth + 1]
+
+
+def best_approx_rows(cf: cfr.ContinuedFraction, depth: int) -> list:
+    """1/(q_n + q_{n+1}) < ||q_n alpha|| <= 1/q_{n+1} for n <= depth, in
+    cf's working precision.
+
+    Starts at n = 1 unless a_1 >= 2: for a_1 = 1 the 0th convergent 0/1 is
+    not the nearest integer to alpha (alpha > 1/2) and the stated bracket
+    is false at n = 0; every use in the scheme has q_{n+1} >= 2.
+    """
+    rows = []
+    n0 = 0 if cf.a[1] >= 2 else 1
+    with mpmath.workprec(cf.prec_bits):
+        for n in range(n0, min(depth, cf.depth - 1) + 1):
+            qn, qn1 = cf.q[n], cf.q[n + 1]
+            v = mpmath.frac(cf.alpha * qn)
+            d = min(v, 1 - v)
+            ok = mpmath.mpf(1) / (qn + qn1) < d <= mpmath.mpf(1) / qn1
+            rows.append(CheckRow("best-approx bracket n=%d" % n, 0.0,
+                                 float(d), bool(ok), "q_n=%d" % qn))
+    return rows
+
+
 def cfrac_suite(seed: int = 0) -> list:
     rows = []
     for name, cf in (("golden", cfr.golden_mean(prec_bits=512)),
                      ("sqrt2-1", cfr.sqrt2_minus_1(prec_bits=512))):
-        approx = cfr.alpha_as_fraction(cf, min(40, cf.depth))
-        oracle = euclid_cf(approx, 21)
-        match = all(oracle[k] == cf.a[k] for k in range(1, 21))
-        qs_ok = True
-        q0, q1 = 1, cf.a[1]
-        qs = [q0, q1]
-        for k in range(2, 21):
-            qs.append(cf.a[k] * qs[-1] + qs[-2])
-        qs_ok = qs == cf.q[:21]
+        match = convergents_match(
+            cf, cfr.alpha_as_fraction(cf, min(40, cf.depth)), 20)
         rows.append(CheckRow("cf quotients match big-rational oracle (%s)"
-                             % name, 1.0, float(match and qs_ok),
-                             match and qs_ok, "depth 20"))
-        ba = cfr.best_approx_rows(cf, 20)
+                             % name, 1.0, float(match), match, "depth 20"))
+        ba = best_approx_rows(cf, 20)
         rows.append(CheckRow("best-approx bracket all depths (%s)" % name,
                              1.0, float(all(r.passed for r in ba)),
                              all(r.passed for r in ba)))
@@ -284,6 +320,104 @@ def dense_system(u, res, l: int, setup) -> tuple:
     return A, rhs, F
 
 
+def full_pivot_deviation(u, res, l: int, setup, points) -> tuple:
+    """The solve res of (S + P) F = U against full_pivot on its dense
+    rebuild at the grid indices points: (worst |x - F| / max|x|, worst
+    |x - U/diag(S + P)| / max|x|), the second showing how far the
+    off-diagonal part moves the solution."""
+    A, rhs, mine = dense_system(u, res, l, setup)
+    worst, felt = 0.0, 0.0
+    for li in points:
+        x = full_pivot(A[li], rhs[li])
+        size = max(np.abs(x).max(), 1e-300)
+        worst = max(worst, float(np.abs(x - mine[li]).max() / size))
+        diag_only = rhs[li] / np.diagonal(A[li])
+        felt = max(felt, float(np.abs(x - diag_only).max() / size))
+    return worst, felt
+
+
+def b_equation_worst(rng, grid, cf, qbar_prev: int, qbar: int, trials: int,
+                     support: tuple, scale: tuple, lam_linear=True) -> tuple:
+    """Worst coefficient residual of hm.solve_b_equation and worst ratio
+    ||e^{i2pi Bcal}||_rbar / e^{8 pi^2 r0 ||B||_r} (analytic weight,
+    r0 = 1/2, r = r0/qbar_prev^2, rbar = 2 r0/qbar^2) over trials real B of
+    support drawn from range(*support), scaled to ||B||_r = 0.1 u with u
+    uniform on scale."""
+    w = wt.WeightFunction("analytic")
+    r0 = 0.5
+    ctx_r = fr.WeightedNormContext(w, r0 / qbar_prev**2)
+    ctx_rbar = fr.WeightedNormContext(w, 2 * r0 / qbar**2)
+    worst_res, worst_ratio = 0.0, 0.0
+    for _ in range(trials):
+        B = rand_scalar(rng, grid, int(rng.integers(*support)), real=True,
+                        lam_linear=lam_linear)
+        B = B.scale(0.1 * rng.uniform(*scale)
+                    / max(fr.norm_r(B, ctx_r), 1e-300))
+        bc = hm.solve_b_equation(B, qbar, cf)
+        resid = bc.shift(cf.phase) - bc + B.truncate(qbar) - \
+            fr.constant(grid, B.average(), fr.SCALAR)
+        worst_res = max(worst_res, resid.sup_bound())
+        lhs = fr.norm_r(fr.exp_i_scalar(bc, 1), ctx_rbar)
+        rhs = math.exp(8 * math.pi**2 * r0 * fr.norm_r(B, ctx_r))
+        worst_ratio = max(worst_ratio, lhs / rhs)
+    return worst_res, worst_ratio
+
+
+def small_divisor_scan(cf, levels) -> tuple:
+    """hm.certify_small_divisor at each level j of levels (Q_{n+1} = q_j,
+    Qbar_{n+1} = q_{j+1}, K = isqrt(q_{j+1}), gamma = 0.01, tau = 2, 101
+    lambda points): (every row passed, worst margin actual - bound)."""
+    lgrid = np.linspace(0.25, 0.75, 101)
+    all_ok, worst = True, math.inf
+    for j in levels:
+        q_next, qbar_next = cf.q[j], cf.q[j + 1]
+        dc = hm.dc_from_exclusion(cf, 0.01, 2.0, math.isqrt(qbar_next), lgrid)
+        rws = hm.certify_small_divisor(dc, q_next, qbar_next)
+        all_ok &= all(r.passed for r in rws)
+        worst = min(worst, min(r.actual - r.bound for r in rws))
+    return all_ok, worst
+
+
+def tail_ratio(rng, grid, trials: int, lam_linear=True) -> tuple:
+    """Worst ||R_K f||_{r-sigma} / hm.tail_bound (gevrey 1/2, r = 0.2) over
+    trials random f of support 4 .. 39, K in 4 .. 15 and sigma in
+    [0.02, 0.09], which keeps 2 pi K (r - sigma) > 1; and whether every
+    tail_bound row passed."""
+    ctx = fr.WeightedNormContext(wt.WeightFunction("gevrey", 0.5), 0.2)
+    worst, rows_ok = 0.0, True
+    for _ in range(trials):
+        f = rand_scalar(rng, grid, int(rng.integers(4, 40)),
+                        lam_linear=lam_linear)
+        K = int(rng.integers(4, 16))
+        sigma = 0.2 * rng.uniform(0.1, 0.45)
+        bound, actual, row = hm.tail_bound(f, K, 0.2, sigma, ctx)
+        if bound > 0:
+            worst = max(worst, actual / (bound * (1 + 1e-12)))
+        rows_ok &= row.passed
+    return worst, rows_ok
+
+
+def polar_worst(rng, grid, trials: int, lam_linear=True) -> tuple:
+    """hm.polar_decompose of trials random G scaled to ||G||_{0.05} <= 0.1:
+    (worst |(1 + rho) e^{2 pi i (lambda + B)} - (e^{2 pi i lambda} + G)|
+    on 4096 theta points, worst imaginary part of rho and B)."""
+    ctx = fr.WeightedNormContext(wt.WeightFunction("analytic"), 0.05)
+    n = 4096
+    worst, imag = 0.0, 0.0
+    for _ in range(trials):
+        G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02,
+                        lam_linear=lam_linear)
+        G = G.scale(0.1 * rng.uniform(0.1, 1.0)
+                    / max(fr.norm_r(G, ctx), 1e-300))
+        rho, B, _, _ = hm.polar_decompose(G)
+        z = np.exp(2j * np.pi * grid)[None, :] + G.sample(n)
+        recon = (1.0 + rho.sample(n)) * np.exp(
+            2j * np.pi * (grid[None, :] + B.sample(n)))
+        worst = max(worst, float(np.abs(recon - z).max()))
+        imag = max(imag, fr.real_defect(rho), fr.real_defect(B))
+    return worst, imag
+
+
 def homological_suite(seed: int = 0) -> list:
     rows = []
     rng = np.random.default_rng(2000 + seed)
@@ -292,26 +426,9 @@ def homological_suite(seed: int = 0) -> list:
     grid = GRID5
     sel = cfr.select_bridges(gm, 2.0)
 
-    # B-equation: residual and exponential bound over random inputs
-    qbar = sel.Qbar[3]           # 144
-    qprev = sel.Qbar[2]          # 8
-    r0 = 0.5
-    r = r0 / qprev**2
-    rbar = 2 * r0 / qbar**2
-    worst_res, worst_ratio = 0.0, 0.0
-    ctx_r = fr.WeightedNormContext(w, r)
-    ctx_rbar = fr.WeightedNormContext(w, rbar)
-    for _ in range(20):
-        B = rand_scalar(rng, grid, int(rng.integers(2, 30)), real=True)
-        nB = fr.norm_r(B, ctx_r)
-        B = B.scale(0.1 * rng.uniform(0.2, 1.0) / nB)
-        bc = hm.solve_b_equation(B, qbar, gm)
-        resid = bc.shift(gm.phase) - bc + B.truncate(qbar) - \
-            fr.constant(grid, B.average(), fr.SCALAR)
-        worst_res = max(worst_res, resid.sup_bound())
-        lhs = fr.norm_r(fr.exp_i_scalar(bc, 1), ctx_rbar)
-        rhs = math.exp(8 * math.pi**2 * r0 * fr.norm_r(B, ctx_r))
-        worst_ratio = max(worst_ratio, lhs / rhs)
+    # B-equation at the golden bridge Qbar_2 = 8, Qbar_3 = 144
+    worst_res, worst_ratio = b_equation_worst(
+        rng, grid, gm, sel.Qbar[2], sel.Qbar[3], 20, (2, 30), (0.2, 1.0))
     rows.append(CheckRow("B-equation residual coefficient-exact", 1e-14,
                          worst_res, worst_res <= 1e-14, "20 trials"))
     rows.append(CheckRow("||e^{i2piBcal}|| <= e^{8pi^2 r0 ||B||}", 1.0,
@@ -320,16 +437,7 @@ def homological_suite(seed: int = 0) -> list:
     # small divisors over admissible consecutive-denominator pairs: the
     # lemma's proof assumes Q_{n+1} >= 4/gamma, so the scanned levels start
     # where golden denominators clear 4/0.01 = 400
-    lgrid = np.linspace(0.25, 0.75, 101)
-    all_ok = True
-    worst = math.inf
-    for j in range(14, 18):  # q_j = 610, 987, 1597, 2584
-        q_next, qbar_next = gm.q[j], gm.q[j + 1]
-        K = math.isqrt(qbar_next)
-        dc = hm.dc_from_exclusion(gm, 0.01, 2.0, K, lgrid)
-        rws = hm.certify_small_divisor(dc, q_next, qbar_next)
-        all_ok &= all(rr.passed for rr in rws)
-        worst = min(worst, min(rr.actual - rr.bound for rr in rws))
+    all_ok, worst = small_divisor_scan(gm, range(14, 18))  # q_j = 610 .. 2584
     rows.append(CheckRow("small divisor lemma exhaustive (4 levels)", 0.0,
                          -worst, all_ok, "gamma=0.01 tau=2 Q>=4/gamma"))
 
@@ -343,30 +451,11 @@ def homological_suite(seed: int = 0) -> list:
     rows.append(CheckRow("resonant parameter detected", 1.0, float(viol),
                          viol, "lambda = alpha"))
 
-    # truncation tails
-    ctx = fr.WeightedNormContext(wt.WeightFunction("gevrey", 0.5), 0.2)
-    worst = 0.0
-    for _ in range(100):
-        f = rand_scalar(rng, grid, int(rng.integers(4, 40)))
-        K = int(rng.integers(4, 16))
-        sigma = 0.2 * rng.uniform(0.1, 0.45)   # keeps 2 pi K (r-sigma) > 1
-        bound, actual, row = hm.tail_bound(f, K, 0.2, sigma, ctx)
-        if bound > 0:
-            worst = max(worst, actual / (bound * (1 + 1e-12)))
+    worst, _ = tail_ratio(rng, grid, 100)
     rows.append(CheckRow("tail bound holds (100 trials)", 1.0, worst,
                          worst <= 1.0))
 
-    # polar decomposition reconstruction
-    worst = 0.0
-    for _ in range(50):
-        G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
-        nG = fr.norm_r(G, fr.WeightedNormContext(w, 0.05))
-        G = G.scale(0.1 * rng.uniform(0.1, 1.0) / max(nG, 1e-300))
-        rho, B, _, _ = hm.polar_decompose(G)
-        z = np.exp(2j * np.pi * grid)[None, :] + G.sample(4096)
-        recon = (1.0 + rho.sample(4096)) * np.exp(
-            2j * np.pi * (grid[None, :] + B.sample(4096)))
-        worst = max(worst, float(np.abs(recon - z).max()))
+    worst, _ = polar_worst(rng, grid, 50)
     rows.append(CheckRow("polar reconstruction pointwise", 1e-12, worst,
                          worst <= 1e-12, "50 trials, 4096 points"))
 
@@ -416,14 +505,8 @@ def homological_suite(seed: int = 0) -> list:
     for l in (1, 2):
         b, u, setup = solver_instance()
         res = hm.solve_homological(b, u, l, setup, r_tilde)
-        A, rhs, mine = dense_system(u, res, l, setup)
-        worst, felt = 0.0, 0.0
-        for li in np.nonzero(setup.active)[0]:
-            x = full_pivot(A[li], rhs[li])
-            size = max(np.abs(x).max(), 1e-300)
-            worst = max(worst, float(np.abs(x - mine[li]).max() / size))
-            diag_only = rhs[li] / np.diagonal(A[li])
-            felt = max(felt, float(np.abs(x - diag_only).max() / size))
+        worst, felt = full_pivot_deviation(u, res, l, setup,
+                                           np.nonzero(setup.active)[0])
         rows.append(CheckRow("solver matches full-pivot oracle (l=%d)" % l,
                              1e-10, worst, worst <= 1e-10,
                              "off-diagonal moves F by %.2g" % felt))
@@ -492,6 +575,34 @@ def model_suite(seed: int = 0) -> list:
 # -- kam ----------------------------------------------------------------------------
 
 
+def exclusion_deviation(dc: hm.DcSet, shift: float = 0.0) -> float:
+    """|measure dc removes from the lambda range - the closed form| for a
+    DC set built with the constant B = shift: its zones are the intervals
+    of half-width gamma/(l (|k|+l)^tau) around (k alpha + m)/l - shift,
+    |k| <= K (k = 0 included), l = 1, 2, clipped to the range."""
+    lo, hi = hm.LAMBDA_DOMAIN
+    zones = []
+    for k in range(-dc.K, dc.K + 1):
+        t = dc.cf.frac_k(k) if k > 0 else (-dc.cf.frac_k(-k) if k else 0.0)
+        for l in (1, 2):
+            w = dc.gamma / (l * (abs(k) + l) ** dc.tau)
+            for m in range(-3, 4):
+                c = (t + m) / l - shift
+                if lo - w <= c <= hi + w:
+                    zones.append((max(c - w, lo), min(c + w, hi)))
+    oracle = hm.IntervalUnion.from_list([z for z in zones if z[1] > z[0]])
+    removed = hm.IntervalUnion.full().measure() - dc.intervals.measure()
+    return abs(removed - oracle.measure())
+
+
+def exclusion_shifts(cf: cfr.ContinuedFraction, gamma: float) -> tuple:
+    """Constant shifts the closed form is checked at: 0, 0.0731 and
+    frac(alpha) - 3/4 - gamma/8, at which the k = 1, l = 1 zone (half-width
+    gamma/4) is centred gamma/8 past the range's right end and still
+    reaches lambda = 3/4."""
+    return 0.0, 0.0731, cf.frac_k(1) - 0.75 - gamma / 8
+
+
 def kam_suite(seed: int = 0) -> list:
     rows = []
     gm = cfr.golden_mean()
@@ -521,17 +632,13 @@ def kam_suite(seed: int = 0) -> list:
                          max(r.actual for r in area),
                          all(r.passed for r in area)))
 
-    # level 0 (B = 0): the measure left is 1/2 less the union of the zones
-    dc = hm.dc_from_exclusion(gm, sched.gamma(0), 2.0, sched.K(0), grid)
-    measured = dc.intervals.measure()
-    clipped = []
-    for lo, hi in dc.zones:
-        clipped.append((max(lo, 0.25), min(hi, 0.75)))
-    merged = hm.IntervalUnion.from_list([z for z in clipped if z[1] > z[0]])
-    oracle = 0.5 - merged.measure()
+    g0 = sched.gamma(0)
+    dev = max(exclusion_deviation(
+        hm.dc_from_exclusion(gm, g0, 2.0, sched.K(0), grid,
+                             fr.constant(grid, shift)), shift)
+        for shift in exclusion_shifts(gm, g0))
     rows.append(CheckRow("exclusion measure equals interval-sum oracle",
-                         1e-12, abs(measured - oracle),
-                         abs(measured - oracle) <= 1e-12))
+                         1e-12, dev, dev <= 1e-12, "constant B at 3 shifts"))
     mrow = [r for r in summary.rows if r.check.startswith("total excluded")]
     rows.append(mrow[0])
     return rows

@@ -41,20 +41,9 @@ def test_criterion_01_continued_fractions():
         # exact big-rational oracle: Euclid on a 500-bit dyadic approximation
         with mpmath.workprec(512):
             num = int(mpmath.floor(cf.alpha * 2**500))
-        oracle = vf.euclid_cf(Fraction(num, 2**500), 21)
-        ok &= oracle[1:21] == cf.a[1:21]
-        q = [1, cf.a[1]]
-        for k in range(2, 21):
-            q.append(cf.a[k] * q[-1] + q[-2])
-        ok &= q == cf.q[:21]
+        ok &= vf.convergents_match(cf, Fraction(num, 2**500), 20)
         # bracket with exact arithmetic, zero tolerance
-        with mpmath.workprec(512):
-            n0 = 0 if cf.a[1] >= 2 else 1
-            for n in range(n0, 20):
-                v = mpmath.frac(cf.alpha * cf.q[n])
-                d = min(v, 1 - v)
-                ok &= mpmath.mpf(1) / (cf.q[n] + cf.q[n + 1]) < d
-                ok &= d <= mpmath.mpf(1) / cf.q[n + 1]
+        ok &= all(r.passed for r in vf.best_approx_rows(cf, 19))
     report(1, ok, "q exact + bracket, depth 20, golden & sqrt2-1")
 
 
@@ -80,16 +69,8 @@ def test_criterion_02_cd_bridges():
 def test_criterion_03_banach_algebra():
     rng = np.random.default_rng(303)
     grid = np.linspace(0.25, 0.75, 5)
-    worst = 0.0
-    for w in (GEVREY, ANALYTIC):
-        ctx = WeightedNormContext(w, 0.05)
-        for _ in range(100):
-            f = rand_scalar(rng, grid, int(rng.integers(1, 33)))
-            g = rand_scalar(rng, grid, int(rng.integers(1, 33)))
-            num = fr.norm_r(fr.multiply(f, g), ctx)
-            den = fr.norm_r(f, ctx) * fr.norm_r(g, ctx)
-            if den > 0:
-                worst = max(worst, num / den)
+    worst = max(vf.banach_ratio(rng, grid, WeightedNormContext(w, 0.05), 100,
+                                lam_linear=False) for w in (GEVREY, ANALYTIC))
     ok = worst <= 1.0 + 1e-10
     report(3, ok, "200 pairs, worst ratio %.3e" % worst)
 
@@ -100,16 +81,8 @@ def test_criterion_03_banach_algebra():
 def test_criterion_04_tail_bound():
     rng = np.random.default_rng(404)
     grid = np.linspace(0.25, 0.75, 5)
-    ctx = WeightedNormContext(GEVREY, 0.2)
-    worst = 0.0
-    for _ in range(100):
-        f = rand_scalar(rng, grid, int(rng.integers(4, 40)))
-        K = int(rng.integers(4, 16))
-        sigma = 0.2 * rng.uniform(0.1, 0.45)
-        bound, actual, row = hm.tail_bound(f, K, 0.2, sigma, ctx)
-        if bound > 0:
-            worst = max(worst, actual / (bound * (1 + 1e-12)))
-        assert row.passed
+    worst, rows_ok = vf.tail_ratio(rng, grid, 100, lam_linear=False)
+    assert rows_ok
     report(4, worst <= 1.0, "100 trials, worst ratio %.4f" % worst)
 
 
@@ -152,13 +125,10 @@ def test_criterion_05_solver_oracle():
                               brow.actual / max(brow.bound, 1e-300))
             assert brow.passed
             # dense rebuild at sampled active columns
-            A, rhs, mine = vf.dense_system(u, res, l, setup)
             stride = 3 if K > 32 else 1
-            for li in np.nonzero(act)[0][::stride]:
-                x = vf.full_pivot(A[li], rhs[li])
-                rel = float(np.abs(x - mine[li]).max()
-                            / max(np.abs(x).max(), 1e-300))
-                worst_rel = max(worst_rel, rel)
+            rel, _ = vf.full_pivot_deviation(u, res, l, setup,
+                                             np.nonzero(act)[0][::stride])
+            worst_rel = max(worst_rel, rel)
     ok = worst_rel <= 1e-10 and total == 50
     report(5, ok, "%d instances, worst rel %.2e, bound ratio %.2e"
            % (total, worst_rel, worst_bound))
@@ -170,24 +140,9 @@ def test_criterion_05_solver_oracle():
 def test_criterion_06_b_equation():
     rng = np.random.default_rng(606)
     grid = np.linspace(0.25, 0.75, 5)
-    qbar_prev, qbar = 8, 144        # golden bridge Qbar_2, Qbar_3
-    r0 = 0.5
-    r = r0 / qbar_prev**2
-    rbar = 2 * r0 / qbar**2
-    ctx_r = WeightedNormContext(ANALYTIC, r)
-    ctx_rbar = WeightedNormContext(ANALYTIC, rbar)
-    worst_res, worst_ratio = 0.0, 0.0
-    for _ in range(20):
-        B = rand_scalar(rng, grid, int(rng.integers(2, 60)), real=True)
-        B = B.scale(0.1 * rng.uniform(0.1, 1.0)
-                    / max(fr.norm_r(B, ctx_r), 1e-300))
-        bc = hm.solve_b_equation(B, qbar, GM)
-        resid = bc.shift(GM.phase) - bc + B.truncate(qbar) - \
-            fr.constant(grid, B.average(), fr.SCALAR)
-        worst_res = max(worst_res, resid.sup_bound())
-        lhs = fr.norm_r(fr.exp_i_scalar(bc, 1), ctx_rbar)
-        rhs = math.exp(8 * math.pi**2 * r0 * fr.norm_r(B, ctx_r))
-        worst_ratio = max(worst_ratio, lhs / rhs)
+    # golden bridge Qbar_2 = 8, Qbar_3 = 144
+    worst_res, worst_ratio = vf.b_equation_worst(
+        rng, grid, GM, 8, 144, 20, (2, 60), (0.1, 1.0), lam_linear=False)
     ok = worst_res <= 1e-14 and worst_ratio <= 1.0
     report(6, ok, "residual %.2e, bound ratio %.3f" % (worst_res, worst_ratio))
 
@@ -198,17 +153,7 @@ def test_criterion_06_b_equation():
 def test_criterion_07_polar():
     rng = np.random.default_rng(707)
     grid = np.linspace(0.25, 0.75, 5)
-    ctx = WeightedNormContext(ANALYTIC, 0.05)
-    worst = 0.0
-    for _ in range(50):
-        G = rand_scalar(rng, grid, int(rng.integers(1, 8)), scale=0.02)
-        G = G.scale(0.1 * rng.uniform(0.1, 1.0)
-                    / max(fr.norm_r(G, ctx), 1e-300))
-        rho, B, _, _ = hm.polar_decompose(G)
-        z = np.exp(2j * np.pi * grid)[None, :] + G.sample(4096)
-        recon = (1 + rho.sample(4096)) * np.exp(
-            2j * np.pi * (grid[None, :] + B.sample(4096)))
-        worst = max(worst, float(np.abs(recon - z).max()))
+    worst, _ = vf.polar_worst(rng, grid, 50, lam_linear=False)
     report(7, worst <= 1e-12, "50 trials, worst pointwise %.2e" % worst)
 
 
@@ -218,17 +163,7 @@ def test_criterion_07_polar():
 def test_criterion_08_small_divisors():
     # admissible consecutive-denominator levels (the lemma's proof needs
     # Q_{n+1} >= 4/gamma = 400): golden q_14..q_17 = 610..2584, K up to 64
-    lgrid = np.linspace(0.25, 0.75, 101)
-    ok = True
-    worst_margin = math.inf
-    for jq in (14, 15, 16, 17):
-        q_next, qbar_next = GM.q[jq], GM.q[jq + 1]
-        K = math.isqrt(qbar_next)
-        dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, lgrid)
-        rows = hm.certify_small_divisor(dc, q_next, qbar_next)
-        ok &= all(r.passed for r in rows)
-        worst_margin = min(worst_margin,
-                           min(r.actual - r.bound for r in rows))
+    ok, worst_margin = vf.small_divisor_scan(GM, (14, 15, 16, 17))
     report(8, ok, "4 levels, worst margin %.3e, zero violations"
            % worst_margin)
 
@@ -313,30 +248,17 @@ def test_criterion_12_measure():
     grid = np.linspace(0.25, 0.75, 33)
     # closed-form oracle at level 0 with B = 0
     dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0), grid)
-    removed = hm.IntervalUnion.full().measure() - dc.intervals.measure()
-    g0, tau = sched.gamma(0), sched.tau
-    oracle_zones = []
-    for k in range(0, sched.K(0) + 1):
-        for sk in ({k, -k} if k else {0}):
-            t = GM.frac_k(k) if sk > 0 else (-GM.frac_k(k) if sk else 0.0)
-            for l in (1, 2):
-                w = g0 / (l * (abs(sk) + l) ** tau)
-                for m in range(-3, 4):
-                    c = (t + m) / l
-                    lo, hi = max(c - w, 0.25), min(c + w, 0.75)
-                    if hi > lo:
-                        oracle_zones.append((lo, hi))
-    oracle = hm.IntervalUnion.from_list(oracle_zones).measure()
-    ok = abs(removed - oracle) <= 1e-12
+    dev = vf.exclusion_deviation(dc)
+    ok = dev <= 1e-12
     # full-run bound
     spec = md.build_preset("constant_forcing", 1e-8, GM, grid, d_max=4)
     summary = kam.run(spec, sched, n_max=3)
     total = sum(rec.excluded_measure for rec in summary.records)
     eta_sum = float(mpmath.zeta(2)) - 1.25
-    bound = 4 * sched.gamma0 * eta_sum * float(mpmath.zeta(tau)) * 1.1
+    bound = 4 * sched.gamma0 * eta_sum * float(mpmath.zeta(sched.tau)) * 1.1
     ok &= total <= bound
     report(12, ok, "oracle dev %.2e, total %.4f <= %.4f"
-           % (abs(removed - oracle), total, bound))
+           % (dev, total, bound))
 
 
 # -- 13: determinism ------------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from kamtori import cfrac as cfr
-from kamtori.verify import euclid_cf
+from kamtori.verify import best_approx_rows, euclid_cf
 
 
 def fib_q(n):
@@ -59,7 +59,7 @@ def test_convergent_recursion_exact():
 @pytest.mark.parametrize("maker", [cfr.golden_mean, cfr.sqrt2_minus_1])
 def test_best_approximation_bracket(maker):
     cf = maker(prec_bits=512)
-    rows = cfr.best_approx_rows(cf, 20)
+    rows = best_approx_rows(cf, 20)
     assert rows and all(r.passed for r in rows)
 
 

@@ -69,6 +69,15 @@ def test_verify_weights_suite(capsys):
     assert any(line.startswith("gevrey,0.5,") for line in out[1:])
 
 
+def test_verify_all_suites(capsys):
+    code = run_cli(["verify", "--suite", "all", "--seed", "1"])
+    assert code == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == "check,bound,actual,pass,detail"
+    assert len(out) == 49  # header + 48 rows
+    assert all(",pass," in line for line in out[1:])
+
+
 def test_verify_unknown_suite(capsys):
     assert run_cli(["verify", "--suite", "nope"]) == 2
 

@@ -92,39 +92,31 @@ def test_schedule_depth_error():
 
 
 def test_exclusion_closed_form_oracle():
-    # edge: the k = 1, l = 1 zone of this constant shift is centred w/2 past
-    # the grid's right end (w = gamma(0)/4, its half-width), so it still
-    # reaches lambda = 3/4
-    edge = GM.frac_k(1) - 0.75 - make_sched().gamma(0) / 8
-    for shift in (0.0, 0.0731, edge):
-        _check_closed_form_oracle(shift)
-
-
-def _check_closed_form_oracle(shift):
-    # a constant B = shift: zones are intervals of half-width
-    # gamma_0/(l (|k|+l)^tau) around (k alpha + m)/l - shift, k = 0 included
+    # the last shift puts a zone's centre past the grid's right end
     sched = make_sched()
     grid = np.linspace(0.25, 0.75, 33)
-    B = fr.constant(grid, shift)
-    dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0),
-                              grid, B)
-    removed = hm.IntervalUnion.full().measure() - dc.intervals.measure()
-    g0 = sched.gamma(0)
-    tau = sched.tau
-    oracle = []
-    for k in range(0, sched.K(0) + 1):
-        for sk in ({k, -k} if k else {0}):
-            t = GM.frac_k(k) if sk > 0 else (-GM.frac_k(k) if sk else 0.0)
-            for l in (1, 2):
-                w = g0 / (l * (abs(sk) + l) ** tau)
-                for m in range(-3, 4):
-                    c = (t + m) / l - shift
-                    if 0.25 - w <= c <= 0.75 + w:
-                        oracle.append((max(c - w, 0.25), min(c + w, 0.75)))
-    merged = hm.IntervalUnion.from_list([z for z in oracle if z[1] > z[0]])
-    assert removed == pytest.approx(merged.measure(), abs=1e-12), shift
-    [row] = dc.certify()
-    assert row.passed, (shift, row)
+    for shift in vf.exclusion_shifts(GM, sched.gamma(0)):
+        dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0),
+                                  grid, fr.constant(grid, shift))
+        assert vf.exclusion_deviation(dc, shift) <= 1e-12, shift
+        [row] = dc.certify()
+        assert row.passed, (shift, row)
+
+
+def test_exclusion_row_fails_on_a_missed_zone(monkeypatch):
+    # the row must compare the DC set with the closed form, not with the
+    # zones the search itself returned
+    search = hm.resonance_zones
+
+    def drop_widest(*args):
+        zones, rows = search(*args)
+        widest = max(zones, key=lambda z: z[1] - z[0])
+        return [z for z in zones if z != widest], rows
+
+    monkeypatch.setattr(hm, "resonance_zones", drop_widest)
+    [row] = [r for r in vf.kam_suite(0)
+             if r.check == "exclusion measure equals interval-sum oracle"]
+    assert not row.passed, row
 
 
 def test_exclusion_measure_vanishes_with_gamma():
