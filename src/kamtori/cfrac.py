@@ -259,23 +259,23 @@ def _next_index(cf: ContinuedFraction, m: int, A: float, prev_ok: bool,
     return jumps[0] if jumps else ladder[0]
 
 
-def _pair_ok(cf: ContinuedFraction, sel: list[int], k: int, A: float) -> bool:
-    """Lemma condition for pair k (needs sel[k+1])."""
+def _pair_conditions(cf: ContinuedFraction, sel, k: int, A: float) -> tuple:
+    """The lemma's two conditions on pair k of the selected indices sel
+    (needs sel[k+1]): (growth Q_{k+1} <= Qbar_k^{A^4}, either a jump at
+    sel[k] or, past k = 0, CD bridges on both sides of it).  The jump at
+    k = 0 always holds (q_0 = 1)."""
     m = sel[k]
-    if not _pow_leq(cf.q[m + 1], A**4, cf.q[sel[k + 1]]):
-        return False
-    if _jump(cf, m, A):
-        return True
-    if k == 0:
-        return False  # jump at 0 always holds (q_0 = 1), so unreachable
-    return (is_cd_bridge(cf, sel[k - 1] + 1, m, A, A, A**3)
-            and is_cd_bridge(cf, m, sel[k + 1], A, A, A**3))
+    growth = _pow_leq(cf.q[m + 1], A**4, cf.q[sel[k + 1]])
+    either = _jump(cf, m, A) or (
+        k >= 1 and is_cd_bridge(cf, sel[k - 1] + 1, m, A, A, A**3)
+        and is_cd_bridge(cf, m, sel[k + 1], A, A, A**3))
+    return growth, either
 
 
 def _verified_prefix(cf: ContinuedFraction, sel: list[int], A: float) -> list[int]:
     good = 1
     for k in range(len(sel) - 1):
-        if _pair_ok(cf, sel, k, A):
+        if all(_pair_conditions(cf, sel, k, A)):
             good = k + 2
         else:
             break
@@ -289,16 +289,10 @@ def verify_bridges(cf: ContinuedFraction, sel: BridgeSelection) -> list[CheckRow
     rows.append(CheckRow("bridge Q_0 = 1", 1.0, float(sel.Q[0]),
                          sel.Q[0] == 1))
     for k in range(sel.levels - 1):
-        ok_growth = _pow_leq(sel.Qbar[k], A**4, sel.Q[k + 1])
+        ok_growth, either = _pair_conditions(cf, sel.indices, k, A)
         rows.append(CheckRow("bridge Q_{k+1} <= Qbar_k^A4 (k=%d)" % k,
                              A**4, 0.0, ok_growth,
                              "Q=%d Qbar=%d" % (sel.Q[k + 1], sel.Qbar[k])))
-        either = _jump(cf, sel.indices[k], A)
-        if not either and k >= 1:
-            either = (is_cd_bridge(cf, sel.indices[k - 1] + 1, sel.indices[k],
-                                   A, A, A**3)
-                      and is_cd_bridge(cf, sel.indices[k], sel.indices[k + 1],
-                                       A, A, A**3))
         rows.append(CheckRow("bridge either/or (k=%d)" % k, 1.0,
                              1.0 if either else 0.0, either))
         # Lemma consequences

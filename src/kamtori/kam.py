@@ -6,9 +6,9 @@ homological equations (offset and off-diagonal generator), and reassembles
 the new equation exactly in the coefficient algebra.  Every displayed
 inequality of the scheme is re-measured and reported as a check row.  The
 theoretical smallness constants are reported, not enforced, since the
-engine's value is certifying the mechanism at reachable scales; but
-solve_homological raises PreconditionError when any of its precondition
-rows fails, gating or not, unless force is set (run.force in a config).
+engine's value is certifying the mechanism at reachable scales: the solver
+lemma's hypotheses are non-gating rows, and each homological solve is
+certified by its a-posteriori gating rows.
 TransformFactor.then folds each sub-step into its level's factor and each
 level's factor into the state's transform; the torus is its offset.
 """
@@ -288,7 +288,7 @@ def _level_context(state: KamState, rho: FourierSeries,
 
 
 def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
-                       r_j1, s_j1: float, force: bool = False):
+                       r_j1, s_j1: float):
     """One j -> j+1 pass; returns (new SubState, E, Delta, rows)."""
     grid = ctx.grid
     setup = ctx.setup
@@ -317,8 +317,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     if u_delta.is_zero():
         delta = fr.zeros(grid)
     else:
-        sol1 = hm.solve_homological(b_delta, u_delta, 1, setup, float(r_j),
-                                    force=force)
+        sol1 = hm.solve_homological(b_delta, u_delta, 1, setup, float(r_j))
         delta = sol1.delta
         rows += _tag(sol1.precondition_rows + sol1.rows, "l=1")
     Delta = fr.conjugate_pair(delta)
@@ -333,8 +332,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
         e4pi = setup.terms(2).phase_B
         b_gen = fr.multiply(g1 - fr.multiply(e4pi, g1c), recip)
         w_rhs = fr.multiply(W2_01.scale(-1.0), recip)
-        sol2 = hm.solve_homological(b_gen, w_rhs, 2, setup, float(r_j),
-                                    force=force)
+        sol2 = hm.solve_homological(b_gen, w_rhs, 2, setup, float(r_j))
         dgen = sol2.delta
         rows += _tag(sol2.precondition_rows + sol2.rows, "l=2")
     Dmat = fr.off_diagonal(dgen)
@@ -477,7 +475,7 @@ class StepReport:
     zones: list = field(default_factory=list)
 
 
-def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
+def kam_step(state: KamState, sched: Schedule) -> tuple:
     """One outer step: exclusion, L sub-iterations, composition; returns
     (new state, StepReport)."""
     n = state.n
@@ -535,7 +533,7 @@ def kam_step(state: KamState, sched: Schedule, force: bool = False) -> tuple:
         eps_j = eps_t * math.exp(-j)
         sub_old = sub
         sub, E, Delta, sub_rows = sub_iteration_step(
-            ctx, sub, eps_j, r_j, r_j1, s_j1, force=force)
+            ctx, sub, eps_j, r_j, r_j1, s_j1)
         rows += _tag(sub_rows, "n=%d j=%d" % (n, j))
         if E is None:
             break
@@ -646,7 +644,7 @@ class RunSummary:
     stopped: str = ""
 
 
-def run(spec, sched: Schedule, n_max: int, force: bool = False) -> RunSummary:
+def run(spec, sched: Schedule, n_max: int) -> RunSummary:
     """Iterate kam_step from the conjugated model, recording per-level
     certification and the invariance residual of the reconstructed torus."""
     import time
@@ -680,16 +678,12 @@ def run(spec, sched: Schedule, n_max: int, force: bool = False) -> RunSummary:
     for n in range(n_max):
         t0 = time.monotonic()
         try:
-            state, rep = kam_step(state, sched, force=force)
+            state, rep = kam_step(state, sched)
         except DepthError as exc:
             stopped = "depth: %s" % exc
             break
         except ParameterExhausted as exc:
             stopped = "exhausted: %s" % exc
-            break
-        except (hm.PreconditionError, hm.ConditioningError) as exc:
-            stopped = "solver refused at level %d: %s (force to proceed)" \
-                % (state.n, exc)
             break
         wall_ms = 1000.0 * (time.monotonic() - t0)
         rows += rep.rows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 
@@ -21,13 +22,20 @@ class CheckRow:
     detail: str = ""
     gating: bool = True
 
-    def as_csv(self) -> str:
+    def csv_fields(self) -> tuple:
         # a float subclass (numpy's float64) would print its type name
         bound, actual = (float(x) if isinstance(x, float) else x
                          for x in (self.bound, self.actual))
-        return "%s,%r,%r,%s,%s" % (self.check, bound, actual,
-                                   "pass" if self.passed else "FAIL",
-                                   self.detail)
+        return (self.check, repr(bound), repr(actual),
+                "pass" if self.passed else "FAIL", self.detail)
+
+
+def write_rows(rows, out) -> None:
+    """The check table as RFC 4180 CSV: the header, then one line per row;
+    a check or detail holding a comma or a quote is quoted."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("check", "bound", "actual", "pass", "detail"))
+    writer.writerows(r.csv_fields() for r in rows)
 
 
 def failed_gating(rows) -> list:

@@ -118,8 +118,10 @@ def test_criterion_05_solver_oracle():
             b = b.scale(0.3 * bb / max(fr.norm_r(b, setup.ctx(1e-3)), 1e-300))
             u = rand_scalar(rng, grid, K + 4, scale=1e-2)
             l = int(rng.integers(1, 3))
-            res = hm.solve_homological(b, u, l, setup, 1e-3)  # no force
+            res = hm.solve_homological(b, u, l, setup, 1e-3)
             total += 1
+            # drawn inside the lemma's hypotheses: every row holds
+            assert all(r.passed for r in res.precondition_rows + res.rows)
             brow = [r for r in res.rows if r.check.startswith("||delta||")][0]
             worst_bound = max(worst_bound,
                               brow.actual / max(brow.bound, 1e-300))
@@ -223,7 +225,7 @@ def test_criterion_11_area_preservation():
                               K_cap=64, L_cap=16)
     grid = np.linspace(0.25, 0.75, 17)
     spec = md.build_preset("generating", 1e-8, GM, grid, d_max=4)
-    summary = kam.run(spec, sched, n_max=2, force=True)
+    summary = kam.run(spec, sched, n_max=2)
     final = summary.states[-1]
     # each level factor on its active lambda (the rows), the composition of
     # the levels so far on every lambda

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import importlib.util
 import json
 import os
 import pathlib
@@ -76,6 +78,8 @@ def test_verify_all_suites(capsys):
     assert out[0] == "check,bound,actual,pass,detail"
     assert len(out) == 49  # header + 48 rows
     assert all(",pass," in line for line in out[1:])
+    # RFC 4180: a check or detail holding a comma is quoted
+    assert all(len(row) == 5 for row in csv.reader(out))
 
 
 def test_verify_unknown_suite(capsys):
@@ -196,7 +200,8 @@ def test_exit_code_follows_gating_rows(capsys):
     assert cli._exit_from_rows([soft] + hard7) == cli.EXIT_CERT
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "failing gating rows: 7, the first 5"
-    assert err[2:] == [r.as_csv() for r in hard7[:5]]
+    assert list(csv.reader(err[2:])) == [list(r.csv_fields())
+                                          for r in hard7[:5]]
 
 
 def test_removed_seed_options(tmp_path, capsys):
@@ -209,6 +214,28 @@ def test_removed_seed_options(tmp_path, capsys):
     assert run_cli(["kam-run", "--config", str(cfgfile),
                     "--out", str(tmp_path)]) == 2
     assert "run.seed" in capsys.readouterr().err
+
+
+def test_removed_force_options():
+    # every solve runs, so there is nothing to force
+    with pytest.raises(SystemExit):
+        run_cli(["kam-run", "--force"])
+    with pytest.raises(SystemExit):
+        run_cli(["solve-homological", "--input", "u.dump", "--force"])
+
+
+def test_stopped_run_exits_1(tmp_path, capsys):
+    # bridge level 5 is past the 60 partial quotients of alpha.depth: the
+    # run stops on depth, and a stopped run is not a success
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "lambda.grid_points": 9, "run.n_max": 50, "alpha.depth": 60,
+        "jet.d_max": 4, "model.eps": 1e-8}))
+    code = run_cli(["kam-run", "--config", str(cfgfile),
+                    "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "stopped: depth: bridge level 5 not available" in \
+        capsys.readouterr().err
 
 
 def test_removed_run_options(tmp_path, capsys):
@@ -243,17 +270,19 @@ def test_readme_lists_config_keys_and_commands():
     assert names == set(sub.choices)
 
 
-ROW_RE = re.compile(r"^(.*),([^,]*),([^,]*),(pass|FAIL),(.*)$")
+def run_generating(tmp_path, name, **extra):
+    # the generating preset gives a nonzero DC shift, so the shifted
+    # resonance zones reach exclusions.csv and summary.csv
+    cfgfile = tmp_path / (name + ".json")
+    cfgfile.write_text(json.dumps(dict(TINY, **{"model.preset": "generating"},
+                                       **extra)))
+    out = tmp_path / name
+    code = run_cli(["kam-run", "--config", str(cfgfile), "--out", str(out)])
+    return code, out
 
 
 def test_kam_run_csv_cells_are_numbers(tmp_path):
-    # the generating preset gives a nonzero DC shift, so the shifted
-    # resonance zones reach exclusions.csv and summary.csv
-    cfg = dict(TINY, **{"model.preset": "generating", "run.force": True})
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    run_cli(["kam-run", "--config", str(cfgfile), "--out", str(out)])
+    _, out = run_generating(tmp_path, "out")
     for name in ("summary.csv", "timings.csv", "exclusions.csv",
                  "torus_K.csv"):
         lines = (out / name).read_text().splitlines()
@@ -261,11 +290,44 @@ def test_kam_run_csv_cells_are_numbers(tmp_path):
         for line in lines[1:]:
             for cell in line.split(","):
                 float(cell)
-    lines = (out / "certification.csv").read_text().splitlines()
-    for line in lines[1:]:
-        _, bound, actual, _, _ = ROW_RE.match(line).groups()
+    with open(out / "certification.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # RFC 4180: a check or detail holding a comma is quoted
+    assert rows[0] == ["check", "bound", "actual", "pass", "detail"]
+    for _, bound, actual, _, _ in rows[1:]:
         float(bound)
         float(actual)
+
+
+def test_run_force_is_ignored(tmp_path):
+    # the solver lemma's hypotheses fail at level 0 here (||b||_rt), and the
+    # a-posteriori rows certify the solves: the run passes, forced or not
+    code, out = run_generating(tmp_path, "plain")
+    forced_code, forced = run_generating(tmp_path, "forced",
+                                         **{"run.force": True})
+    assert code == forced_code == 0
+    assert (out / "summary.csv").read_bytes() == \
+        (forced / "summary.csv").read_bytes()
+    with open(out / "certification.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert any(r[0].startswith("||b||_rt < g^2/(12 Q^{2tau^2}) [l=1] [n=0")
+               and r[3] == "FAIL" for r in rows)
+
+
+def test_benchmark_configs_load(tmp_path):
+    # a schema change that breaks a benchmark kam-run config fails here
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    configs = [w["config"] for w in bench.WORKLOADS.values()
+               if w["command"] == "kam-run"]
+    assert len(configs) >= 2
+    for i, config in enumerate(configs):
+        cfgfile = tmp_path / ("cfg%d.json" % i)
+        cfgfile.write_text(json.dumps(config))
+        cli.build_run(cli.load_config(str(cfgfile)))
 
 
 def test_benchmark_tracer_reads_solver_arguments(tmp_path):

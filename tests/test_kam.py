@@ -230,8 +230,7 @@ def test_sub_step_substitution_oracle_independent():
     R.set_term((0, 2), fr.vector_from_scalars(fr.zeros(grid), r20.conj()))
     sub = _sub_state(ctx, U, W, R, 1.0)
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 3e-8,
-                                                 0.01, 0.008, 0.5,
-                                                 force=True)
+                                                 0.01, 0.008, 0.5)
     n = 4096
     alpha_phase = GM.phase
 
@@ -317,7 +316,7 @@ def _generating_level0(monkeypatch, grid, perturb=None):
     spec = md.build_preset("generating", 1e-6, GM, grid, d_max=4)
     conj = md.conjugate_to_su11(spec)
     state = kam.initial_state(conj.U, conj.W, conj.R, grid)
-    _, rep = kam.kam_step(state, make_sched(K_cap=32, L_cap=4), force=True)
+    _, rep = kam.kam_step(state, make_sched(K_cap=32, L_cap=4))
     [row] = [r for r in rep.rows
              if r.check == "substitution oracle <= 1e-10 relative"]
     return calls, row
@@ -363,7 +362,7 @@ def test_substitution_defect_memory_stays_in_theta_blocks():
     R.set_term((0, 2), fr.vector_from_scalars(fr.zeros(grid), r20.conj()))
     sub = _sub_state(ctx, U, W, R, 1.0)
     new, E, Delta, _ = kam.sub_iteration_step(ctx, sub, 3e-8, 0.01, 0.008,
-                                              0.5, force=True)
+                                              0.5)
     tracemalloc.start()
     try:
         worst, scale = kam.substitution_defect(ctx, sub, new, E, Delta)
@@ -443,7 +442,7 @@ def test_run_preset_b_forced_mechanism():
     grid = np.linspace(0.25, 0.75, 17)
     sched = make_sched(K_cap=64, L_cap=16)
     spec = md.build_preset("generating", 1e-8, GM, grid, d_max=4)
-    summary = kam.run(spec, sched, n_max=2, force=True)
+    summary = kam.run(spec, sched, n_max=2)
     assert summary.stopped == ""
     assert all(r.passed for r in summary.rows if r.gating)
     res = [rec.residual for rec in summary.records]
@@ -457,7 +456,7 @@ def test_run_polar_reconstruction_row_every_level():
     grid = np.linspace(0.25, 0.75, 9)
     sched = make_sched(K_cap=32, L_cap=8)
     spec = md.build_preset("generating", 1e-8, GM, grid, d_max=4)
-    summary = kam.run(spec, sched, n_max=3, force=True)
+    summary = kam.run(spec, sched, n_max=3)
     polar = [r for r in summary.rows
              if r.check == "polar reconstruction pointwise <= 1e-12"]
     assert [r.detail for r in polar] == ["n=0", "n=1", "n=2"]
@@ -539,8 +538,7 @@ def test_sub_step_generator_equation_residual():
     sub = _sub_state(ctx, fr.zeros(grid, fr.C2VECTOR), W,
                      fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}), 0.0)
     new, E, Delta, rows = kam.sub_iteration_step(ctx, sub, 1e-7,
-                                                 0.01, 0.008, 0.5,
-                                                 force=True)
+                                                 0.01, 0.008, 0.5)
     # a correct generator kills the off-diagonal to quadratic order;
     # what survives in W_{j+1} is the |d|^2-sized diagonal, absorbed next pass
     ctxn = ctx.ctx(0.008)
@@ -593,7 +591,7 @@ def test_shared_solve_setup_is_bit_identical(monkeypatch):
         sub, out = start, []
         for r_j, r_j1 in ((0.01, 0.008), (0.008, 0.006)):
             sub, E, Delta, rows = kam.sub_iteration_step(
-                ctx, sub, 3e-8, r_j, r_j1, 0.5, force=True)
+                ctx, sub, 3e-8, r_j, r_j1, 0.5)
             out.append((E, Delta, rows))
         return out
 
