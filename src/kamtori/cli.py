@@ -241,9 +241,9 @@ def cmd_solve(args) -> int:
     if args.out:
         fr.write_coeff_dump(args.out, res.delta)
         fr.write_coeff_dump(args.out + ".er", res.delta_er)
-    rows = dc.exclusion_rows + res.precondition_rows + res.rows
+    rows = dc.exclusion_rows + res.rows
     if not B.is_zero():
-        rows += hm.b_equation_rows(B, res.bcal, args.qbar, cf, weight,
+        rows += hm.b_equation_rows(B, setup.bcal, args.qbar, cf, weight,
                                    r=r0, rbar=args.r_tilde, r0=r0,
                                    active=setup.active)
     write_rows(rows, sys.stdout)

@@ -384,16 +384,21 @@ def tail_bound(f: FourierSeries, K: int, r: float, sigma: float,
 
 # the largest theta-grid polar_decompose samples on
 POLAR_GRID_CAP = 1 << 14
+# polar_decompose needs max |e^{-2 pi i lambda} G| below this
+POLAR_MAX_H = 0.5
 
 
-def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
+def polar_decompose(G: FourierSeries) -> tuple:
     """Real rho, B with (1 + rho) e^{2 pi i (lambda + B)} = e^{2 pi i lambda} + G.
 
-    The argument is unwrapped continuously in theta from the principal
-    branch at theta = 0 (zero winding for small G keeps B periodic), then
-    rho and B are re-expanded on a theta-grid oversampled 4 times, capped
-    at POLAR_GRID_CAP points.  Returns (rho, B, pointwise reconstruction
-    defect, the grid size the oversampling wanted before the cap).
+    With h = e^{-2 pi i lambda} G, sampled on a theta-grid oversampled 4
+    times and capped at POLAR_GRID_CAP points, and max|h| < POLAR_MAX_H,
+    1 + h stays in the right half-plane, so B = arg(1 + h) / (2 pi) is the
+    principal argument, periodic in theta with no unwrapping, and rho =
+    |1 + h| - 1 = (2 Re h + |h|^2) / (|1 + h| + 1).  Neither subtracts an
+    O(1) value, so both carry errors of order eps |h|, and the re-expansion
+    cuts at that scale.  Returns (rho, B, pointwise reconstruction defect,
+    the grid size the oversampling wanted before the cap).
     """
     if G.kind != fr.SCALAR:
         raise fr.KindMismatch("polar_decompose needs a scalar series")
@@ -403,55 +408,45 @@ def polar_decompose(G: FourierSeries, min_modulus: float = 0.5) -> tuple:
         z = fr.zeros(grid, fr.SCALAR)
         return z, z, 0.0, wanted
     n = min(wanted, POLAR_GRID_CAP)
-    vals = G.sample(n)  # (n, L)
     base = np.exp(2j * np.pi * grid)[None, :]
-    z = base + vals
-    mod = np.abs(z)
-    if mod.min() <= min_modulus:
-        raise SingularityError("e^{2 pi i lambda} + G approaches the origin "
-                               "(min modulus %.3g)" % mod.min())
-    rho_vals = mod - 1.0
-    ang = np.unwrap(np.angle(z), axis=0) / (2 * np.pi)
-    if np.any(np.abs(np.round(_loop_winding(z))) > 0):
-        raise SingularityError("nonzero winding: perturbation too large")
-    B_vals = ang - grid[None, :]
-    B_vals = B_vals - np.round(B_vals[0])[None, :]
-    rho = _series_from_grid(rho_vals, grid)
-    Bs = _series_from_grid(B_vals, grid)
+    vals = G.sample(n)  # (n, L)
+    h = vals * np.conj(base)
+    h_max = float(np.abs(h).max())
+    if not h_max < POLAR_MAX_H:
+        raise SingularityError("|e^{-2 pi i lambda} G| reaches %.3g >= %g"
+                               % (h_max, POLAR_MAX_H))
+    one_h = 1.0 + h
+    rho = _series_from_grid((2 * h.real + np.abs(h) ** 2)
+                            / (np.abs(one_h) + 1.0), grid, h_max)
+    Bs = _series_from_grid(np.angle(one_h) / (2 * np.pi), grid, h_max)
     recon = (1.0 + rho.sample(n)) * np.exp(
         2j * np.pi * (grid[None, :] + Bs.sample(n)))
-    defect = float(np.abs(recon - z).max())
+    defect = float(np.abs(recon - (base + vals)).max())
     return rho, Bs, defect, wanted
-
-
-def _loop_winding(z: np.ndarray) -> np.ndarray:
-    dang = np.angle(np.roll(z, -1, axis=0) / z)
-    return dang.sum(axis=0) / (2 * np.pi)
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(8, (n - 1).bit_length())
 
 
-def _series_from_grid(vals: np.ndarray, lambda_grid: np.ndarray) -> FourierSeries:
-    """Fourier coefficients of real grid data (theta along axis 0).
+def _series_from_grid(vals: np.ndarray, lambda_grid: np.ndarray,
+                      scale: float) -> FourierSeries:
+    """Fourier coefficients of real grid data (theta along axis 0) whose
+    values carry an absolute error of a few eps * scale.
 
-    The FFT leaves a flat roundoff floor ~ n*eps at every mode; modes past
-    the point where the true exponential decay meets that floor are pure
-    dust and are cut (weighted norms would otherwise amplify them
-    astronomically).  The caller re-measures the reconstruction defect.
+    The FFT adds a flat roundoff floor of about log2(n) eps scale at every
+    mode; modes past the point where the true decay meets the floor
+    32 eps scale are pure dust and are cut (weighted norms would otherwise
+    amplify them astronomically).  The caller re-measures the
+    reconstruction defect.
     """
     n = vals.shape[0]
     fhat = np.fft.fft(vals, axis=0) / n
-    mag = np.abs(fhat).max(axis=1) if fhat.ndim > 1 else np.abs(fhat)
-    gmax = float(mag.max())
-    if gmax == 0.0:
-        return fr.zeros(lambda_grid, fr.SCALAR)
-    floor = 32.0 * n * 2.2e-16 * gmax
+    mag = np.abs(fhat).max(axis=1)
     idx = np.arange(n)
     k = np.where(idx <= n // 2, idx, idx - n)
     valid = idx != n // 2           # the unmatched Nyquist mode
-    above = np.abs(k[valid & (mag >= floor)])
+    above = np.abs(k[valid & (mag >= 32.0 * _EPS * scale)])
     kcut = int(above.max()) + 1 if above.size else 0
     sel = valid & (np.abs(k) < max(kcut, 1))
     order = np.argsort(k[sel])
@@ -551,10 +546,8 @@ class SolveResult:
     delta: FourierSeries
     delta_er: FourierSeries
     delta_tilde: FourierSeries
-    bcal: FourierSeries
     btilde: FourierSeries
     rows: list = field(default_factory=list)
-    precondition_rows: list = field(default_factory=list)
 
 
 def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
@@ -570,13 +563,14 @@ def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
     if l not in _LS:
         raise ValueError("l must be 1 or 2")
     cf = setup.cf
-    pre = _preconditions(b, setup, r_tilde)
+    # values at excluded lambda would steer the drop rule at the active ones
+    b, u = b.scale(setup.active), u.scale(setup.active)
+    rows = _preconditions(b, setup, r_tilde)
 
     t = setup.terms(l)
     btilde = t.tail_term + fr.multiply(b, t.phi)
     utt = fr.multiply(fr.multiply(t.e_plus, u), t.phi)
 
-    rows = []
     phi_norm = fr.norm_r(t.phi, setup.ctx(r_tilde))
     rows.append(CheckRow("||e^{i2pil(-T B + [B])}||_rt <= 2", 2.0, phi_norm,
                          phi_norm <= 2.0))
@@ -632,8 +626,7 @@ def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
                          1e-10 * u_scale, mismatch, mismatch <= 1e-10 * u_scale))
 
     return SolveResult(delta=delta, delta_er=delta_er, delta_tilde=delta_tilde,
-                       bcal=setup.bcal, btilde=btilde, rows=rows,
-                       precondition_rows=pre)
+                       btilde=btilde, rows=rows)
 
 
 def _preconditions(b, setup: SolveSetup, r_tilde: float) -> list:

@@ -319,7 +319,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     else:
         sol1 = hm.solve_homological(b_delta, u_delta, 1, setup, float(r_j))
         delta = sol1.delta
-        rows += _tag(sol1.precondition_rows + sol1.rows, "l=1")
+        rows += _tag(sol1.rows, "l=1")
     Delta = fr.conjugate_pair(delta)
 
     # generator equation, divided by the second diagonal entry
@@ -334,7 +334,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
         w_rhs = fr.multiply(W2_01.scale(-1.0), recip)
         sol2 = hm.solve_homological(b_gen, w_rhs, 2, setup, float(r_j))
         dgen = sol2.delta
-        rows += _tag(sol2.precondition_rows + sol2.rows, "l=2")
+        rows += _tag(sol2.rows, "l=2")
     Dmat = fr.off_diagonal(dgen)
 
     E, Einv = fr.exp_su11(Dmat)

@@ -295,15 +295,15 @@ def full_pivot(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def dense_system(u, res, l: int, setup) -> tuple:
     """The truncated system (S + P) F = U of one solve rebuilt densely from
-    its inputs (the level's B is setup.B), btilde and bcal: (A, rhs, F) with
-    A[li], rhs[li] and the solver's delta_tilde F[li] over the modes
-    |k| < K at grid point li."""
+    its inputs (the level's B is setup.B), btilde and setup.bcal: (A, rhs,
+    F) with A[li], rhs[li] and the solver's delta_tilde F[li] over the
+    modes |k| < K at grid point li."""
     grid = u.lambda_grid
     B = setup.B
     mser = B.truncate(setup.qbar_n).scale(-1.0) + \
         fr.constant(grid, B.average(), fr.SCALAR)
     phi = fr.exp_i_scalar(mser, l)
-    utt = fr.multiply(fr.multiply(fr.exp_i_scalar(res.bcal, l), u), phi)
+    utt = fr.multiply(fr.multiply(fr.exp_i_scalar(setup.bcal, l), u), phi)
     lam_t = grid + np.real(B.average())
     ks = np.arange(-setup.K + 1, setup.K)
     n = len(ks)

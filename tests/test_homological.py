@@ -337,9 +337,46 @@ def test_polar_random_reconstruction():
 
 def test_polar_singularity_error():
     G = fr.constant(GRID, -0.6 * np.exp(2j * np.pi * GRID))
-    # modulus dips to 0.4 < 1/2 threshold
+    # |h| = |e^{-2 pi i lambda} G| = 0.6 is past the 1/2 threshold
     with pytest.raises(hm.SingularityError):
-        hm.polar_decompose(G, min_modulus=0.5)
+        hm.polar_decompose(G)
+
+
+GRID257 = np.linspace(0.25, 0.75, 257)
+
+
+def test_polar_support_follows_G():
+    # |h| ~ 1e-9: the second order, 1e-18 at modes up to 4, is kept and the
+    # third, 1e-27, lies below the cut 32 eps |h|; no FFT floor survives
+    G = fr.from_modes(GRID257, fr.SCALAR, {1: 1e-9 * (1 + 0.5j * GRID257),
+                                          -1: 0.7e-9 * (GRID257 - 1j)})
+    rho, B, defect, _ = hm.polar_decompose(G)
+    assert len(rho.modes) <= 4 * G.max_mode + 1
+    assert len(B.modes) <= 4 * G.max_mode + 1
+    assert defect <= 1e-14
+
+
+def log_oracle(G):
+    """(rho, B) from log(1 + h) = h sum_n (-h)^n / (n + 1), h = e^{-2 pi i
+    lambda} G, in the coefficient algebra: B = Im log / (2 pi) and rho =
+    expm1(Re log) = x sum_n x^n / (n + 1)!, x = Re log."""
+    h = G.scale(np.exp(-2j * np.pi * G.lambda_grid))
+    [s] = fr._power_sums(h.scale(-1.0), [lambda n: n / (n + 1)], "log")
+    log = fr.multiply(h, s)
+    x = (log + log.conj()).scale(0.5)
+    [e] = fr._power_sums(x, [lambda n: 1.0 / (n + 1)], "expm1")
+    return fr.multiply(x, e), (log - log.conj()).scale(-0.25j / math.pi)
+
+
+@pytest.mark.parametrize("size,tol", [(1e-9, 1e-24), (0.1, 1e-13)])
+def test_polar_matches_log_oracle(size, tol):
+    G = rand_scalar(np.random.default_rng(29), GRID, 2)
+    G = G.scale(size / G.sup_bound())
+    rho, B, _, _ = hm.polar_decompose(G)
+    rho_o, B_o = log_oracle(G)
+    # the errors scale with |h|, not with the O(1) rotation
+    assert (rho - rho_o).sup_bound() <= tol
+    assert (B - B_o).sup_bound() <= tol
 
 
 # -- the solver -------------------------------------------------------------------------
@@ -364,6 +401,25 @@ def test_solver_diagonal_division_oracle():
         assert np.allclose(v[act], expect[act], rtol=1e-12)
     assert res.delta_er.is_zero()
     assert all(r.passed for r in res.rows)
+
+
+def test_solver_ignores_values_at_excluded_lambda():
+    # 1e-9 at an excluded lambda would let the drop rule erase the 1e-34
+    # mode 0 that u holds at the active points
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    act = dc.active_mask()
+    assert not act.all()
+    data = np.zeros((2, len(GRID)), complex)
+    data[0] = 1e-34
+    data[1, np.flatnonzero(~act)[0]] = 1e-9
+    u = fr.FourierSeries(GRID, fr.SCALAR, np.array([0, 1]), data)
+    zero = fr.zeros(GRID)
+    setup = make_setup(zero, dc)
+    res = hm.solve_homological(zero, u, 1, setup, R_TILDE)
+    masked = hm.solve_homological(zero, u.scale(act), 1, setup, R_TILDE)
+    got, want = res.delta.sample(16)[:, act], masked.delta.sample(16)[:, act]
+    assert np.abs(want).min() > 1e-35
+    assert np.array_equal(got, want)
 
 
 def test_solver_zero_rhs():
@@ -469,7 +525,7 @@ def assert_solved_past_hypotheses(res, setup, n_dense):
     # the solve runs: a finite delta, the failed hypotheses only report, and
     # the a-posteriori gating rows certify the dense solves
     assert np.isfinite(res.delta.data).all()
-    rows = {r.check: r for r in res.precondition_rows + res.rows}
+    rows = {r.check: r for r in res.rows}
     for check in ("||b||_rt < g^2/(12 Q^{2tau^2})",
                   "||S^{-1} E P E^{-1}|| < 1/2"):
         assert not rows[check].passed and not rows[check].gating
@@ -634,12 +690,11 @@ def test_b_norms_measured_once_per_level():
     shared = [hm.solve_homological(b, u, l, setup, R_TILDE)
               for l in (1, 2)]
     # the same rows, bit for bit, whether the setup is shared or not
-    assert [r.precondition_rows for r in shared] == \
-        [r.precondition_rows for r in fresh]
+    assert [r.rows for r in shared] == [r.rows for r in fresh]
     nB = fr.norm_r(B, setup.ctx(setup.r_b))
     tail = fr.norm_r(B.project_tail(setup.qbar_n), setup.ctx(setup.r_b / 2))
     assert setup.b_norms == (nB, tail)
-    assert [r.actual for r in shared[0].precondition_rows[:2]] == [nB, tail]
+    assert [r.actual for r in shared[0].rows[:2]] == [nB, tail]
     assert tail > 0
     # ||S^{-1} E P E^{-1}|| is 1.4e6 for l = 2: the iteration diverges at
     # two of the four points, which are solved densely instead
