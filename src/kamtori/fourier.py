@@ -75,6 +75,12 @@ def _union(*modes: np.ndarray) -> np.ndarray:
                     np.int64)
 
 
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two lambda-grids are equal; one grid object is equal to
+    itself without a comparison."""
+    return a is b or (len(a) == len(b) and np.array_equal(a, b))
+
+
 def _row_shape(grid: np.ndarray, kind: str) -> tuple:
     if kind not in _COMP_SHAPE:
         raise KindMismatch("unknown kind %r" % (kind,))
@@ -130,6 +136,9 @@ class FourierSeries:
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._compat(other)
+        if np.array_equal(self.modes, other.modes):
+            return _cleaned(self.lambda_grid, self.kind, self.modes,
+                            self.data + other.data)
         modes = _union(self.modes, other.modes)
         data = np.zeros((len(modes),) + self.data.shape[1:], complex)
         mine = np.searchsorted(modes, self.modes)
@@ -221,8 +230,7 @@ class FourierSeries:
     def _compat(self, other: "FourierSeries"):
         if self.kind != other.kind:
             raise KindMismatch("kind mismatch: %s vs %s" % (self.kind, other.kind))
-        if self.nlambda != other.nlambda or not np.array_equal(
-                self.lambda_grid, other.lambda_grid):
+        if not _same_grid(self.lambda_grid, other.lambda_grid):
             raise ValueError("lambda grids differ")
 
 
@@ -349,20 +357,72 @@ def _row_max(a: np.ndarray, active: Optional[np.ndarray] = None,
         width = a.size // len(a)
     else:
         width = np.count_nonzero(active) * math.prod(a.shape[2:])
-        if grid is not None:
-            grid = grid[active]
     if width == 0:
         return np.zeros(len(a))
-    out = np.empty(len(a))
+    stencil = None if grid is None else _stencil(grid, active)
     step = block_rows(width)
-    for lo in range(0, len(a), step):
-        blk = a[lo:lo + step]
-        if active is not None:
-            blk = blk[:, active]
-        mag = np.abs(blk)
-        if grid is not None and len(grid) >= 2:
-            mag += np.abs(np.gradient(blk, grid, axis=1))
-        out[lo:lo + step] = mag.reshape(len(blk), -1).max(axis=1)
+    if step >= len(a):
+        return _block_max(a, active, stencil)
+    return np.concatenate([_block_max(a[lo:lo + step], active, stencil)
+                           for lo in range(0, len(a), step)])
+
+
+def _block_max(blk: np.ndarray, active: Optional[np.ndarray],
+               stencil: Optional[tuple]) -> np.ndarray:
+    if active is not None:
+        blk = blk[:, active]
+    mag = np.abs(blk)
+    if stencil is not None:
+        mag += np.abs(_gradient(blk, stencil))
+    return mag.reshape(len(blk), -1).max(axis=1)
+
+
+def _stencil(grid: np.ndarray, active: Optional[np.ndarray]) -> Optional[tuple]:
+    """np.gradient's spacing on the active points of grid, None below two
+    points; cached per (grid, active mask)."""
+    grid = np.asarray(grid, float)
+    return _cached_stencil(grid.tobytes(),
+                           None if active is None else active.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_stencil(grid: bytes, active: Optional[bytes]) -> Optional[tuple]:
+    """(a, b, c, dx_0, dx_n) as np.gradient computes them for a 1-d
+    spacing: b is None on a uniform grid, where a is 2 dx; read-only."""
+    pts = np.frombuffer(grid)
+    if active is not None:
+        pts = pts[np.frombuffer(active, bool)]
+    if len(pts) < 2:
+        return None
+    dx = np.diff(pts)
+    if (dx == dx[0]).all():
+        return 2. * dx[0], None, None, dx[0], dx[0]
+    dx1, dx2 = dx[0:-1], dx[1:]
+    a = -(dx2) / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    for arr in (a, b, c):
+        arr.flags.writeable = False
+    return a, b, c, dx[0], dx[-1]
+
+
+def _gradient(f: np.ndarray, stencil: tuple) -> np.ndarray:
+    """np.gradient(f, pts, axis=1) for the points whose _stencil is given,
+    by np.gradient's own expressions (edge_order 1), so bit for bit."""
+    a, b, c, dx_0, dx_n = stencil
+    out = np.empty_like(f)
+    mid = out[:, 1:-1]
+    if b is None:
+        np.subtract(f[:, 2:], f[:, :-2], out=mid)
+        mid /= a
+    else:
+        # a f[:-2] + b f[1:-1] + c f[2:], summed left to right in place
+        shape = (1, -1) + (1,) * (f.ndim - 2)
+        np.multiply(a.reshape(shape), f[:, :-2], out=mid)
+        mid += b.reshape(shape) * f[:, 1:-1]
+        mid += c.reshape(shape) * f[:, 2:]
+    out[:, 0] = (f[:, 1] - f[:, 0]) / dx_0
+    out[:, -1] = (f[:, -1] - f[:, -2]) / dx_n
     return out
 
 
@@ -380,6 +440,8 @@ def _cleaned(grid, kind, modes: np.ndarray, data: np.ndarray) -> FourierSeries:
     if not np.isfinite(top):
         raise ValueError("series coefficients hold NaN or inf")
     keep = (rowmax >= DROP_REL * top) & (rowmax > 0)
+    if keep.all() and data.flags.c_contiguous:
+        return FourierSeries(grid, kind, modes, data)
     return FourierSeries(grid, kind, modes[keep], data[keep])
 
 
@@ -456,7 +518,7 @@ def multiply(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     if rule is None:
         raise KindMismatch("cannot multiply %s by %s" % (a.kind, b.kind))
     out_kind, block, macs = rule
-    if a.nlambda != b.nlambda or not np.array_equal(a.lambda_grid, b.lambda_grid):
+    if not _same_grid(a.lambda_grid, b.lambda_grid):
         raise ValueError("lambda grids differ")
     if not (np.isfinite(a.data).all() and np.isfinite(b.data).all()):
         raise ValueError("multiply: a factor holds NaN or inf")

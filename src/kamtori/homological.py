@@ -8,9 +8,10 @@ kill the low modes of B through a difference equation (whose solution is a
 trigonometric polynomial with an explicit exponential bound), then solve the
 truncated conjugated equation, a diagonally dominant linear system, by its
 Neumann series: one FFT product per step for all active lambda-grid points
-at once, and one dense solve at any point where the series does not
-converge.  Every bound the scheme relies on (small divisors, truncation
-tails, solution size, Neumann dominance) is re-measured and reported.
+at once, over the modes the data reaches, and one dense solve at any point
+where the series does not converge.  Every bound the scheme relies on
+(small divisors, truncation tails, solution size, Neumann dominance) is
+re-measured and reported.
 
 B, its cutoffs and the divisors stay fixed through a KAM level.  The
 level's DcSet comes from dc_from_exclusion(..., B, ...), which removes the
@@ -462,9 +463,11 @@ class SolveSetup:
     level from B, the level's DC set (cf, gamma, tau, K, active mask, grid
     and shift) and the level constants; computed when first needed: bcal
     (the B-equation's solution), e^{2 pi i l B}, terms(l) and the norms of
-    the B hypotheses.  It holds no (n, n) array over the n = 2K - 1 modes:
-    the conditioning check sums its matrix in row blocks (_conditioning)
-    and the dense fallback builds its matrix only for a point it solves."""
+    the B hypotheses.  It holds no (n, n) array over the n = 2K - 1 modes,
+    and no solve builds one but the dense fallback, for a point it solves:
+    the conditioning check sums its matrix over btilde's diagonals
+    (_conditioning), and the Neumann series runs on the modes its data
+    reaches (_solve_truncated)."""
 
     def __init__(self, B: FourierSeries, dc: DcSet, *, weight: WeightFunction,
                  q_next: int, qbar_n: int, r_b: float, sigma: float,
@@ -656,21 +659,34 @@ def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
     """Measured row-sum norms of S^{-1} and E P E^{-1}; the second is the
     largest row sum of the width-scaled Toeplitz matrix
     |btilde_{k1-k2}|_O exp(min(lw(k1) - lw(k2), 700)) over the n = 2K - 1
-    modes |k| < K, lw(k) = Lambda(2 pi |k| r).  It is summed one block of
-    fr.block_rows(n) rows at a time, so no (n, n) array is built."""
+    modes |k| < K, lw(k) = Lambda(2 pi |k| r).  Row k1 sums over the
+    diagonals d = k1 - k2 that btilde holds, one block of fr.block_rows(n)
+    diagonals at a time: O(nnz n) work and no (n, n) array."""
     n = len(setup.ks)
-    near = btilde.truncate(n)
-    c_O = np.zeros(2 * n - 1)
-    c_O[near.modes + n - 1] = fr._modes_O(near.data, btilde.lambda_grid,
-                                          setup.ctx(r_tilde))
+    c_O = fr._modes_O(btilde.data, btilde.lambda_grid, setup.ctx(r_tilde))
+    held = (c_O != 0) & (np.abs(btilde.modes) < n)
+    ds, c_O = btilde.modes[held], c_O[held]
     lw = eval_lambda(setup.weight, 2 * math.pi * np.abs(setup.ks) * r_tilde)
-    toeplitz = _toeplitz(c_O, n)
+    # row n - d of the windows is lw(k1 - d) over the rows k1, and +inf
+    # where k1 - d leaves |k| < K, so that its exp(lw(k1) - inf) adds 0
+    inf = np.full(n, np.inf)
+    windows = sliding_window_view(np.concatenate((inf, lw, inf)), n)
+    pe = np.zeros(n)
     step = fr.block_rows(n)
-    sums = []
-    for i0 in range(0, n, step):
-        ratio = np.exp(np.minimum(lw[i0:i0 + step, None] - lw, 700.0))
-        sums.append((toeplitz[i0:i0 + step] * ratio).sum(axis=1))
-    return setup.terms(l).s_inv, float(np.concatenate(sums).max())
+    for i0 in range(0, len(ds), step):
+        pe += _diagonal_sums(windows[n - ds[i0:i0 + step]], lw,
+                             c_O[i0:i0 + step])
+    return setup.terms(l).s_inv, float(pe.max())
+
+
+def _diagonal_sums(lw_k2: np.ndarray, lw: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """sum_d c_d exp(min(lw(k1) - lw_k2[d, k1], 700)) per row k1, computed
+    in place, overwriting the block lw_k2."""
+    np.subtract(lw, lw_k2, out=lw_k2)
+    np.exp(np.minimum(lw_k2, 700.0, out=lw_k2), out=lw_k2)
+    lw_k2 *= c[:, None]
+    return lw_k2.sum(axis=0)
 
 
 def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
@@ -683,35 +699,57 @@ def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
                      setup: SolveSetup, l: int, dom: float) -> tuple:
     """Solve (S + P) F = U at every active grid point by the solver lemma's
-    Neumann series F <- (U - P F) / S, all points at once: P F is the
-    convolution by btilde cut to |k| < K, one batched FFT product per step.
+    Neumann series F <- (U - P F) / S, all points at once, on the modes the
+    data reaches: F starts on the window lo .. hi spanned by U's modes
+    |k| < K, and each step widens the window by btilde's extreme modes,
+    clipped to |k| < K.  P F is the convolution by btilde cut to the
+    window, one batched FFT product per step, sized to the window; once
+    the window holds all n = 2K - 1 modes, that product has the arrays of
+    the full-width one.
 
     A point stops when its step falls to a few ulps of max|F|.  A point
     whose step stops shrinking first, or that still runs after
     log(eps)/log(min(dom, 1/2)) + a margin steps (dom = ||S^{-1} E P E^{-1}||
-    as measured), does not converge: it is solved by one dense solve
-    instead, so no diverged iterate is returned.  Returns (F, the number
-    of steps, the grid indices solved densely)."""
-    n = len(setup.ks)
+    as measured), does not converge: it is solved by one dense solve over
+    all n = 2K - 1 modes instead, so no diverged iterate is returned.
+    Returns (F, the number of steps, the grid indices solved densely)."""
+    K, n = setup.K, len(setup.ks)
     idxs = np.nonzero(setup.active)[0]
-    sdiag = setup.terms(l).diagonal[idxs]                  # (m, n)
-    rhs = _dense(utt, setup.K).T[idxs]                     # (m, n)
-    diffs = _dense(btilde, n).T[idxs]                      # (m, 2n - 1)
-    # the linear convolution has 3n - 2 terms; a cyclic one of length
-    # >= 2n - 1 wraps none of them onto the n wanted, n - 1 .. 2n - 2
-    nfft = 1 << (2 * n - 2).bit_length()
+    u = utt.truncate(K)
+    if u.is_zero():
+        return fr.zeros(setup.grid), 0, idxs[:0]
+    diagonal = setup.terms(l).diagonal                     # (L, n)
+    near = btilde.truncate(n)
+    bmodes, bdata = near.modes, near.data[:, idxs].T       # (m, nnz)
+    lo, hi = int(u.modes[0]), int(u.modes[-1])
+    rhs = _zero_filled(u.modes - lo, u.data[:, idxs].T, hi - lo + 1)
+    x = rhs / diagonal[idxs, lo + K - 1:hi + K]
     rate = dom if dom < 0.5 else 0.5                       # NaN: 1/2
     cap = math.ceil(math.log(_EPS) / math.log(max(rate, 1e-300))) \
         + _NEUMANN_MARGIN
-    x = rhs / sdiag
     prev = np.full(len(idxs), np.inf)
-    run = np.flatnonzero(diffs.any(axis=1))    # where P = 0, F = U / S
-    bhat = np.fft.fft(diffs, nfft) if run.size else None
-    stuck = []
-    steps = 0
+    run = np.flatnonzero(bdata.any(axis=1))    # where P = 0, F = U / S
+    grow = (min(int(bmodes[0]), 0), max(int(bmodes[-1]), 0)) if run.size \
+        else (0, 0)
+    stuck, steps, bhat = [], 0, None
     while run.size and steps < cap:
-        px = np.fft.ifft(np.fft.fft(x[run], nfft) * bhat[run])
-        new = (rhs[run] - px[:, n - 1:2 * n - 1]) / sdiag[run]
+        wider = max(lo + grow[0], 1 - K), min(hi + grow[1], K - 1)
+        if bhat is None or wider != (lo, hi):
+            pad = ((0, 0), (lo - wider[0], wider[1] - hi))
+            x, rhs = np.pad(x, pad), np.pad(rhs, pad)
+            lo, hi = wider
+            w = hi - lo + 1
+            # btilde's modes |d| < w at d + w - 1: the linear convolution
+            # has 3w - 2 terms, and a cyclic one of length >= 2w - 1 wraps
+            # none of them onto the w wanted, w - 1 .. 2w - 2
+            nfft = 1 << (2 * w - 2).bit_length()
+            cut = np.abs(bmodes) < w
+            bhat = np.fft.fft(_zero_filled(bmodes[cut] + w - 1, bdata[:, cut],
+                                           2 * w - 1), nfft)
+        px = np.fft.fft(x[run], nfft)
+        px *= bhat[run]
+        px = np.fft.ifft(px, out=px)[:, w - 1:2 * w - 1]
+        new = (rhs[run] - px) / diagonal[idxs[run], lo + K - 1:hi + K]
         step = np.abs(new - x[run]).max(axis=1)
         x[run] = new
         steps += 1
@@ -721,19 +759,23 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         prev[run] = step
         run = run[~done & shrinking]
     dense = np.concatenate(stuck + [run]).astype(int)
-    for i in dense:
-        M = _toeplitz(diffs[i], n).copy()
-        M[np.arange(n), np.arange(n)] += sdiag[i]
-        x[i] = np.linalg.solve(M, rhs[i])
-    sol = np.zeros((n, len(setup.grid)), complex)
+    if dense.size:
+        pad = ((0, 0), (lo + K - 1, K - 1 - hi))
+        x, rhs = np.pad(x, pad), np.pad(rhs, pad)
+        lo, hi = 1 - K, K - 1
+        diffs = _zero_filled(bmodes + n - 1, bdata[dense], 2 * n - 1)
+        for row, i in zip(diffs, dense):
+            M = _toeplitz(row, n).copy()
+            M[np.arange(n), np.arange(n)] += diagonal[idxs[i]]
+            x[i] = np.linalg.solve(M, rhs[i])
+    sol = np.zeros((hi - lo + 1, len(setup.grid)), complex)
     sol[:, idxs] = x.T
-    return (fr._cleaned(setup.grid, fr.SCALAR, setup.ks, sol), steps,
-            idxs[np.sort(dense)])
+    return (fr._cleaned(setup.grid, fr.SCALAR, np.arange(lo, hi + 1), sol),
+            steps, idxs[np.sort(dense)])
 
 
-def _dense(s: FourierSeries, n: int) -> np.ndarray:
-    """The modes |k| < n of s, zero-filled: row k + n - 1 of (2n - 1, L)."""
-    near = s.truncate(n)
-    out = np.zeros((2 * n - 1,) + near.data.shape[1:], complex)
-    out[near.modes + n - 1] = near.data
+def _zero_filled(cols: np.ndarray, data: np.ndarray, width: int) -> np.ndarray:
+    """(m, width) complex zeros with data (m, len(cols)) at the columns cols."""
+    out = np.zeros((len(data), width), complex)
+    out[:, cols] = data
     return out

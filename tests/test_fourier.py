@@ -710,6 +710,72 @@ def test_blocked_row_reductions_bounded_memory():
         assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("case", ["uniform", "masked", "two-point",
+                                  "matrix"])
+def test_cached_stencil_is_np_gradient(case):
+    # the lambda-derivative of |.|_O from the cached spacing, bit for bit
+    # np.gradient(blk, grid, axis=1), on the grids np.gradient treats apart
+    rng = np.random.default_rng(46)
+    grid, active, shape = np.linspace(0.25, 0.75, 33), None, (7, 33)
+    if case == "uniform":
+        grid, shape = 0.25 + 0.0625 * np.arange(9), (7, 9)  # exact spacing
+    elif case == "masked":
+        active = rng.random(33) < 0.6
+    elif case == "two-point":
+        grid, shape = np.array([0.3, 0.55]), (7, 2)
+    else:
+        grid, shape = np.sort(rng.random(17)), (7, 17, 2, 2)
+    blk = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pts = grid
+    if active is not None:
+        blk, pts = blk[:, active], grid[active]
+    stencil = fr._stencil(grid, active)
+    assert (stencil[1] is None) == (case in ("uniform", "two-point"))
+    assert fr._stencil(grid.copy(), active) is stencil   # cached by value
+    want = np.gradient(blk, pts, axis=1)
+    assert fr._gradient(blk, stencil).tobytes() == want.tobytes()
+
+
+def test_add_equal_modes_matches_union_path():
+    # the sum of two series on the same modes is the union path's sum bit
+    # for bit, signed zeros included: -0.0 + -0.0 stays -0.0
+    rng = np.random.default_rng(47)
+    modes = np.array(GAPPED)
+    for kind in KINDS:
+        shape = (len(modes), len(GRID)) + fr._COMP_SHAPE[kind]
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a[1] = complex(-0.0, 1.0)
+        b[1] = complex(-0.0, 2.0)
+        a[2].real, b[2].real = 0.0, -0.0
+        f = fr.FourierSeries(GRID, kind, modes, a)
+        g = fr.FourierSeries(GRID, kind, modes, b)
+        # g with one more mode, all zero: f + wider takes the union path
+        wider = fr.FourierSeries(GRID, kind, np.append(modes, 20),
+                                 np.concatenate((b, np.zeros_like(b[:1]))))
+        got, want = f + g, f + wider
+        assert got.support == want.support == list(GAPPED)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.signbit(got.data[1].real).all()
+        assert not np.signbit(got.data[2].real).any()
+
+
+def test_grid_check_by_value():
+    # a grid equal in value but another object passes; another grid raises
+    f = cos_series(GRID)
+    g = cos_series(GRID.copy())
+    assert f.lambda_grid is not g.lambda_grid
+    assert np.array_equal((f + g).data, 2 * f.data)
+    assert np.array_equal(fr.multiply(f, g).data,
+                          fr.multiply(f, f).data)
+    for grid in (GRID + 1e-3, GRID[:4]):
+        h = cos_series(grid)
+        with pytest.raises(ValueError, match="lambda grids differ"):
+            f + h
+        with pytest.raises(ValueError, match="lambda grids differ"):
+            fr.multiply(f, h)
+
+
 def test_store_zero_series_and_empty_grid():
     ctx = WeightedNormContext(ANALYTIC, 0.1)
     for kind in KINDS:

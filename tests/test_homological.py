@@ -554,6 +554,201 @@ def test_solver_reports_failed_conditioning():
     assert_solved_past_hypotheses(res, setup, 6)
 
 
+# -- the windowed truncated solve against the full-window one ---------------------------------
+
+
+def full_window_solve(btilde, utt, setup, l, dom):
+    # the Neumann solve over all n = 2K - 1 modes, one FFT of length
+    # >= 2n - 1 per step, as it ran before the window: the oracle of the
+    # windowed solve (same stop rule, cap, stuck test and dense fallback)
+    n = len(setup.ks)
+    idxs = np.nonzero(setup.active)[0]
+
+    def zero_filled(s, width):
+        near = s.truncate(width)
+        out = np.zeros((2 * width - 1, len(setup.grid)), complex)
+        out[near.modes + width - 1] = near.data
+        return out
+
+    sdiag = setup.terms(l).diagonal[idxs]
+    rhs = zero_filled(utt, setup.K).T[idxs]
+    diffs = zero_filled(btilde, n).T[idxs]
+    nfft = 1 << (2 * n - 2).bit_length()
+    rate = dom if dom < 0.5 else 0.5
+    cap = math.ceil(math.log(hm._EPS) / math.log(max(rate, 1e-300))) \
+        + hm._NEUMANN_MARGIN
+    x = rhs / sdiag
+    prev = np.full(len(idxs), np.inf)
+    run = np.flatnonzero(diffs.any(axis=1))
+    bhat = np.fft.fft(diffs, nfft) if run.size else None
+    stuck, steps = [], 0
+    while run.size and steps < cap:
+        px = np.fft.ifft(np.fft.fft(x[run], nfft) * bhat[run])
+        new = (rhs[run] - px[:, n - 1:2 * n - 1]) / sdiag[run]
+        step = np.abs(new - x[run]).max(axis=1)
+        x[run] = new
+        steps += 1
+        done = step <= hm._NEUMANN_TOL * np.abs(new).max(axis=1)
+        shrinking = step < prev[run]
+        stuck.append(run[~done & ~shrinking])
+        prev[run] = step
+        run = run[~done & shrinking]
+    dense = np.concatenate(stuck + [run]).astype(int)
+    for i in dense:
+        M = hm._toeplitz(diffs[i], n).copy()
+        M[np.arange(n), np.arange(n)] += sdiag[i]
+        x[i] = np.linalg.solve(M, rhs[i])
+    sol = np.zeros((n, len(setup.grid)), complex)
+    sol[:, idxs] = x.T
+    return (fr._cleaned(setup.grid, fr.SCALAR, setup.ks, sol), steps,
+            idxs[np.sort(dense)])
+
+
+def on_modes(rng, grid, modes, scale):
+    # a complex series with random coefficients of size scale at modes
+    z = rng.standard_normal((len(modes), 2))
+    data = scale * (z[:, 0] + 1j * z[:, 1])[:, None] * (1.0 + grid - 0.5)
+    return fr.FourierSeries(grid, fr.SCALAR, np.array(modes, np.int64), data)
+
+
+def solver_inputs(b, u, l, setup):
+    # btilde, utt and the measured dominance as solve_homological forms them
+    act = setup.active
+    t = setup.terms(l)
+    btilde = t.tail_term + fr.multiply(b.scale(act), t.phi)
+    utt = fr.multiply(fr.multiply(t.e_plus, u.scale(act)), t.phi)
+    s_inv, pe = hm._conditioning(btilde, setup, l, R_TILDE)
+    return btilde, utt, s_inv * pe
+
+
+def windowed_vs_full(btilde, utt, setup, l, dom):
+    """The windowed solve matches the full-window one within 1e-14 of each
+    mode's majorant (|U_k| + ||btilde||_1 max|F|) / |S_k| at every active
+    point, with the same step count and the same dense points; returns
+    (the windowed F as a series, its steps, its dense points)."""
+    got, steps, dense = hm._solve_truncated(btilde, utt, setup, l, dom)
+    want, want_steps, want_dense = full_window_solve(btilde, utt, setup, l,
+                                                     dom)
+    assert steps == want_steps
+    assert np.array_equal(dense, want_dense)
+    act, K = setup.active, setup.K
+    F = np.array([got.coeff(int(k)) for k in setup.ks])[:, act]
+    W = np.array([want.coeff(int(k)) for k in setup.ks])[:, act]
+    U = np.array([utt.coeff(int(k)) for k in setup.ks])[:, act]
+    b1 = np.abs(btilde.truncate(2 * K - 1).data[:, act]).sum(axis=0)
+    S = np.abs(setup.terms(l).diagonal[act]).T
+    majorant = (np.abs(U) + b1 * np.abs(W).max(axis=0)) / S
+    assert (np.abs(F - W) <= 1e-14 * majorant).all()
+    return got, steps, dense
+
+
+def liouville_setup(K, rng, grid_points=33):
+    grid = np.linspace(0.25, 0.75, grid_points)
+    B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
+    return grid, make_setup(B, dc)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_windowed_solve_liouville_shape(l):
+    # K = 256 (n = 511 modes), a 7-mode right side and a 5-mode btilde: the
+    # window starts at 7 modes and grows by 2 at each end per step
+    rng = np.random.default_rng(80 + l)
+    grid, setup = liouville_setup(256, rng)
+    btilde = on_modes(rng, grid, range(-2, 3), 1e-4)
+    utt = on_modes(rng, grid, range(-3, 4), 1e-2).scale(setup.active)
+    dom = np.prod(hm._conditioning(btilde, setup, l, R_TILDE))
+    got, steps, dense = windowed_vs_full(btilde, utt, setup, l, dom)
+    assert steps >= 3 and not dense.size
+    assert got.max_mode < 3 + 2 * steps + 1
+
+
+def test_windowed_solve_zero_btilde_is_u_over_s():
+    rng = np.random.default_rng(82)
+    grid, setup = liouville_setup(256, rng)
+    utt = on_modes(rng, grid, range(-3, 4), 1e-2).scale(setup.active)
+    zero = fr.zeros(grid)
+    got, steps, dense = hm._solve_truncated(zero, utt, setup, 1, 0.0)
+    want, want_steps, _ = full_window_solve(zero, utt, setup, 1, 0.0)
+    assert steps == want_steps == 0 and not dense.size
+    assert got.support == want.support == list(range(-3, 4))
+    assert got.data.tobytes() == want.data.tobytes()
+    act = setup.active
+    S = setup.terms(1).diagonal[:, setup.K - 4:setup.K + 3].T
+    assert np.array_equal(got.data[:, act], (utt.data / S)[:, act])
+
+
+@pytest.mark.parametrize("nnz", [4, 200, 500])
+def test_windowed_solve_dense_data(nnz):
+    # a 255-mode right side and a btilde of nnz modes about 0: the window
+    # reaches all 511 modes in one or two steps
+    rng = np.random.default_rng(83 + nnz)
+    grid, setup = liouville_setup(256, rng)
+    btilde = on_modes(rng, grid, np.arange(nnz) - nnz // 2, 1e-6 / nnz)
+    utt = on_modes(rng, grid, range(-127, 128), 1e-2).scale(setup.active)
+    dom = np.prod(hm._conditioning(btilde, setup, 2, R_TILDE))
+    _, steps, dense = windowed_vs_full(btilde, utt, setup, 2, dom)
+    assert steps >= 2 and not dense.size
+
+
+def test_windowed_solve_reaches_the_clip():
+    # K = 12: a right side at the edge of |k| < K and a btilde reaching 3
+    # modes out; the window is clipped to |k| < K on its first step
+    rng = np.random.default_rng(86)
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    setup = make_setup(fr.zeros(GRID), dc)
+    btilde = on_modes(rng, GRID, [-3, -1, 2], 1e-3)
+    utt = on_modes(rng, GRID, [7, 9, 11, 12, 15], 1e-2).scale(setup.active)
+    dom = np.prod(hm._conditioning(btilde, setup, 1, R_TILDE))
+    got, steps, dense = windowed_vs_full(btilde, utt, setup, 1, dom)
+    assert steps >= 3 and not dense.size
+    assert got.support[-1] == 11 and got.support[0] < 7
+
+
+def test_windowed_solve_stalled_points():
+    # the solve of test_b_norms_measured_once_per_level whose iteration
+    # stalls at two points, which are solved densely over all n modes
+    rng = np.random.default_rng(62)
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    B = rand_scalar(rng, GRID, 12, scale=0.002, real=True)
+    b = rand_scalar(rng, GRID, 4, scale=1e-3)
+    u = rand_scalar(rng, GRID, 8, scale=1e-2)
+    setup = make_setup(B, dc)
+    btilde, utt, dom = solver_inputs(b, u, 2, setup)
+    _, _, dense = windowed_vs_full(btilde, utt, setup, 2, dom)
+    assert np.array_equal(GRID[dense], [0.3125, 0.6875])
+
+
+def test_windowed_solve_without_modes_below_K():
+    # a right side with no mode |k| < K: F = 0 with no step
+    rng = np.random.default_rng(87)
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    setup = make_setup(fr.zeros(GRID), dc)
+    btilde = on_modes(rng, GRID, [-1, 1], 1e-3)
+    utt = on_modes(rng, GRID, [-14, 12], 1e-2)
+    got, steps, dense = hm._solve_truncated(btilde, utt, setup, 1, 0.1)
+    assert got.is_zero() and steps == 0 and not dense.size
+
+
+def test_windowed_solve_working_set():
+    # K = 256 on 33 lambda with a 6-mode right side and a 32-mode btilde:
+    # the solve's arrays are sized by the modes it reaches, not by n = 511
+    rng = np.random.default_rng(88)
+    grid, setup = liouville_setup(256, rng)
+    btilde = on_modes(rng, grid, range(-16, 16), 1e-5)
+    utt = on_modes(rng, grid, range(-3, 3), 1e-2).scale(setup.active)
+    dom = np.prod(hm._conditioning(btilde, setup, 2, R_TILDE))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, steps, _ = hm._solve_truncated(btilde, utt, setup, 2, dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps >= 2
+    assert peak - start < 1.5 * 2**20
+
+
 # -- the per-level solver object ----------------------------------------------------------
 
 
@@ -587,16 +782,20 @@ def conditioning_oracle(btilde, l, setup, r_tilde):
     return s_inv, pe
 
 
-# (K, r_tilde): K = 256 is the liouville-33 size, n = 511 modes summed in
-# 15 blocks of 32 rows and a last one of 31; at r_tilde = 2500 the weights
-# spread by more than 700 (4.0e6 analytic, 2001 gevrey), so ratios reach
-# the clamp
-@pytest.mark.parametrize("K, r_tilde", [(12, R_TILDE), (40, R_TILDE),
-                                        (256, R_TILDE), (256, 2500.0)],
-                         ids=["12", "40", "256", "wide-256"])
+# (K, r_tilde, modes): K = 256 is the liouville-33 size, n = 511 modes; at
+# r_tilde = 2500 the weights spread by more than 700 (4.0e6 analytic, 2001
+# gevrey), so ratios reach the clamp.  modes None takes the btilde of a
+# solve (about 80 modes, summed in blocks of 32 diagonals at n = 511);
+# otherwise btilde is drawn on those modes: at most 8 at K = 256, and at K =
+# 12 (n = 23) modes |d| >= n that no row reaches
+@pytest.mark.parametrize("K, r_tilde, modes", [
+    (12, R_TILDE, None), (40, R_TILDE, None), (256, R_TILDE, None),
+    (256, 2500.0, None), (256, R_TILDE, (-255, -7, -1, 0, 2, 3, 90, 510)),
+    (12, R_TILDE, (-40, -23, -22, -1, 0, 5, 22, 23))],
+    ids=["12", "40", "256", "wide-256", "sparse-256", "beyond-n"])
 @pytest.mark.parametrize("weight", [ANALYTIC, WeightFunction("gevrey", 0.5)],
                          ids=["analytic", "gevrey"])
-def test_conditioning_matches_double_loop(K, r_tilde, weight):
+def test_conditioning_matches_double_loop(K, r_tilde, modes, weight):
     rng = np.random.default_rng(60 + K)
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
@@ -606,13 +805,20 @@ def test_conditioning_matches_double_loop(K, r_tilde, weight):
     lw = eval_lambda(weight, 2 * math.pi * np.arange(K) * r_tilde)
     assert (lw.max() - lw.min() > 700) == (r_tilde != R_TILDE)
     for l in (1, 2):
-        b = rand_scalar(rng, grid, 4, scale=1e-3)
-        u = rand_scalar(rng, grid, K - 1, scale=1e-2)
-        res = hm.solve_homological(b, u, l, setup, R_TILDE)
-        s_inv, pe = hm._conditioning(res.btilde, setup, l, r_tilde)
-        s_ref, pe_ref = conditioning_oracle(res.btilde, l, setup, r_tilde)
+        if modes is None:
+            b = rand_scalar(rng, grid, 4, scale=1e-3)
+            u = rand_scalar(rng, grid, K - 1, scale=1e-2)
+            btilde = hm.solve_homological(b, u, l, setup, R_TILDE).btilde
+        else:
+            btilde = on_modes(rng, grid, modes, 1e-3)
+        s_inv, pe = hm._conditioning(btilde, setup, l, r_tilde)
+        s_ref, pe_ref = conditioning_oracle(btilde, l, setup, r_tilde)
         assert s_inv == s_ref
         assert pe == pytest.approx(pe_ref, rel=1e-12, abs=0)
+        n = 2 * K - 1
+        if max(np.abs(btilde.modes)) >= n:
+            assert pe == hm._conditioning(btilde.truncate(n), setup, l,
+                                          r_tilde)[1]
 
 
 def test_conditioning_same_bits_shared_or_fresh_setup():
@@ -660,7 +866,7 @@ def test_conditioning_working_set_is_linear_in_modes():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start < 2**20
+    assert peak - start < 0.25 * 2**20
     assert kept - start < 4096
 
 
