@@ -233,19 +233,23 @@ def cmd_solve(args) -> int:
     b = fr.read_coeff_dump(args.b_input, grid) if args.b_input \
         else fr.zeros(grid)
     dc = hm.dc_from_exclusion(cf, args.gamma, args.tau, args.K, grid, B)
+    # the solve runs on the DC set's active points alone
+    keep, dc, u, B, b = dc.restrict_level(u, B, b)
+    if not len(keep):
+        print("the DC set keeps no lambda point", file=sys.stderr)
+        return EXIT_CERT
     r0 = float(Fraction(cfg["schedule.r"]))
     setup = hm.SolveSetup(B, dc, weight=weight, q_next=args.q_next,
                           qbar_n=args.qbar, r_b=r0, sigma=args.sigma,
                           eps0=cfg["model.eps"])
     res = hm.solve_homological(b, u, args.l, setup, args.r_tilde)
     if args.out:
-        fr.write_coeff_dump(args.out, res.delta)
-        fr.write_coeff_dump(args.out + ".er", res.delta_er)
+        fr.write_coeff_dump(args.out, res.delta, keep)
+        fr.write_coeff_dump(args.out + ".er", res.delta_er, keep)
     rows = dc.exclusion_rows + res.rows
     if not B.is_zero():
         rows += hm.b_equation_rows(B, setup.bcal, args.qbar, cf, weight,
-                                   r=r0, rbar=args.r_tilde, r0=r0,
-                                   active=setup.active)
+                                   r=r0, rbar=args.r_tilde, r0=r0)
     write_rows(rows, sys.stdout)
     return _exit_from_rows(rows)
 
@@ -291,27 +295,29 @@ def cmd_kam_run(args) -> int:
 
 
 def _dump_states(out: str, summary) -> None:
+    """Each level's state and the final torus at that level's points, by
+    their config-grid index."""
     for st in summary.states:
         tagbase = os.path.join(out, "level%d" % st.n)
-        fr.write_coeff_dump(tagbase + "_V00.dump", st.V.entry(0, 0))
-        fr.write_coeff_dump(tagbase + "_U0.dump", st.U.component(0))
-        fr.write_coeff_dump(tagbase + "_U1.dump", st.U.component(1))
-        for i in (0, 1):
-            for j in (0, 1):
-                fr.write_coeff_dump(tagbase + "_W%d%d.dump" % (i, j),
-                                    st.W.entry(i, j))
+        parts = [("_V00", st.V.entry(0, 0)), ("_U0", st.U.component(0)),
+                 ("_U1", st.U.component(1))]
+        parts += [("_W%d%d" % (i, j), st.W.entry(i, j))
+                  for i in (0, 1) for j in (0, 1)]
+        for tag, s in parts:
+            fr.write_coeff_dump(tagbase + tag + ".dump", s, st.lambda_index)
     # the final torus: coefficient dump plus a theta-grid table
     final = summary.states[-1]
     X1 = final.torus().component(0)
-    fr.write_coeff_dump(os.path.join(out, "torus_X0.dump"), X1)
+    fr.write_coeff_dump(os.path.join(out, "torus_X0.dump"), X1,
+                        final.lambda_index)
     thetas = (np.arange(256) / 256.0).tolist()
     K = md.torus_K(X1.sample(len(thetas)))
     with open(os.path.join(out, "torus_K.csv"), "w") as fh:
         fh.write("lambda_index,theta,K1,K2\n")
-        for li in range(len(final.lambda_grid)):
+        for i, li in enumerate(final.lambda_index.tolist()):
             fh.write("".join("%d,%r,%r,%r\n" % (li, th, k1, k2) for th, k1, k2
-                             in zip(thetas, K[:, li, 0].tolist(),
-                                    K[:, li, 1].tolist())))
+                             in zip(thetas, K[:, i, 0].tolist(),
+                                    K[:, i, 1].tolist())))
 
 
 def cmd_verify(args) -> int:

@@ -11,8 +11,10 @@ shape tag; the structural claims are checked where the scheme requires
 them, not enforced by construction.
 
 Weighted norms sum |f_k|_O * exp(L(2 pi |k| r)) where |.|_O is the sup over
-the (active part of the) lambda-grid of value plus central-difference
-lambda-derivative, reduced over vector/matrix entries by maximum.  Norms
+the lambda-grid of value plus central-difference lambda-derivative, reduced
+over vector/matrix entries by maximum.  A KAM level holds only its
+parameter points (restrict), so no value at an excluded lambda enters a
+norm, a bound or the drop rule.  Norms
 and sup bounds sum over the modes in ascending order.  Every per-mode
 maximum (norms, sup bounds, the drop rule) is reduced one block of mode
 rows at a time, BLOCK_VALUES complex values per block (block_rows), so no
@@ -132,6 +134,11 @@ class FourierSeries:
         return FourierSeries(self.lambda_grid, self.kind, self.modes[keep],
                              self.data[keep])
 
+    def restrict(self, index, grid: np.ndarray) -> "FourierSeries":
+        """The series at the lambda-grid points index, on grid (one grid
+        object per level keeps _same_grid at its identity test)."""
+        return _cleaned(grid, self.kind, self.modes, self.data[:, index])
+
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
@@ -223,9 +230,9 @@ class FourierSeries:
             vals = _sample_table(self.modes, rows, n, start, stop)
         return vals.reshape(shape)
 
-    def sup_bound(self, active: Optional[np.ndarray] = None) -> float:
+    def sup_bound(self) -> float:
         """sum_k max|f_k|: an upper bound for the sup over theta."""
-        return sum(_row_max(self.data, active).tolist(), 0.0)
+        return sum(_row_max(self.data).tolist(), 0.0)
 
     def _compat(self, other: "FourierSeries"):
         if self.kind != other.kind:
@@ -344,54 +351,37 @@ def block_rows(row_values: int) -> int:
     return max(1, BLOCK_VALUES // max(row_values, 1))
 
 
-def _row_max(a: np.ndarray, active: Optional[np.ndarray] = None,
-             grid: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per row of a[k, lambda, ...]: the max over the active lambda and the
-    entries of |a_k|, plus |d/dlambda a_k| by np.gradient on grid when a
-    grid of at least two active points is given; active is a bool mask over
-    the lambda-grid.  Reduced one block of rows at a time; a row with no
-    active lambda reads 0."""
+def _row_max(a: np.ndarray, grid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per row of a[k, lambda, ...]: the max over lambda and the entries of
+    |a_k|, plus |d/dlambda a_k| by np.gradient on grid when a grid of at
+    least two points is given: |a_k|_O.  Reduced one block of rows at a
+    time."""
     if len(a) == 0:
         return np.zeros(0)
-    if active is None:
-        width = a.size // len(a)
-    else:
-        width = np.count_nonzero(active) * math.prod(a.shape[2:])
-    if width == 0:
-        return np.zeros(len(a))
-    stencil = None if grid is None else _stencil(grid, active)
+    width = a.size // len(a)
+    stencil = None if grid is None \
+        else _stencil(np.asarray(grid, float).tobytes())
     step = block_rows(width)
     if step >= len(a):
-        return _block_max(a, active, stencil)
-    return np.concatenate([_block_max(a[lo:lo + step], active, stencil)
+        return _block_max(a, stencil)
+    return np.concatenate([_block_max(a[lo:lo + step], stencil)
                            for lo in range(0, len(a), step)])
 
 
-def _block_max(blk: np.ndarray, active: Optional[np.ndarray],
-               stencil: Optional[tuple]) -> np.ndarray:
-    if active is not None:
-        blk = blk[:, active]
+def _block_max(blk: np.ndarray, stencil: Optional[tuple]) -> np.ndarray:
     mag = np.abs(blk)
     if stencil is not None:
         mag += np.abs(_gradient(blk, stencil))
     return mag.reshape(len(blk), -1).max(axis=1)
 
 
-def _stencil(grid: np.ndarray, active: Optional[np.ndarray]) -> Optional[tuple]:
-    """np.gradient's spacing on the active points of grid, None below two
-    points; cached per (grid, active mask)."""
-    grid = np.asarray(grid, float)
-    return _cached_stencil(grid.tobytes(),
-                           None if active is None else active.tobytes())
-
-
 @functools.lru_cache(maxsize=64)
-def _cached_stencil(grid: bytes, active: Optional[bytes]) -> Optional[tuple]:
-    """(a, b, c, dx_0, dx_n) as np.gradient computes them for a 1-d
-    spacing: b is None on a uniform grid, where a is 2 dx; read-only."""
+def _stencil(grid: bytes) -> Optional[tuple]:
+    """np.gradient's spacing on the float64 grid of these bytes, None below
+    two points, cached per grid: (a, b, c, dx_0, dx_n) as np.gradient
+    computes them for a 1-d spacing, b None on a uniform grid, where a is
+    2 dx; read-only."""
     pts = np.frombuffer(grid)
-    if active is not None:
-        pts = pts[np.frombuffer(active, bool)]
     if len(pts) < 2:
         return None
     dx = np.diff(pts)
@@ -604,34 +594,29 @@ def _mirrored(s: FourierSeries) -> tuple:
     return rows, rows[::-1]
 
 
-def _worst(d: np.ndarray, active: Optional[np.ndarray]) -> float:
-    if active is not None:
-        d = d[:, active]
-    return float(d.max()) if d.size else 0.0
-
-
-def real_defect(s: FourierSeries, active: Optional[np.ndarray] = None) -> float:
+def real_defect(s: FourierSeries) -> float:
     """Max deviation from f(theta) real, i.e. f_{-k} = conj(f_k)."""
     f, f_neg = _mirrored(s)
-    return _worst(np.abs(f_neg - np.conj(f)), active)
+    return float(np.abs(f_neg - np.conj(f)).max(initial=0.0))
 
 
-def c2_pair_defect(v: FourierSeries, active: Optional[np.ndarray] = None) -> float:
+def c2_pair_defect(v: FourierSeries) -> float:
     """Max deviation of component 2 from the conjugate of component 1."""
     if v.kind != C2VECTOR:
         raise KindMismatch("c2_pair_defect needs a vector series")
     f, f_neg = _mirrored(v)
-    return _worst(np.abs(f[:, :, 1] - np.conj(f_neg[:, :, 0])), active)
+    return float(np.abs(f[:, :, 1] - np.conj(f_neg[:, :, 0]))
+                 .max(initial=0.0))
 
 
-def su11_defect(w: FourierSeries, active: Optional[np.ndarray] = None) -> float:
+def su11_defect(w: FourierSeries) -> float:
     """Max deviation from the [[a, b], [conj b, conj a]] pattern."""
     if w.kind != SU11MATRIX:
         raise KindMismatch("su11_defect needs a matrix series")
     f, f_neg = _mirrored(w)
     # (d_k, c_k) against (conj a_{-k}, conj b_{-k})
-    return _worst(np.abs(f[:, :, 1, ::-1] - np.conj(f_neg[:, :, 0, :])),
-                  active)
+    return float(np.abs(f[:, :, 1, ::-1] - np.conj(f_neg[:, :, 0, :]))
+                 .max(initial=0.0))
 
 
 def det_minus_one(m: FourierSeries) -> FourierSeries:
@@ -648,7 +633,6 @@ def det_minus_one(m: FourierSeries) -> FourierSeries:
 class WeightedNormContext:
     weight: WeightFunction
     r: float
-    active: Optional[np.ndarray] = None    # bool mask over the lambda-grid
 
     def __post_init__(self):
         if self.r < 0:
@@ -656,12 +640,6 @@ class WeightedNormContext:
 
     def with_r(self, r) -> "WeightedNormContext":
         return replace(self, r=float(r))
-
-
-def _modes_O(a: np.ndarray, grid: np.ndarray, ctx: WeightedNormContext) -> np.ndarray:
-    """|a_k|_O of every row of a[k, lambda, ...]: sup over active lambda of
-    |entry| + |d/dlambda entry|, max over entries."""
-    return _row_max(a, ctx.active, grid)
 
 
 def _exp(y: float) -> float:
@@ -674,7 +652,7 @@ def _exp(y: float) -> float:
 def _weighted_sum(f: FourierSeries, ctx: WeightedNormContext, lam) -> float:
     """sum_k |f_k|_O exp(lam(2 pi |k| r)) in ascending k, over the modes
     with |f_k|_O != 0."""
-    c = _modes_O(f.data, f.lambda_grid, ctx)
+    c = _row_max(f.data, f.lambda_grid)
     nz = c != 0
     y = lam(2 * math.pi * np.abs(f.modes[nz]) * float(ctx.r))
     return sum((ci * _exp(yi) for ci, yi in zip(c[nz].tolist(), y.tolist())),
@@ -804,13 +782,18 @@ class PowerFourierSeries:
             self.d_max, self.lambda_grid, self.kind,
             {m: s for m, s in self.terms.items() if sum(m) >= min_degree})
 
-    def low_degree_mass(self, active=None) -> float:
+    def low_degree_mass(self) -> float:
         """Coefficient mass at degrees <= 1 (should vanish for remainders)."""
         tot = 0.0
         for m, s in self.terms.items():
             if sum(m) <= 1:
-                tot += s.sup_bound(active)
+                tot += s.sup_bound()
         return tot
+
+    def restrict(self, index, grid: np.ndarray) -> "PowerFourierSeries":
+        """The jet at the lambda-grid points index, on grid."""
+        return PowerFourierSeries(self.d_max, grid, self.kind, {
+            m: s.restrict(index, grid) for m, s in self.terms.items()})
 
     def eval_at_series(self, d1: FourierSeries, d2: FourierSeries) -> FourierSeries:
         """Value at x = (d1, d2), both scalar series, in the algebra:
@@ -872,7 +855,7 @@ class PowerFourierSeries:
             self.d_max, self.lambda_grid, self.kind,
             {mm: multiply(m, s) for mm, s in self.terms.items()})
 
-    def conj_swap_defect(self, active=None) -> float:
+    def conj_swap_defect(self) -> float:
         """Deviation from: swapping conjugate arguments conjugate-swaps the
         output, coefficientwise: f2_m = conj-series of f1 at swapped m."""
         if self.kind != C2VECTOR:
@@ -883,7 +866,7 @@ class PowerFourierSeries:
             f = self.term((m1, m2))
             g = self.term((m2, m1))
             d = g.component(0).conj() - f.component(1)
-            worst = max(worst, d.sup_bound(active))
+            worst = max(worst, d.sup_bound())
         return worst
 
 
@@ -929,18 +912,23 @@ def hessian_norm_bound(jet: PowerFourierSeries, ctx: WeightedNormContext,
 # -- coefficient dump format ---------------------------------------------------------
 
 
-def write_coeff_dump(path, s: FourierSeries):
-    """Bit-exact scalar dump: one line `lambda_index k re im` per coefficient."""
+def write_coeff_dump(path, s: FourierSeries, lambda_index=None):
+    """Bit-exact scalar dump: one line `lambda_index k re im` per coefficient
+    and grid point i of s, lambda_index[i] (default i) its index on the grid
+    a reader is given."""
     if s.kind != SCALAR:
         raise KindMismatch("dump format is per scalar component")
+    index = np.arange(s.nlambda) if lambda_index is None else lambda_index
+    index = np.asarray(index).tolist()
     with open(path, "w") as fh:
         for k, v in zip(s.modes.tolist(), s.data):
-            fh.write("".join("%d %d %r %r\n" % (li, k, re, im) for li, (re, im)
-                             in enumerate(zip(v.real.tolist(),
-                                              v.imag.tolist()))))
+            fh.write("".join("%d %d %r %r\n" % (li, k, re, im) for li, re, im
+                             in zip(index, v.real.tolist(),
+                                    v.imag.tolist())))
 
 
 def read_coeff_dump(path, lambda_grid) -> FourierSeries:
+    """The dumped series on lambda_grid; a point the dump omits reads 0."""
     grid = np.asarray(lambda_grid, float)
     coeffs: dict = {}
     with open(path) as fh:

@@ -7,8 +7,8 @@ Pipeline for the variable-coefficient equation
 kill the low modes of B through a difference equation (whose solution is a
 trigonometric polynomial with an explicit exponential bound), then solve the
 truncated conjugated equation, a diagonally dominant linear system, by its
-Neumann series: one FFT product per step for all active lambda-grid points
-at once, over the modes the data reaches, and one dense solve at any point
+Neumann series: one FFT product per step for all lambda-grid points at
+once, over the modes the data reaches, and one dense solve at any point
 where the series does not converge.  Every bound the scheme relies on
 (small divisors, truncation tails, solution size, Neumann dominance) is
 re-measured and reported.
@@ -16,16 +16,18 @@ re-measured and reported.
 B, its cutoffs and the divisors stay fixed through a KAM level.  The
 level's DcSet comes from dc_from_exclusion(..., B, ...), which removes the
 resonance zones around lambda~ = lambda + [B]_theta, so the DC set and the
-solver agree on B by construction.  One SolveSetup per level, built from B
-and that DcSet, holds the B-equation's solution, the exponentials of B, the
-divisors l lambda~ - k alpha (from frac(k alpha), memoised on the
-ContinuedFraction) and ||S^{-1}||; every solve of the level shares it and
-gives only its width r_tilde.  DcSet.divisors tabulates the same divisors
-at the DC set's active points.
+solver agree on B by construction.  The level then moves onto the DC
+set's active points (restrict), where every solve, norm and row runs.  One
+SolveSetup per level, built from B and that DcSet, holds the B-equation's
+solution, the exponentials of B, the divisors l lambda~ - k alpha (from
+frac(k alpha), memoised on the ContinuedFraction) and ||S^{-1}||; every
+solve of the level shares it and gives only its width r_tilde.
+DcSet.divisors tabulates the same divisors at the DC set's grid points.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -199,11 +201,21 @@ class DcSet:
     def active_mask(self) -> np.ndarray:
         return self.intervals.contains(self.lambda_grid)
 
+    def restrict_level(self, *series) -> tuple:
+        """(the indices of the active points on lambda_grid, this DC set
+        there, each of series there): a level moved onto its active points,
+        all on one new grid object."""
+        keep = np.flatnonzero(self.active_mask())
+        grid = self.lambda_grid[keep]
+        dc = dataclasses.replace(self, lambda_grid=grid,
+                                 shift=self.shift[keep])
+        return (keep, dc) + tuple(s.restrict(keep, grid) for s in series)
+
     def omega(self) -> np.ndarray:
         return self.lambda_grid + self.shift
 
     def divisors(self, k_max: int) -> tuple:
-        """The divisor table at the active points: ks = 0, 1, -1, ...,
+        """The divisor table at the grid points: ks = 0, 1, -1, ...,
         k_max, -k_max, d[i, l-1] = l Omega - ks[i] alpha and
         pw[i, l-1] = (|ks[i]| + l)^tau for l = 1, 2.  Built once for the
         largest k_max asked; smaller tables are its leading rows."""
@@ -213,25 +225,22 @@ class DcSet:
             t = np.array([self.cf.frac_k(abs(k)) for k in ks.tolist()])
             pw = np.array([[(abs(k) + l) ** self.tau for l in _LS]
                            for k in ks.tolist()])
-            d = np.array(_LS)[:, None] * self.omega()[self.active_mask()] \
+            d = np.array(_LS)[:, None] * self.omega() \
                 - (t * np.sign(ks))[:, None, None]
             self._table = ks, d, pw
         return tuple(a[:n] for a in self._table)
 
     def certify(self) -> list:
-        """Sampled certification at every active grid point (k = 0 included)."""
+        """Sampled certification at every grid point (k = 0 included)."""
         ks, d, pw = self.divisors(self.K)
         dist = np.abs(d - np.round(d))
         worst, where = _first_min(dist - (self.gamma / pw)[:, :, None], ks)
-        return [CheckRow("DC certification margin", 0.0,
-                         -worst if math.isfinite(worst) else -math.inf,
+        return [CheckRow("DC certification margin", 0.0, -worst,
                          bool(worst >= 0.0), where)]
 
 
 def _first_min(vals: np.ndarray, ks: np.ndarray) -> tuple:
     """Least vals[i, l-1, point] and its label; ties go to the first (k, l)."""
-    if vals.shape[2] == 0:
-        return math.inf, ""
     per = vals.min(axis=2)
     i, j = divmod(int(np.argmin(per)), len(_LS))
     return float(per[i, j]), "k=%d l=%d" % (ks[i], _LS[j])
@@ -261,7 +270,7 @@ def dc_from_exclusion(cf: ContinuedFraction, gamma: float, tau: float, K: int,
 def certify_small_divisor(dc: DcSet, q_next: int, qbar_next: int,
                           k_max: Optional[int] = None) -> list:
     """|exp(2 pi i (l Omega - k alpha)) - 1| >= 4 gamma q_next^{-tau^2}
-    over all active grid points, |k| <= sqrt(qbar_next), l = 1, 2."""
+    over all grid points, |k| <= sqrt(qbar_next), l = 1, 2."""
     K_lemma = math.isqrt(qbar_next)
     km = K_lemma if k_max is None else min(k_max, K_lemma)
     bound = 4.0 * dc.gamma * _float_pow(q_next, -dc.tau**2)
@@ -328,10 +337,10 @@ def _b_residual(B: FourierSeries, bcal: FourierSeries, qbar: int,
 
 def b_equation_rows(B: FourierSeries, bcal: FourierSeries, qbar: int,
                     cf: ContinuedFraction, weight: WeightFunction, r: float,
-                    rbar: float, r0: float, active=None) -> list:
+                    rbar: float, r0: float) -> list:
     """Residual and exponential-growth certification for the B-equation."""
-    ctx_r = WeightedNormContext(weight, r, active=active)
-    ctx_rbar = WeightedNormContext(weight, rbar, active=active)
+    ctx_r = WeightedNormContext(weight, r)
+    ctx_rbar = WeightedNormContext(weight, rbar)
     resid = _b_residual(B, bcal, qbar, cf)
     tol = 1e-14 * max(1.0, B.sup_bound())
     rows = [CheckRow("B-equation coefficient residual", tol,
@@ -460,8 +469,9 @@ def _series_from_grid(vals: np.ndarray, lambda_grid: np.ndarray,
 
 class SolveSetup:
     """What every homological solve of one KAM level shares.  Built once per
-    level from B, the level's DC set (cf, gamma, tau, K, active mask, grid
-    and shift) and the level constants; computed when first needed: bcal
+    level from B and the level's DC set (cf, gamma, tau, K, grid and
+    shift), both on the level's points, and the level constants; computed
+    when first needed: bcal
     (the B-equation's solution), e^{2 pi i l B}, terms(l) and the norms of
     the B hypotheses.  It holds no (n, n) array over the n = 2K - 1 modes,
     and no solve builds one but the dense fallback, for a point it solves:
@@ -475,7 +485,8 @@ class SolveSetup:
         self.B, self.weight = B, weight
         self.cf, self.gamma, self.tau, self.K = dc.cf, dc.gamma, dc.tau, dc.K
         self.grid, self.shift = dc.lambda_grid, dc.shift
-        self.active = dc.active_mask()
+        # every point is active; perfbench/child.py counts them by this
+        self.active = np.ones(len(self.grid), bool)
         self.q_next = q_next        # Q_{n+1}
         self.qbar_n = qbar_n        # Qbar_n: B-equation truncation
         self.r_b = r_b              # width for the B hypotheses (= r_n)
@@ -486,7 +497,7 @@ class SolveSetup:
         self._terms: dict = {}
 
     def ctx(self, r: float) -> WeightedNormContext:
-        return WeightedNormContext(self.weight, float(r), active=self.active)
+        return WeightedNormContext(self.weight, float(r))
 
     @functools.cached_property
     def b_norms(self) -> tuple:
@@ -532,13 +543,10 @@ class SolveSetup:
 
     def _s_inv(self, diagonal: np.ndarray, l: int) -> float:
         """Measured row-sum norm of S^{-1}, lambda-derivative included."""
-        mask = self.active
-        small = np.abs(diagonal[mask])
-        if small.size == 0:
-            return 0.0
+        small = np.abs(diagonal)
         davg = 0.0
-        if mask.sum() >= 2:
-            davg = float(np.abs(np.gradient(self.lam_t[mask], self.grid[mask])
+        if len(self.grid) >= 2:
+            davg = float(np.abs(np.gradient(self.lam_t, self.grid)
                                 - 1.0).max())
         return float((1.0 / small
                       + 2 * math.pi * l * (1.0 + davg) / small**2).max())
@@ -566,8 +574,6 @@ def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
     if l not in _LS:
         raise ValueError("l must be 1 or 2")
     cf = setup.cf
-    # values at excluded lambda would steer the drop rule at the active ones
-    b, u = b.scale(setup.active), u.scale(setup.active)
     rows = _preconditions(b, setup, r_tilde)
 
     t = setup.terms(l)
@@ -591,12 +597,12 @@ def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
     bd = fr.multiply(btilde, delta_tilde)
     sys_res = (delta_tilde.scale(t.exp_lt) + bd
                - delta_tilde.shift(cf.phase) - utt).truncate(setup.K)
-    u_scale = max(utt.sup_bound(setup.active), 1e-300)
+    u_scale = max(utt.sup_bound(), 1e-300)
     how = "neumann steps=%d" % steps
     if len(dense):
         how += " dense at lambda=" + " ".join("%.6g" % v
                                               for v in setup.grid[dense])
-    res_sup = sys_res.sup_bound(setup.active)
+    res_sup = sys_res.sup_bound()
     rows.append(CheckRow("truncated-system residual <= 1e-10 ||u||",
                          1e-10 * u_scale, res_sup, res_sup <= 1e-10 * u_scale,
                          how))
@@ -624,7 +630,7 @@ def solve_homological(b: FourierSeries, u: FourierSeries, l: int,
     full_res = (fr.multiply(t.phase_B, delta)
                 + fr.multiply(b, delta) - delta.shift(cf.phase) - u)
     transported = fr.multiply(t.e_minus_shifted, tail_part)
-    mismatch = (full_res - transported).sup_bound(setup.active)
+    mismatch = (full_res - transported).sup_bound()
     rows.append(CheckRow("full residual = transported tail (1e-10 rel)",
                          1e-10 * u_scale, mismatch, mismatch <= 1e-10 * u_scale))
 
@@ -647,8 +653,7 @@ def _preconditions(b, setup: SolveSetup, r_tilde: float) -> list:
     bb = setup.gamma**2 / 12.0 * _float_pow(setup.q_next, -2 * setup.tau**2)
     rows.append(CheckRow("||b||_rt < g^2/(12 Q^{2tau^2})", bb, nb,
                          nb < bb or (nb == 0.0 and bb == 0.0), gating=False))
-    shift_dev = float(np.abs(np.real(setup.B.average()) - setup.shift).max()) \
-        if len(setup.shift) else 0.0
+    shift_dev = float(np.abs(np.real(setup.B.average()) - setup.shift).max())
     rows.append(CheckRow("DC shift matches [B]_theta", 1e-10, shift_dev,
                          shift_dev <= 1e-10))
     return rows
@@ -663,7 +668,7 @@ def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
     diagonals d = k1 - k2 that btilde holds, one block of fr.block_rows(n)
     diagonals at a time: O(nnz n) work and no (n, n) array."""
     n = len(setup.ks)
-    c_O = fr._modes_O(btilde.data, btilde.lambda_grid, setup.ctx(r_tilde))
+    c_O = fr._row_max(btilde.data, btilde.lambda_grid)
     held = (c_O != 0) & (np.abs(btilde.modes) < n)
     ds, c_O = btilde.modes[held], c_O[held]
     lw = eval_lambda(setup.weight, 2 * math.pi * np.abs(setup.ks) * r_tilde)
@@ -698,7 +703,7 @@ def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
                      setup: SolveSetup, l: int, dom: float) -> tuple:
-    """Solve (S + P) F = U at every active grid point by the solver lemma's
+    """Solve (S + P) F = U at every grid point by the solver lemma's
     Neumann series F <- (U - P F) / S, all points at once, on the modes the
     data reaches: F starts on the window lo .. hi spanned by U's modes
     |k| < K, and each step widens the window by btilde's extreme modes,
@@ -714,20 +719,19 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
     all n = 2K - 1 modes instead, so no diverged iterate is returned.
     Returns (F, the number of steps, the grid indices solved densely)."""
     K, n = setup.K, len(setup.ks)
-    idxs = np.nonzero(setup.active)[0]
     u = utt.truncate(K)
     if u.is_zero():
-        return fr.zeros(setup.grid), 0, idxs[:0]
+        return fr.zeros(setup.grid), 0, np.zeros(0, int)
     diagonal = setup.terms(l).diagonal                     # (L, n)
     near = btilde.truncate(n)
-    bmodes, bdata = near.modes, near.data[:, idxs].T       # (m, nnz)
+    bmodes, bdata = near.modes, near.data.T                # (L, nnz)
     lo, hi = int(u.modes[0]), int(u.modes[-1])
-    rhs = _zero_filled(u.modes - lo, u.data[:, idxs].T, hi - lo + 1)
-    x = rhs / diagonal[idxs, lo + K - 1:hi + K]
+    rhs = _zero_filled(u.modes - lo, u.data.T, hi - lo + 1)
+    x = rhs / diagonal[:, lo + K - 1:hi + K]
     rate = dom if dom < 0.5 else 0.5                       # NaN: 1/2
     cap = math.ceil(math.log(_EPS) / math.log(max(rate, 1e-300))) \
         + _NEUMANN_MARGIN
-    prev = np.full(len(idxs), np.inf)
+    prev = np.full(len(x), np.inf)
     run = np.flatnonzero(bdata.any(axis=1))    # where P = 0, F = U / S
     grow = (min(int(bmodes[0]), 0), max(int(bmodes[-1]), 0)) if run.size \
         else (0, 0)
@@ -749,7 +753,7 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         px = np.fft.fft(x[run], nfft)
         px *= bhat[run]
         px = np.fft.ifft(px, out=px)[:, w - 1:2 * w - 1]
-        new = (rhs[run] - px) / diagonal[idxs[run], lo + K - 1:hi + K]
+        new = (rhs[run] - px) / diagonal[run, lo + K - 1:hi + K]
         step = np.abs(new - x[run]).max(axis=1)
         x[run] = new
         steps += 1
@@ -766,12 +770,11 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         diffs = _zero_filled(bmodes + n - 1, bdata[dense], 2 * n - 1)
         for row, i in zip(diffs, dense):
             M = _toeplitz(row, n).copy()
-            M[np.arange(n), np.arange(n)] += diagonal[idxs[i]]
+            M[np.arange(n), np.arange(n)] += diagonal[i]
             x[i] = np.linalg.solve(M, rhs[i])
-    sol = np.zeros((hi - lo + 1, len(setup.grid)), complex)
-    sol[:, idxs] = x.T
-    return (fr._cleaned(setup.grid, fr.SCALAR, np.arange(lo, hi + 1), sol),
-            steps, idxs[np.sort(dense)])
+    return (fr._cleaned(setup.grid, fr.SCALAR, np.arange(lo, hi + 1),
+                        np.ascontiguousarray(x.T)),
+            steps, np.sort(dense))
 
 
 def _zero_filled(cols: np.ndarray, data: np.ndarray, width: int) -> np.ndarray:

@@ -212,6 +212,10 @@ class TransformFactor:
         return TransformFactor(fr.multiply(self.matrix, E),
                                self.offset + fr.multiply(self.matrix, Delta))
 
+    def restrict(self, index, grid) -> "TransformFactor":
+        return TransformFactor(self.matrix.restrict(index, grid),
+                               self.offset.restrict(index, grid))
+
 
 @dataclass
 class KamState:
@@ -224,10 +228,21 @@ class KamState:
     # the composition of every level so far; None (the identity) at level 0,
     # which keeps level 1's factor out of a product with fr.eye
     transform: Optional[TransformFactor]
-    lambda_grid: np.ndarray
+    lambda_grid: np.ndarray         # the level's points, all in omega
+    lambda_index: np.ndarray        # their indices on the config grid
+
+    def restrict(self, index, grid: np.ndarray) -> "KamState":
+        """The state at its grid points index, all its series on grid."""
+        V, U, W, R = (s.restrict(index, grid)
+                      for s in (self.V, self.U, self.W, self.R))
+        return dataclasses.replace(
+            self, V=V, U=U, W=W, R=R, lambda_grid=grid,
+            lambda_index=self.lambda_index[index],
+            transform=self.transform and self.transform.restrict(index, grid))
 
     def active_mask(self) -> np.ndarray:
-        return self.omega.contains(self.lambda_grid)
+        """Every point of the grid (perfbench/child.py counts them)."""
+        return np.ones(len(self.lambda_grid), bool)
 
     def torus(self) -> FourierSeries:
         """The c2vector torus X, the image of X' = 0 under transform."""
@@ -241,7 +256,7 @@ def initial_state(U: FourierSeries, W: FourierSeries, R: PowerFourierSeries,
     grid = np.asarray(lambda_grid, float)
     return KamState(n=0, V=fr.zeros(grid, fr.SU11MATRIX), U=U, W=W, R=R,
                     omega=IntervalUnion.full(), transform=None,
-                    lambda_grid=grid)
+                    lambda_grid=grid, lambda_index=np.arange(len(grid)))
 
 
 @dataclass
@@ -261,7 +276,7 @@ class LevelContext:
 
     grid: np.ndarray
     Vmat: FourierSeries
-    setup: SolveSetup               # B, cf, the mask and the level's solves
+    setup: SolveSetup               # B, cf and the level's solves
     phase_diag: FourierSeries       # diag(e^{2 pi i lambda}, e^{-2 pi i lambda})
     phase1: FourierSeries
     rho_phase_B: FourierSeries      # rho e^{2 pi i lambda} e^{2 pi i B}
@@ -292,7 +307,6 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     """One j -> j+1 pass; returns (new SubState, E, Delta, rows)."""
     grid = ctx.grid
     setup = ctx.setup
-    act = setup.active
     rows: list = []
     phase = setup.cf.phase
     eps_j1 = eps_j / math.e
@@ -340,7 +354,7 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     E, Einv = fr.exp_su11(Dmat)
     EinvS = Einv.shift(phase)
 
-    det_dev = fr.det_minus_one(E).sup_bound(act)
+    det_dev = fr.det_minus_one(E).sup_bound()
     rows.append(CheckRow("sub det(e^D)-1", 1e-10, det_dev, det_dev <= 1e-10))
 
     Zw = Zfull + W2mat
@@ -357,10 +371,10 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
 
     # a genuine pass contracts by e^{-1}; anything below 1e-12 of the input
     # scale is cancellation dust, so snap it to the exact fixed point
-    ref = max(sub.U.sup_bound(act), sub.W.sup_bound(act))
-    if U_next.sup_bound(act) <= 1e-12 * ref:
+    ref = max(sub.U.sup_bound(), sub.W.sup_bound())
+    if U_next.sup_bound() <= 1e-12 * ref:
         U_next = fr.zeros(grid, fr.C2VECTOR)
-    if W_next.sup_bound(act) <= 1e-12 * ref:
+    if W_next.sup_bound() <= 1e-12 * ref:
         W_next = fr.zeros(grid, fr.SU11MATRIX)
 
     # displayed sub-step estimates, re-measured
@@ -392,12 +406,12 @@ def sub_iteration_step(ctx: LevelContext, sub: SubState, eps_j: float, r_j,
     rows.append(CheckRow("sub ||d2R_{j+1}|| <= (1+6eps_j^(1/3))||d2R_j||",
                          hbound, hess, hess <= hbound or sub.hess == 0.0))
 
-    sdef = fr.su11_defect(W_next, act)
-    wscale = max(1.0, W_next.sup_bound(act))
+    sdef = fr.su11_defect(W_next)
+    wscale = max(1.0, W_next.sup_bound())
     rows.append(CheckRow("sub su11 pattern of W_{j+1}", 1e-12 * wscale, sdef,
                          sdef <= 1e-12 * wscale))
-    cdef = fr.c2_pair_defect(U_next, act)
-    uscale = max(1.0, U_next.sup_bound(act))
+    cdef = fr.c2_pair_defect(U_next)
+    uscale = max(1.0, U_next.sup_bound())
     rows.append(CheckRow("sub conjugate pair of U_{j+1}", 1e-12 * uscale, cdef,
                          cdef <= 1e-12 * uscale))
 
@@ -417,14 +431,13 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
     """Direct check that the transform maps the old equation to the new one:
     for X_j = E X_{j+1} + Delta the old right side at X_j must equal
     E(.+a) . (new right side at X_{j+1}) + Delta(.+a), pointwise on the
-    n_theta-grid at every active lambda.
+    n_theta-grid at every lambda of the level.
 
     Returns (worst deviation, equation scale); the identity holds to
     roundoff relative to the equation's own magnitude.  The grid is taken
     in blocks of fr.block_rows(4 L) theta-points with running maxima of
     the deviation and the scale, so no array spans the whole grid."""
     phase = ctx.setup.cf.phase
-    act = ctx.setup.active
     nlam = len(ctx.grid)
     # (Zw, W, U, R) of each side; Zw = diag(e^{+-2 pi i lambda}) + V + v
     sides = [(ctx.phase_diag + ctx.Vmat + s.v, s.W, s.U, s.R)
@@ -454,11 +467,8 @@ def substitution_defect(ctx: LevelContext, sub_old: SubState,
             t_old = rhs(sides[0], lo, hi, Xj)
             t_new = np.einsum("tlij,tlj->tli", EvalsS,
                               rhs(sides[1], lo, hi, Y)) + DvalsS
-            dev = np.abs(t_old - t_new)[:, act]
-            mag = np.abs(t_old)[:, act]
-            if dev.size:
-                worst = max(worst, float(dev.max()))
-                scale = max(scale, float(mag.max()))
+            worst = max(worst, float(np.abs(t_old - t_new).max()))
+            scale = max(scale, float(np.abs(t_old).max()))
     return worst, scale
 
 
@@ -477,9 +487,9 @@ class StepReport:
 
 def kam_step(state: KamState, sched: Schedule) -> tuple:
     """One outer step: exclusion, L sub-iterations, composition; returns
-    (new state, StepReport)."""
+    (new state, StepReport).  The level runs on the active points of its DC
+    set alone, and the new state holds only those."""
     n = state.n
-    grid = state.lambda_grid
     rows: list = []
 
     rho, B, defect, polar_n = hm.polar_decompose(state.V.entry(0, 0))
@@ -491,13 +501,17 @@ def kam_step(state: KamState, sched: Schedule) -> tuple:
 
     # the level-n resonance band K_{n-3} <= |k| <= K_n around lambda + [B]
     dc = hm.dc_from_exclusion(sched.cf, sched.gamma(n), sched.tau, sched.K(n),
-                              grid, B, domain=state.omega,
+                              state.lambda_grid, B, domain=state.omega,
                               k_min=sched.K(n - 3))
-    if dc.intervals.is_empty() or not dc.active_mask().any():
+    keep, dc, rho, B = dc.restrict_level(rho, B)
+    if len(keep) < 2:     # for the zone search and d/dlambda in |.|_O
         raise ParameterExhausted(
             "parameter set exhausted at level %d (gamma=%.3g, band %d..%d, "
-            "%d zones)" % (n, sched.gamma(n), sched.K(n - 3), sched.K(n),
-                           len(dc.zones)))
+            "%d zones): lambda points left: %d, a level needs 2"
+            % (n, sched.gamma(n), sched.K(n - 3), sched.K(n), len(dc.zones),
+               len(keep)))
+    state = state.restrict(keep, dc.lambda_grid)
+    grid = state.lambda_grid
     removed = state.omega.measure() - dc.intervals.measure()
     rows += dc.exclusion_rows
     rows += dc.certify()
@@ -516,7 +530,6 @@ def kam_step(state: KamState, sched: Schedule) -> tuple:
     setup = SolveSetup(B, dc, weight=sched.weight, q_next=sched.Q(n + 1),
                        qbar_n=sched.Qbar(n), r_b=float(sched.r(n)),
                        sigma=float(sigma_abs), eps0=sched.eps0)
-    active = setup.active
     ctx = _level_context(state, rho, setup)
 
     sub = SubState(0, fr.zeros(grid, fr.SU11MATRIX), state.U, state.W, state.R,
@@ -561,7 +574,7 @@ def kam_step(state: KamState, sched: Schedule) -> tuple:
     rows.append(CheckRow("||Delta_{n+1}|| <= 4 eps_n^(5/6)",
                          4.0 * eps_t ** (5 / 6), doff,
                          doff <= 4.0 * eps_t ** (5 / 6), gating=False))
-    det_dev = fr.det_minus_one(level.matrix).sup_bound(active)
+    det_dev = fr.det_minus_one(level.matrix).sup_bound()
     rows.append(CheckRow("composed factor det-1 <= 1e-8", 1e-8, det_dev,
                          det_dev <= 1e-8))
 
@@ -570,13 +583,13 @@ def kam_step(state: KamState, sched: Schedule) -> tuple:
     rows.append(CheckRow("||V_{n+1}-V_n|| <= 3 eps_n^(1/2)",
                          3.0 * math.sqrt(eps_t), nv,
                          nv <= 3.0 * math.sqrt(eps_t)))
-    v_off = max(V_new.entry(0, 1).sup_bound(active),
-                V_new.entry(1, 0).sup_bound(active))
-    vdef = max(fr.su11_defect(V_new, active), v_off)
-    vscale = max(1.0, V_new.sup_bound(active))
+    v_off = max(V_new.entry(0, 1).sup_bound(),
+                V_new.entry(1, 0).sup_bound())
+    vdef = max(fr.su11_defect(V_new), v_off)
+    vscale = max(1.0, V_new.sup_bound())
     rows.append(CheckRow("V_{n+1} stays diagonal conjugate pair",
                          1e-12 * vscale, vdef, vdef <= 1e-12 * vscale))
-    low = sub.R.low_degree_mass(active)
+    low = sub.R.low_degree_mass()
     rows.append(CheckRow("R jet degree<=1 vanishes", 0.0, low, low == 0.0))
 
     nU = sub.U_norm
@@ -595,7 +608,7 @@ def kam_step(state: KamState, sched: Schedule) -> tuple:
         else state.transform.then(level.matrix, level.offset)
     new_state = KamState(n=n + 1, V=V_new, U=sub.U, W=sub.W, R=sub.R,
                          omega=dc.intervals, transform=transform,
-                         lambda_grid=grid)
+                         lambda_grid=grid, lambda_index=state.lambda_index)
     report = StepReport(rows=rows, removed_measure=removed,
                         U_norm=nU, W_norm=nW, sub_u_norms=sub_u_norms,
                         zones=list(dc.zones))
@@ -657,8 +670,7 @@ def run(spec, sched: Schedule, n_max: int) -> RunSummary:
     exclusions: list = []
     stopped = ""
 
-    ctx0 = WeightedNormContext(sched.weight, float(sched.r(0)),
-                               active=state.active_mask())
+    ctx0 = WeightedNormContext(sched.weight, float(sched.r(0)))
     # the abstract theorem's eps0 dominates the measured initial data
     measured = max(fr.norm_r(state.U, ctx0), fr.norm_r(state.W, ctx0) ** 2)
     if measured > sched.eps0:
@@ -705,8 +717,8 @@ def run(spec, sched: Schedule, n_max: int) -> RunSummary:
 
 
 def _torus_residual(spec, state: KamState) -> tuple:
-    """(max over the active lambda of the invariance residual of state's
+    """(max over the state's lambda of the invariance residual of its
     torus, its rows)."""
-    mask = state.active_mask()
-    res, rows = md.residual(spec, state.torus(), active=mask)
-    return (float(res[mask].max()) if mask.any() else 0.0), rows
+    res, rows = md.residual(spec.restrict(state.lambda_index,
+                                          state.lambda_grid), state.torus())
+    return float(res.max()), rows

@@ -17,6 +17,7 @@ output is theta_j = j/n.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +46,11 @@ class SkewMapSpec:
     lambda_grid: np.ndarray
     s_domain: float = 0.5
     preset: str = ""
+
+    def restrict(self, index, grid: np.ndarray) -> "SkewMapSpec":
+        """The map at the lambda-grid points index, on grid."""
+        return dataclasses.replace(self, N=self.N.restrict(index, grid),
+                                   lambda_grid=grid)
 
     def rotation(self) -> np.ndarray:
         """L(lambda): (L, 2, 2) rotation matrices."""
@@ -168,7 +174,7 @@ def conjugate_to_su11(spec: SkewMapSpec) -> ConjugatedSystem:
 
 
 def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
-               step: float = 1e-6, active=None) -> CheckRow:
+               step: float = 1e-6) -> CheckRow:
     """Max |det dF/dx - 1| over an (x, theta, lambda) grid by central
     finite differences."""
     L = len(spec.lambda_grid)
@@ -186,10 +192,7 @@ def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
                 fm = spec.eval_F(base - dx)
                 jac[..., col] = (fp - fm) / (2 * step)
             det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            dev = np.abs(det - 1.0)
-            if active is not None:
-                dev = dev[:, active]
-            worst = max(worst, float(dev.max()))
+            worst = max(worst, float(np.abs(det - 1.0).max()))
     return CheckRow("area |det dF - 1| on grid", 1e-8, worst, worst <= 1e-8,
                     spec.preset)
 
@@ -197,12 +200,12 @@ def check_area(spec: SkewMapSpec, n_theta: int = 24, n_x: int = 3,
 # -- invariance residual -----------------------------------------------------------------
 
 
-def residual(spec: SkewMapSpec, X: FourierSeries, n_theta: int = 4096,
-             active=None) -> tuple:
+def residual(spec: SkewMapSpec, X: FourierSeries,
+             n_theta: int = 4096) -> tuple:
     """Per-lambda sup of |F(K(theta)) - K(theta + alpha)| for the torus X
-    (a c2vector series in matrix coordinates); the headline observable.
-    Returns (per-lambda array, rows); the analyticity-ball row takes sup |K|
-    over the active lambda (all of them when active is None).
+    (a c2vector series in matrix coordinates, on the grid of spec); the
+    headline observable.  Returns (per-lambda array, rows); the
+    analyticity-ball row takes sup |K| over every lambda.
 
     R = F(K) - K(. + alpha) is one vector series, formed in the algebra
     from K1 = (X1 + conj X1)/sqrt2 and K2 = (X1 - conj X1)/(sqrt2 i), the K
@@ -228,8 +231,6 @@ def residual(spec: SkewMapSpec, X: FourierSeries, n_theta: int = 4096,
                    _norm2(R.sample(n_theta, start, stop)).max(axis=0),
                    out=per_lambda)
         kvals = _norm2(torus_K(X1.sample(n_theta, start, stop)))
-        if active is not None:
-            kvals = kvals[:, active]
         kmax = max(kmax, float(kvals.max(initial=0.0)))
     rows = [CheckRow("torus stays in analyticity ball |K| < s",
                      spec.s_domain, kmax, kmax < spec.s_domain)]

@@ -372,7 +372,8 @@ def small_divisor_scan(cf, levels) -> tuple:
     for j in levels:
         q_next, qbar_next = cf.q[j], cf.q[j + 1]
         dc = hm.dc_from_exclusion(cf, 0.01, 2.0, math.isqrt(qbar_next), lgrid)
-        rws = hm.certify_small_divisor(dc, q_next, qbar_next)
+        rws = hm.certify_small_divisor(dc.restrict_level()[1], q_next,
+                                       qbar_next)
         all_ok &= all(r.passed for r in rws)
         worst = min(worst, min(r.actual - r.bound for r in rws))
     return all_ok, worst
@@ -480,6 +481,7 @@ def homological_suite(seed: int = 0) -> list:
         B = B.scale(0.5 * min(consts["eps0"] ** (1 / 3) / nB,
                               gamma**2 / (480 * math.pi**2 * q_pow) / tail))
         dc = hm.dc_from_exclusion(gm, gamma, tau, K, grid, B)
+        _, dc, B, b, u = dc.restrict_level(B, b, u)
         setup = hm.SolveSetup(B, dc, **consts)
         b = b.scale(0.3 * gamma**2 / (12.0 * q_pow)
                     / fr.norm_r(b, setup.ctx(r_tilde)))
@@ -506,7 +508,7 @@ def homological_suite(seed: int = 0) -> list:
         b, u, setup = solver_instance()
         res = hm.solve_homological(b, u, l, setup, r_tilde)
         worst, felt = full_pivot_deviation(u, res, l, setup,
-                                           np.nonzero(setup.active)[0])
+                                           range(len(setup.grid)))
         rows.append(CheckRow("solver matches full-pivot oracle (l=%d)" % l,
                              1e-10, worst, worst <= 1e-10,
                              "off-diagonal moves F by %.2g" % felt))

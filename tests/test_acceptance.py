@@ -108,15 +108,17 @@ def test_criterion_05_solver_oracle():
             B = B.scale(0.5 * eps0 ** (1 / 3)
                         / max(fr.norm_r(B, ctxb), 1e-300))
             dc = hm.dc_from_exclusion(GM, gamma, tau, K, grid, B)
-            act = dc.active_mask()
-            assert act.any()
+            # the solve runs on the DC set's active points
+            keep, dc, B = dc.restrict_level(B)
+            assert len(keep)
+            lgrid = dc.lambda_grid
             setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=q_next,
                                   qbar_n=qbar_n, r_b=r0, sigma=2e-4,
                                   eps0=eps0)
             bb = gamma**2 / 12.0 / float(q_next) ** (2 * tau**2)
-            b = rand_scalar(rng, grid, 4, scale=1.0)
+            b = rand_scalar(rng, lgrid, 4, scale=1.0)
             b = b.scale(0.3 * bb / max(fr.norm_r(b, setup.ctx(1e-3)), 1e-300))
-            u = rand_scalar(rng, grid, K + 4, scale=1e-2)
+            u = rand_scalar(rng, lgrid, K + 4, scale=1e-2)
             l = int(rng.integers(1, 3))
             res = hm.solve_homological(b, u, l, setup, 1e-3)
             total += 1
@@ -126,10 +128,10 @@ def test_criterion_05_solver_oracle():
             worst_bound = max(worst_bound,
                               brow.actual / max(brow.bound, 1e-300))
             assert brow.passed
-            # dense rebuild at sampled active columns
+            # dense rebuild at sampled points
             stride = 3 if K > 32 else 1
             rel, _ = vf.full_pivot_deviation(u, res, l, setup,
-                                             np.nonzero(act)[0][::stride])
+                                             range(0, len(lgrid), stride))
             worst_rel = max(worst_rel, rel)
     ok = worst_rel <= 1e-10 and total == 50
     report(5, ok, "%d instances, worst rel %.2e, bound ratio %.2e"
@@ -227,13 +229,13 @@ def test_criterion_11_area_preservation():
     spec = md.build_preset("generating", 1e-8, GM, grid, d_max=4)
     summary = kam.run(spec, sched, n_max=2)
     final = summary.states[-1]
-    # each level factor on its active lambda (the rows), the composition of
-    # the levels so far on every lambda
+    # each level factor on its lambda points (the rows), the composition of
+    # the levels so far on the points each level keeps
     worst = max(r.actual for r in summary.rows
                 if r.check == "composed factor det-1 <= 1e-8")
     worst_total = max(fr.det_minus_one(st.transform.matrix).sup_bound()
                       for st in summary.states[1:])
-    row = md.check_area(spec, active=final.active_mask())
+    row = md.check_area(spec.restrict(final.lambda_index, final.lambda_grid))
     ok = worst <= 1e-8 and worst_total <= 1e-8 and row.actual <= 1e-8
     report(11, ok, "factor det %.2e, end-to-end %.2e, map %.2e"
            % (worst, worst_total, row.actual))

@@ -13,6 +13,7 @@ import pytest
 
 from kamtori import cli
 from kamtori import fourier as fr
+from kamtori import homological as hm
 from kamtori.reporting import CheckRow
 
 
@@ -165,6 +166,36 @@ def test_solve_homological_cli_shift_from_B(tmp_path, capsys):
     assert len(shift) == 1 and shift[0].split(",")[3] == "pass"
 
 
+def test_solve_homological_cli_on_active_points(tmp_path, capsys):
+    # the DC set around lambda + [B] excludes grid points (lambda~ = 1/2 at
+    # least): the solve runs on the others, and the delta dump names them
+    # by their index on the config grid
+    grid = np.linspace(0.25, 0.75, 17)
+    u = fr.from_modes(grid, fr.SCALAR, {1: 1e-9, -1: 1e-9, 2: 3e-10})
+    B = fr.from_modes(grid, fr.SCALAR, {0: 1e-4, 1: 1e-5, -1: 1e-5})
+    fr.write_coeff_dump(tmp_path / "u.dump", u)
+    fr.write_coeff_dump(tmp_path / "B.dump", B)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"lambda.grid_points": 17}))
+    out = tmp_path / "delta.dump"
+    code = run_cli(["solve-homological", "--input", str(tmp_path / "u.dump"),
+                    "--B-input", str(tmp_path / "B.dump"), "--l", "1",
+                    "--K", "8", "--gamma", "0.05", "--tau", "2.0",
+                    "--config", str(cfgfile), "--out", str(out)])
+    assert code == 0        # every gating row passes
+    capsys.readouterr()
+    cfg = cli.load_config(str(cfgfile))
+    dc = hm.dc_from_exclusion(cli.build_alpha(cfg), 0.05, 2.0, 8, grid, B)
+    active = np.flatnonzero(dc.active_mask())
+    assert 0 < len(active) < len(grid)
+    for path in (out, tmp_path / "delta.dump.er"):
+        index = {int(line.split()[0]) for line in
+                 path.read_text().splitlines()}
+        assert index <= set(active.tolist())
+    assert {int(line.split()[0]) for line in out.read_text().splitlines()} \
+        == set(active.tolist())
+
+
 def test_norms_cli(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"lambda.grid_points": 9}))
@@ -281,6 +312,55 @@ def run_generating(tmp_path, name, **extra):
     return code, out
 
 
+def _kam_run_summary(monkeypatch, tmp_path, name, config):
+    """kam-run on config in-process: (exit code, output directory, the
+    RunSummary kam.run returned)."""
+    got = []
+    real = cli.kam.run
+
+    def keep(*args, **kwargs):
+        got.append(real(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(cli.kam, "run", keep)
+    cfgfile = tmp_path / (name + ".json")
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / name
+    code = run_cli(["kam-run", "--config", str(cfgfile), "--out", str(out)])
+    return code, out, got[0]
+
+
+def test_kam_run_writes_only_the_points_of_each_level(monkeypatch, tmp_path):
+    # the torus table and every dump hold the points of their level, named
+    # by their config-grid index: the grid points outside every zone that
+    # exclusions.csv lists
+    config = dict(TINY, **{"model.preset": "generating"})
+    code, out, summary = _kam_run_summary(monkeypatch, tmp_path, "o", config)
+    assert code == 0
+    grid = np.linspace(0.25, 0.75, TINY["lambda.grid_points"])
+    zones = [tuple(map(float, line.split(",")[1:])) for line in
+             (out / "exclusions.csv").read_text().splitlines()[1:]]
+    active = np.flatnonzero(hm.IntervalUnion.full().subtract(zones)
+                            .contains(grid))
+    final = summary.states[-1]
+    assert np.array_equal(final.lambda_index, active)
+    assert 2 <= len(active) < len(grid)
+    rows = (out / "torus_K.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(active) * 256
+    assert sorted({int(r.split(",")[0]) for r in rows}) == active.tolist()
+    for st in summary.states:
+        dumps = [(out / ("level%d_%s.dump" % (st.n, name))).read_text()
+                 for name in ("V00", "U0", "U1", "W00", "W01", "W10", "W11")]
+        held = [{int(line.split()[0]) for line in text.splitlines()}
+                for text in dumps if text]      # a zero series dumps nothing
+        assert held and all(index == set(st.lambda_index.tolist())
+                            for index in held)
+    # read on the config grid, a dump holds its level's bits at its points
+    u0 = fr.read_coeff_dump(out / ("level%d_U0.dump" % final.n), grid)
+    assert np.array_equal(u0.restrict(active, grid[active]).data,
+                          final.U.component(0).data)
+
+
 def test_kam_run_csv_cells_are_numbers(tmp_path):
     _, out = run_generating(tmp_path, "out")
     for name in ("summary.csv", "timings.csv", "exclusions.csv",
@@ -314,13 +394,19 @@ def test_run_force_is_ignored(tmp_path):
                and r[3] == "FAIL" for r in rows)
 
 
-def test_benchmark_configs_load(tmp_path):
-    # a schema change that breaks a benchmark kam-run config fails here
+def _perfbench_run():
+    """perfbench/run.py as a module."""
     root = pathlib.Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", root / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_benchmark_configs_load(tmp_path):
+    # a schema change that breaks a benchmark kam-run config fails here
+    bench = _perfbench_run()
     configs = [w["config"] for w in bench.WORKLOADS.values()
                if w["command"] == "kam-run"]
     assert len(configs) >= 2
@@ -328,6 +414,29 @@ def test_benchmark_configs_load(tmp_path):
         cfgfile = tmp_path / ("cfg%d.json" % i)
         cfgfile.write_text(json.dumps(config))
         cli.build_run(cli.load_config(str(cfgfile)))
+
+
+@pytest.mark.parametrize("workload", ["golden-257", "liouville-33"])
+def test_benchmark_output_check(monkeypatch, tmp_path, workload):
+    # the benchmark's output check, in-process: no fewer check rows than the
+    # reference, no gating row failing that passes there, and summary.csv
+    # within its tolerance of the reference
+    bench = _perfbench_run()
+    ref = json.loads((pathlib.Path(bench.REFERENCE_DIR)
+                      / (workload + ".json")).read_text())
+    code, out, summary = _kam_run_summary(
+        monkeypatch, tmp_path, workload, bench.WORKLOADS[workload]["config"])
+    failed = [r.check for r in summary.rows if r.gating and not r.passed]
+    assert summary.stopped == ""
+    assert code == (1 if failed else 0)
+    assert len(summary.rows) >= ref["cert_rows"]
+    allowed = list(ref["gating_failed"])
+    for name in failed:
+        assert name in allowed, name
+        allowed.remove(name)
+    dev = bench.summary_deviation((out / "summary.csv").read_text(),
+                                  ref["summary_csv"])
+    assert dev <= bench.SUMMARY_RTOL
 
 
 def test_benchmark_tracer_reads_solver_arguments(tmp_path):

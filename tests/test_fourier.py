@@ -489,6 +489,47 @@ def test_coeff_dump_roundtrip(tmp_path):
         assert np.array_equal(g.coeff(k), f.coeff(k))  # bit-exact contract
 
 
+def test_coeff_dump_of_restricted_series(tmp_path):
+    # a series on points 0, 2, 3 of GRID is dumped with those indices; read
+    # on GRID it holds the same bits there and 0 at the other points
+    rng = np.random.default_rng(19)
+    f = rand_scalar(rng, GRID, 6, scale=math.pi)
+    idx = np.array([0, 2, 3])
+    path = tmp_path / "f.dump"
+    fr.write_coeff_dump(path, f.restrict(idx, GRID[idx]), idx)
+    assert {int(line.split()[0]) for line in path.read_text().splitlines()} \
+        == {0, 2, 3}
+    g = fr.read_coeff_dump(path, GRID)
+    assert np.array_equal(g.restrict(idx, GRID[idx]).data,
+                          f.restrict(idx, GRID[idx]).data)
+    assert not g.data[:, [1, 4]].any()
+
+
+@pytest.mark.parametrize("kind", [fr.SCALAR, fr.C2VECTOR, fr.SU11MATRIX])
+def test_restrict_keeps_columns_on_one_grid(kind):
+    # the kept lambda-columns bit for bit, on the grid object given; a row
+    # held only at the dropped points goes, and so does the drop rule's
+    # reference to their values
+    rng = np.random.default_rng(48)
+    f, a = gapped(rng, kind)
+    idx = np.array([1, 2, 4])
+    grid = GRID[idx]
+    g = f.restrict(idx, grid)
+    assert g.lambda_grid is grid and g.support == f.support
+    assert np.array_equal(g.data, f.data[:, idx])
+    data = np.zeros((2, len(GRID)) + fr._COMP_SHAPE[kind], complex)
+    data[0, idx] = 1e-30
+    data[1, 0] = 1.0
+    h = fr.FourierSeries(GRID, kind, np.array([0, 5]), data).restrict(idx,
+                                                                       grid)
+    assert h.support == [0]
+    jet = fr.PowerFourierSeries(4, GRID, kind, {(2, 0): f, (1, 1): f.conj()})
+    rj = jet.restrict(idx, grid)
+    assert rj.lambda_grid is grid and set(rj.terms) == {(2, 0), (1, 1)}
+    assert all(s.lambda_grid is grid for s in rj.terms.values())
+    assert np.array_equal(rj.term((1, 1)).data, f.conj().data[:, idx])
+
+
 # -- the coefficient store against per-mode reference loops ----------------------
 
 GAPPED = (-7, -2, 0, 3, 8)
@@ -518,12 +559,9 @@ def assert_store(s, coeffs):
         assert np.array_equal(s.coeff(k), v)
 
 
-def ref_coeff_O(v, grid, ctx):
-    """|f_k|_O of one coefficient: sup over the active lambda of |entry| +
+def ref_coeff_O(v, grid):
+    """|f_k|_O of one coefficient: sup over lambda of |entry| +
     |d/dlambda entry|, max over entries."""
-    if ctx.active is not None:
-        v = v[ctx.active]
-        grid = grid[ctx.active]
     if v.size == 0:
         return 0.0
     mag = np.abs(v)
@@ -631,9 +669,11 @@ def test_store_defects_per_mode():
         defect = {fr.SCALAR: fr.real_defect, fr.C2VECTOR: fr.c2_pair_defect,
                   fr.SU11MATRIX: fr.su11_defect}[kind]
         assert defect(f) == worst
-        act = np.arange(len(GRID)) % 2 == 0
-        assert defect(f, act) <= worst
-        assert defect(f, np.zeros(len(GRID), bool)) == 0.0
+        # on a subset of the lambda-grid: the worst of those points only
+        even = np.arange(0, len(GRID), 2)
+        assert defect(f.restrict(even, GRID[even])) == max(
+            float(defect(fr.FourierSeries(GRID[[i]], kind, f.modes,
+                                          f.data[:, [i]]))) for i in even)
     # series with the structure have no defect
     d, _ = gapped(rng, fr.SCALAR)
     assert fr.real_defect(d + d.conj()) == 0.0
@@ -648,25 +688,25 @@ def test_store_defects_per_mode():
 def test_store_norms_per_mode(kind, weight):
     rng = np.random.default_rng(44)
     f, a = gapped(rng, kind)
-    act = np.array([True, False, True, True, False])
-    for ctx in (WeightedNormContext(weight, 0.05),
-                WeightedNormContext(weight, 0.05, active=act)):
+    ctx = WeightedNormContext(weight, 0.05)
+    # the whole grid, and three of its points, as a level keeps them
+    for idx in (np.arange(len(GRID)), np.array([0, 2, 3])):
         tot, analytic, sup = 0.0, 0.0, 0.0
         for k in sorted(a):       # ascending, as the store sums
-            c = ref_coeff_O(a[k], GRID, ctx)
+            c = ref_coeff_O(a[k][idx], GRID[idx])
             y = 2 * math.pi * abs(k) * 0.05
             tot += c * math.exp(eval_lambda(weight, y))
             analytic += c * math.exp(2 * math.pi * abs(k) * 0.05)
-            v = a[k] if ctx.active is None else a[k][ctx.active]
-            sup += float(np.abs(v).max())
-        assert fr.norm_r(f, ctx) == tot
-        assert fr.analytic_norm(f, ctx) == analytic
-        assert f.sup_bound(ctx.active) == sup
+            sup += float(np.abs(a[k][idx]).max())
+        g = f.restrict(idx, GRID[idx])
+        assert fr.norm_r(g, ctx) == tot
+        assert fr.analytic_norm(g, ctx) == analytic
+        assert g.sup_bound() == sup
 
 
 def _wide_store(rows=500, L=257):
     """A (rows, L, 2, 2) complex store on an L-point lambda-grid, a mask
-    over that grid, and the grid."""
+    of about 60% of that grid's points, and the grid."""
     rng = np.random.default_rng(45)
     shape = (rows, L, 2, 2)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -679,19 +719,15 @@ def test_blocked_row_reductions_match_whole_array():
     # inside the data and the last block is partial
     a, act, grid = _wide_store()
     assert fr.block_rows(a[0].size) == 15 and len(a) % 15 != 0
-    for mask in (None, act):
-        d, g = (a, grid) if mask is None else (a[:, mask], grid[mask])
+    # the whole grid, and the points of a level that keeps about 60% of it
+    for d, g in ((a, grid), (a[:, act], grid[act])):
         ref = (np.abs(d) + np.abs(np.gradient(d, g, axis=1))).reshape(
             len(a), -1).max(axis=1)
-        got = fr._modes_O(a, grid, WeightedNormContext(ANALYTIC, 0.1, mask))
+        got = fr._row_max(d, g)
         assert np.array_equal(got, ref)         # bit for bit
-        s = fr.FourierSeries(grid, fr.SU11MATRIX, np.arange(len(a)), a)
-        assert s.sup_bound(mask) == sum(
+        s = fr.FourierSeries(g, fr.SU11MATRIX, np.arange(len(a)), d)
+        assert s.sup_bound() == sum(
             np.abs(d).reshape(len(a), -1).max(axis=1).tolist(), 0.0)
-    # no active lambda: every row reads 0
-    none = np.zeros(len(grid), bool)
-    assert not fr._modes_O(a, grid, WeightedNormContext(ANALYTIC, 0.1,
-                                                        none)).any()
 
 
 def test_blocked_row_reductions_bounded_memory():
@@ -699,11 +735,10 @@ def test_blocked_row_reductions_bounded_memory():
     # modes and lambda points the store has: the store is 7.8 MiB, and one
     # |.| over all of it would already be 3.9 MiB of floats
     a, act, grid = _wide_store()
-    for mask in (None, act):
-        ctx = WeightedNormContext(ANALYTIC, 0.1, mask)
+    for d, g in ((a, grid), (a[:, act], grid[act])):
         tracemalloc.start()
         try:
-            fr._modes_O(a, grid, ctx)
+            fr._row_max(d, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -714,25 +749,24 @@ def test_blocked_row_reductions_bounded_memory():
                                   "matrix"])
 def test_cached_stencil_is_np_gradient(case):
     # the lambda-derivative of |.|_O from the cached spacing, bit for bit
-    # np.gradient(blk, grid, axis=1), on the grids np.gradient treats apart
+    # np.gradient(blk, grid, axis=1), on the grids np.gradient treats apart;
+    # "masked" is the points a mask keeps of a uniform grid, as a level does
     rng = np.random.default_rng(46)
-    grid, active, shape = np.linspace(0.25, 0.75, 33), None, (7, 33)
+    grid, shape = np.linspace(0.25, 0.75, 33), (7, 33)
     if case == "uniform":
         grid, shape = 0.25 + 0.0625 * np.arange(9), (7, 9)  # exact spacing
     elif case == "masked":
-        active = rng.random(33) < 0.6
+        grid = grid[rng.random(33) < 0.6]
+        shape = (7, len(grid))
     elif case == "two-point":
         grid, shape = np.array([0.3, 0.55]), (7, 2)
     else:
         grid, shape = np.sort(rng.random(17)), (7, 17, 2, 2)
     blk = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    pts = grid
-    if active is not None:
-        blk, pts = blk[:, active], grid[active]
-    stencil = fr._stencil(grid, active)
+    stencil = fr._stencil(grid.tobytes())
     assert (stencil[1] is None) == (case in ("uniform", "two-point"))
-    assert fr._stencil(grid.copy(), active) is stencil   # cached by value
-    want = np.gradient(blk, pts, axis=1)
+    assert fr._stencil(grid.copy().tobytes()) is stencil   # cached by value
+    want = np.gradient(blk, grid, axis=1)
     assert fr._gradient(blk, stencil).tobytes() == want.tobytes()
 
 

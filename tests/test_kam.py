@@ -99,7 +99,7 @@ def test_exclusion_closed_form_oracle():
         dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0),
                                   grid, fr.constant(grid, shift))
         assert vf.exclusion_deviation(dc, shift) <= 1e-12, shift
-        [row] = dc.certify()
+        [row] = dc.restrict_level()[1].certify()
         assert row.passed, (shift, row)
 
 
@@ -139,6 +139,75 @@ def test_exclusion_exhaustion():
         kam.kam_step(_blank_state(grid), sched)
 
 
+def test_level_with_one_point_left_is_exhausted():
+    # the k = 0, l = 2 zone removes lambda = 1/2: one point is left, and
+    # neither the zone search nor the lambda-derivative has two
+    grid = np.array([0.3, 0.5])
+    with pytest.raises(kam.ParameterExhausted,
+                       match="lambda points left: 1, a level needs 2"):
+        kam.kam_step(_blank_state(grid), make_sched())
+    spec = md.build_preset("constant_forcing", 1e-8, GM, grid, d_max=4)
+    summary = kam.run(spec, make_sched(), n_max=2)
+    assert summary.stopped.startswith("exhausted: parameter set exhausted "
+                                      "at level 0")
+    assert "lambda points left: 1" in summary.stopped
+    assert len(summary.states) == 1
+
+
+def _generating_state(grid, eps=1e-6):
+    spec = md.build_preset("generating", eps, GM, grid, d_max=4)
+    conj = md.conjugate_to_su11(spec)
+    return kam.initial_state(conj.U, conj.W, conj.R, grid)
+
+
+def test_kam_step_keeps_the_active_points_on_one_grid():
+    grid = np.linspace(0.25, 0.75, 33)
+    state = _generating_state(grid)
+    new, rep = kam.kam_step(state, make_sched(K_cap=32, L_cap=4))
+    dc = hm.dc_from_exclusion(GM, make_sched().gamma(0), 2.0,
+                              make_sched(K_cap=32).K(0), grid)
+    keep = np.flatnonzero(dc.active_mask())
+    assert 2 <= len(keep) < len(grid)
+    assert np.array_equal(new.lambda_index, keep)
+    assert np.array_equal(new.lambda_grid, grid[keep])
+    assert new.omega == dc.intervals
+    for s in (new.V, new.U, new.W, new.transform.matrix,
+              new.transform.offset, *new.R.terms.values()):
+        assert s.lambda_grid is new.lambda_grid
+    # a restriction of the state keeps its columns and its config indices
+    part = new.restrict(np.array([0, 2]), new.lambda_grid[[0, 2]])
+    assert np.array_equal(part.lambda_index, keep[[0, 2]])
+    assert np.array_equal(part.U.data, new.U.data[:, [0, 2]])
+    assert part.omega == new.omega
+
+
+def test_kam_step_ignores_values_at_excluded_lambda():
+    # 1e-9 added to U and W at the lambda points level 0 excludes, on the
+    # modes they hold and on a mode they do not: the level, which runs on
+    # its active points alone, gives the same bits and the same rows
+    grid = np.linspace(0.25, 0.75, 33)
+    sched = make_sched(K_cap=32, L_cap=4)
+    state = _generating_state(grid)
+    new, rep = kam.kam_step(state, sched)
+    out = np.setdiff1d(np.arange(len(grid)), new.lambda_index)
+    assert len(out)
+
+    def junk(s):
+        modes = np.append(s.modes, 40)
+        data = np.concatenate((s.data, np.zeros_like(s.data[:1])))
+        data[:, out] += 1e-9
+        return fr.FourierSeries(s.lambda_grid, s.kind, modes, data)
+
+    dirty = dataclasses.replace(state, U=junk(state.U), W=junk(state.W))
+    new_dirty, rep_dirty = kam.kam_step(dirty, sched)
+    for a, b in ((new.U, new_dirty.U), (new.W, new_dirty.W),
+                 (new.V, new_dirty.V)):
+        assert a.support == b.support
+        assert a.data.tobytes() == b.data.tobytes()
+    assert rep.rows == rep_dirty.rows
+    assert rep.U_norm == rep_dirty.U_norm and rep.W_norm == rep_dirty.W_norm
+
+
 def test_measure_rows_bound():
     rows = kam.measure_rows([0.01, 0.004, 0.001], 0.05, 2.0)
     assert rows[-1].check.startswith("total excluded")
@@ -160,13 +229,17 @@ def _blank_state(grid):
 
 
 def _level_pieces(grid, gamma=0.05, K=12, state=None):
+    """The DC set and the context of a level on grid, both on the DC set's
+    active points, as kam_step moves a level there; ctx.grid is the level's
+    grid."""
     state = _blank_state(grid) if state is None else state
     rho, B, _, _ = hm.polar_decompose(state.V.entry(0, 0))
-    dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid, B)
+    keep, dc, rho, B = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid,
+                                            B).restrict_level(rho, B)
+    state = state.restrict(keep, dc.lambda_grid)
     setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=89, qbar_n=8,
                           r_b=0.05, sigma=0.002, eps0=1e-6)
-    ctx = kam._level_context(state, rho, setup)
-    return dc, setup.active, ctx
+    return dc, kam._level_context(state, rho, setup)
 
 
 def _sub_state(ctx, U, W, R, hess):
@@ -176,8 +249,8 @@ def _sub_state(ctx, U, W, R, hess):
 
 
 def test_sub_step_zero_fixed_point():
-    grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx = _level_pieces(grid)
+    dc, ctx = _level_pieces(np.linspace(0.25, 0.75, 9))
+    grid = ctx.grid
     sub = _sub_state(ctx, fr.zeros(grid, fr.C2VECTOR),
                      fr.zeros(grid, fr.SU11MATRIX),
                      fr.PowerFourierSeries(4, grid, fr.C2VECTOR, {}), 0.0)
@@ -190,8 +263,8 @@ def test_sub_step_zero_fixed_point():
 
 def test_sub_step_diagonal_W_absorbed():
     # purely diagonal W: off-diagonal split vanishes, D = 0, v absorbs all
-    grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx = _level_pieces(grid)
+    dc, ctx = _level_pieces(np.linspace(0.25, 0.75, 9))
+    grid = ctx.grid
     w1 = fr.from_modes(grid, fr.SCALAR, {1: 1e-5, -1: 2e-5})
     W = fr.matrix_from_scalars(w1, fr.zeros(grid), fr.zeros(grid), w1.conj())
     sub = _sub_state(ctx, fr.zeros(grid, fr.C2VECTOR), W,
@@ -208,8 +281,8 @@ def test_sub_step_substitution_oracle_independent():
     # desk-scale random instance; the oracle below re-evaluates both
     # equations on a 4096-point grid with plain numpy
     rng = np.random.default_rng(42)
-    grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx = _level_pieces(grid)
+    dc, ctx = _level_pieces(np.linspace(0.25, 0.75, 9))
+    grid = ctx.grid
 
     def rando(support, scale, real=False):
         modes = {}
@@ -253,12 +326,12 @@ def test_sub_step_substitution_oracle_independent():
         t_new = np.einsum("tlij,tlj->tli",
                           E.shift(alpha_phase).sample(n),
                           rhs(new, Y)) + Delta.shift(alpha_phase).sample(n)
-        worst = max(worst, float(np.abs(t_old - t_new)[:, act].max()))
-        scale = max(scale, float(np.abs(t_old)[:, act].max()))
+        worst = max(worst, float(np.abs(t_old - t_new).max()))
+        scale = max(scale, float(np.abs(t_old).max()))
     assert worst <= 1e-10 * scale
     # structure is preserved
-    assert fr.c2_pair_defect(new.U, act) <= 1e-12 * max(1.0, new.U.sup_bound())
-    assert fr.su11_defect(new.W, act) <= 1e-12 * max(1.0, new.W.sup_bound())
+    assert fr.c2_pair_defect(new.U) <= 1e-12 * max(1.0, new.U.sup_bound())
+    assert fr.su11_defect(new.W) <= 1e-12 * max(1.0, new.W.sup_bound())
     assert new.R.low_degree_mass() == 0.0
 
 
@@ -269,7 +342,6 @@ def _whole_grid_substitution_defect(ctx, sub_old, sub_new, E, Delta,
     series sampled on all n_theta points, then the same pointwise identity
     and maxima as kam.substitution_defect; the reference for its blocks."""
     phase = ctx.setup.cf.phase
-    act = ctx.setup.active
 
     def rhs(s, Xvals):
         Zw = ctx.phase_diag + ctx.Vmat + s.v
@@ -289,8 +361,8 @@ def _whole_grid_substitution_defect(ctx, sub_old, sub_new, E, Delta,
         t_old = rhs(sub_old, Xj)
         t_new = np.einsum("tlij,tlj->tli", E.shift(phase).sample(n_theta),
                           rhs(sub_new, Y)) + Delta.shift(phase).sample(n_theta)
-        worst = max(worst, float(np.abs(t_old - t_new)[:, act].max()))
-        scale = max(scale, float(np.abs(t_old)[:, act].max()))
+        worst = max(worst, float(np.abs(t_old - t_new).max()))
+        scale = max(scale, float(np.abs(t_old).max()))
     return worst, scale
 
 
@@ -339,9 +411,11 @@ def test_substitution_oracle_blocks_match_whole_grid(monkeypatch):
 
 def test_substitution_oracle_row_fails_on_seeded_delta_error(monkeypatch):
     grid = np.linspace(0.25, 0.75, 33)
-    shift = fr.conjugate_pair(fr.constant(grid, 1e-6))
-    _, row = _generating_level0(monkeypatch, grid,
-                                perturb=lambda Delta: Delta + shift)
+
+    def perturb(Delta):
+        return Delta + fr.conjugate_pair(fr.constant(Delta.lambda_grid, 1e-6))
+
+    _, row = _generating_level0(monkeypatch, grid, perturb=perturb)
     assert not row.passed and row.gating
     assert row.actual > 1e4 * row.bound
 
@@ -350,8 +424,8 @@ def test_substitution_defect_memory_stays_in_theta_blocks():
     # L = 257: one (256, L, 2, 2) complex grid is 4 MiB; the oracle holds
     # about a dozen such grids when it samples the whole theta-grid
     rng = np.random.default_rng(43)
-    grid = np.linspace(0.25, 0.75, 257)
-    dc, act, ctx = _level_pieces(grid)
+    dc, ctx = _level_pieces(np.linspace(0.25, 0.75, 257))
+    grid = ctx.grid
     U = fr.conjugate_pair(vf.rand_scalar(rng, grid, 6, scale=1e-8))
     w1 = vf.rand_scalar(rng, grid, 4, scale=1e-4)
     w2 = vf.rand_scalar(rng, grid, 4, scale=1e-4)
@@ -415,7 +489,7 @@ def test_kam_step_zero_perturbation():
     assert new.U.is_zero() and new.W.is_zero()
     assert new.V.is_zero()
     assert state.transform is None
-    assert (new.transform.matrix - fr.eye(grid)).sup_bound() == 0.0
+    assert (new.transform.matrix - fr.eye(new.lambda_grid)).sup_bound() == 0.0
     assert new.torus().is_zero()
     assert all(r.passed for r in rep.rows if r.gating)
 
@@ -527,8 +601,8 @@ def test_sub_step_generator_equation_residual():
     # (A+V+v_{j+1}) D - D(.+a) (A+V+v_{j+1}) = -W_offdiag, verified as the
     # scalar entry equation in the algebra
     rng = np.random.default_rng(53)
-    grid = np.linspace(0.25, 0.75, 9)
-    dc, act, ctx = _level_pieces(grid)
+    dc, ctx = _level_pieces(np.linspace(0.25, 0.75, 9))
+    grid = ctx.grid
 
     w2 = fr.from_modes(grid, fr.SCALAR,
                        {k: 1e-4 * (rng.standard_normal()
@@ -544,7 +618,7 @@ def test_sub_step_generator_equation_residual():
     ctxn = ctx.ctx(0.008)
     assert fr.norm_r(new.W, ctxn) <= fr.norm_r(W, ctx.ctx(0.01)) / math.e
     assert new.W.is_zero() or \
-        new.W.entry(0, 1).sup_bound(act) <= 1e-3 * w2.sup_bound(act)
+        new.W.entry(0, 1).sup_bound() <= 1e-3 * w2.sup_bound()
 
 
 def test_norm_monotone_in_width():
@@ -579,7 +653,8 @@ def test_shared_solve_setup_is_bit_identical(monkeypatch):
     z = fr.zeros(grid)
     state = _blank_state(grid)
     state.V = fr.matrix_from_scalars(G, z, z, G.conj())
-    dc, act, ctx = _level_pieces(grid, state=state)
+    dc, ctx = _level_pieces(grid, state=state)
+    grid = ctx.grid      # rando draws on the level's points from here on
     assert not ctx.setup.B.is_zero()
     U = fr.conjugate_pair(rando(6, 1e-8))
     w1, w2 = rando(4, 1e-4), rando(4, 1e-4)

@@ -184,22 +184,26 @@ def test_residual_matches_pointwise_formula(preset):
 
 
 def test_residual_ball_row_reads_only_active_lambda():
-    # |K| = sqrt2 |X1| = 0.8 > s only at the first lambda, which is excluded
+    # |K| = sqrt2 |X1| = 0.8 > s only at the first lambda; a level that
+    # excludes it holds the map and the torus at the other points only
     spec = empty_spec()
     vals = np.full(len(GRID), 0.01, complex)
     vals[0] = 0.8 / SQ2
     X = fr.conjugate_pair(fr.constant(GRID, vals))
-    active = np.arange(len(GRID)) > 0
+    active = np.arange(1, len(GRID))
 
-    def ball(mask):
-        _, rows = md.residual(spec, X, n_theta=64, active=mask)
+    def ball(spec, X):
+        _, rows = md.residual(spec, X, n_theta=64)
         [row] = [r for r in rows if r.check.startswith("torus stays in")]
         return row
 
-    assert ball(active).passed
-    assert ball(active).actual == pytest.approx(SQ2 * 0.01, rel=1e-12)
-    assert not ball(None).passed
-    assert ball(None).actual == pytest.approx(0.8, rel=1e-12)
+    row = ball(spec.restrict(active, GRID[active]),
+               X.restrict(active, GRID[active]))
+    assert row.passed
+    assert row.actual == pytest.approx(SQ2 * 0.01, rel=1e-12)
+    row = ball(spec, X)
+    assert not row.passed
+    assert row.actual == pytest.approx(0.8, rel=1e-12)
 
 
 def test_residual_memory_stays_in_theta_blocks():
