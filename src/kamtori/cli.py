@@ -129,6 +129,15 @@ def build_weight(cfg: dict) -> wt.WeightFunction:
         raise ConfigError(str(exc))
 
 
+def build_grid(cfg: dict) -> np.ndarray:
+    """The config lambda grid: lambda.grid_points (at least 3) evenly
+    spaced points over hm.LAMBDA_DOMAIN, for kam-run and solve-homological."""
+    npts = cfg["lambda.grid_points"]
+    if npts < 3:
+        raise ConfigError("lambda.grid_points must be at least 3")
+    return np.linspace(*hm.LAMBDA_DOMAIN, npts)
+
+
 def build_run(cfg: dict):
     cf = build_alpha(cfg)
     weight = build_weight(cfg)
@@ -143,10 +152,7 @@ def build_run(cfg: dict):
             L_cap=cfg["schedule.L_cap"], K_cap=cfg["schedule.K_cap"])
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("bad schedule: %s" % exc)
-    npts = cfg["lambda.grid_points"]
-    if npts < 3:
-        raise ConfigError("lambda.grid_points must be at least 3")
-    grid = np.linspace(0.25, 0.75, npts)
+    grid = build_grid(cfg)
     try:
         spec = md.build_preset(cfg["model.preset"], cfg["model.eps"], cf, grid,
                                d_max=cfg["jet.d_max"], s_domain=cfg["schedule.s"])
@@ -221,8 +227,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     cf = build_alpha(cfg)
     weight = build_weight(cfg)
-    npts = cfg["lambda.grid_points"]
-    grid = np.linspace(0.25, 0.75, npts)
+    grid = build_grid(cfg)
     try:
         u = fr.read_coeff_dump(args.input, grid)
     except OSError as exc:
@@ -233,9 +238,9 @@ def cmd_solve(args) -> int:
     b = fr.read_coeff_dump(args.b_input, grid) if args.b_input \
         else fr.zeros(grid)
     dc = hm.dc_from_exclusion(cf, args.gamma, args.tau, args.K, grid, B)
-    # the solve runs on the DC set's active points alone
-    keep, dc, u, B, b = dc.restrict_level(u, B, b)
-    if not len(keep):
+    # the solve runs on the DC set's points alone
+    u, B, b = dc.restrict_level(u, B, b)
+    if not len(dc.index):
         print("the DC set keeps no lambda point", file=sys.stderr)
         return EXIT_CERT
     r0 = float(Fraction(cfg["schedule.r"]))
@@ -244,8 +249,8 @@ def cmd_solve(args) -> int:
                           eps0=cfg["model.eps"])
     res = hm.solve_homological(b, u, args.l, setup, args.r_tilde)
     if args.out:
-        fr.write_coeff_dump(args.out, res.delta, keep)
-        fr.write_coeff_dump(args.out + ".er", res.delta_er, keep)
+        fr.write_coeff_dump(args.out, res.delta, dc.index)
+        fr.write_coeff_dump(args.out + ".er", res.delta_er, dc.index)
     rows = dc.exclusion_rows + res.rows
     if not B.is_zero():
         rows += hm.b_equation_rows(B, setup.bcal, args.qbar, cf, weight,

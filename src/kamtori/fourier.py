@@ -749,7 +749,7 @@ class PowerFourierSeries:
 
     Coefficients f_m are FourierSeries of a uniform kind.  d_max is a
     degree guard for set_term only; no table is sized by it.  Jets are
-    composed by one product, _jet_mul, on jets in y.
+    composed with an affine map by Horner's rule (compose_affine).
     """
 
     d_max: int
@@ -831,22 +831,24 @@ class PowerFourierSeries:
     def compose_affine(self, e11, e12, e21, e22, d1, d2) -> "PowerFourierSeries":
         """Substitute x = E y + d, all six entries scalar series.
 
-        x1 = e11 y1 + e12 y2 + d1 and x2 = e21 y1 + e22 y2 + d2 are jets of
-        degree 1 in y; the result is sum_m f_m x1^m1 x2^m2 by _jet_mul, with
-        the powers of x1 and x2 taken up to the largest m1 and m2 of the
-        terms.  Exact: an affine substitution cannot raise the degree.
+        By Horner's rule on jets in y, {(m1, m2): series}: in x2 = e21 y1 +
+        e22 y2 + d2 within each power of x1, then in x1 = e11 y1 + e12 y2 +
+        d1, each step one _horner_step.  Exact: an affine substitution
+        cannot raise the degree, and no step exceeds the jet's own degree.
         """
-        x1 = _affine_jet(e11, e12, d1)
-        x2 = _affine_jet(e21, e22, d2)
-        p1 = _jet_powers(x1, max((m1 for m1, _ in self.terms), default=0))
-        p2 = _jet_powers(x2, max((m2 for _, m2 in self.terms), default=0))
+        rows: dict = {}
+        for (m1, m2), f in self.terms.items():
+            rows.setdefault(m1, {})[m2] = f
+        acc: dict = {}
+        for m1 in range(max(rows, default=-1), -1, -1):
+            row, g = rows.get(m1, {}), {}
+            for m2 in range(max(row, default=-1), -1, -1):
+                g = _horner_step(g, e21, e22, d2,
+                                 {(0, 0): row[m2]} if m2 in row else {})
+            acc = _horner_step(acc, e11, e12, d1, g)
         out = PowerFourierSeries(self.d_max, self.lambda_grid, self.kind, {})
-        for (m1, m2), f in sorted(self.terms.items()):
-            mono = _jet_mul(p1[m1], p2[m2])
-            if mono is None:
-                mono = {(0, 0): one(self.lambda_grid)}
-            for m, s in mono.items():
-                out.add_term(m, multiply(f, s))
+        for m, s in sorted(acc.items()):
+            out.set_term(m, s)
         return out
 
     def matrix_multiply_left(self, m: FourierSeries) -> "PowerFourierSeries":
@@ -870,32 +872,17 @@ class PowerFourierSeries:
         return worst
 
 
-def _affine_jet(e1: FourierSeries, e2: FourierSeries, d: FourierSeries) -> dict:
-    """e1 y1 + e2 y2 + d as a jet in y, {(m1, m2): scalar series}, without
-    its zero coefficients."""
-    return {m: s for m, s in (((1, 0), e1), ((0, 1), e2), ((0, 0), d))
-            if not s.is_zero()}
-
-
-def _jet_mul(p: Optional[dict], q: Optional[dict]) -> Optional[dict]:
-    """Product of two jets in y: exponents add, coefficients multiply.
-    None stands for the jet 1, so no product by the series 1 is formed."""
-    if p is None or q is None:
-        return q if p is None else p
-    out: dict = {}
+def _horner_step(p: dict, e1: FourierSeries, e2: FourierSeries,
+                 d: FourierSeries, c: dict) -> dict:
+    """p (e1 y1 + e2 y2 + d) + c for jets p, c in y, {(m1, m2): series};
+    a zero e1, e2 or d forms no product."""
+    out = dict(c)
     for (a1, a2), f in p.items():
-        for (b1, b2), g in q.items():
-            m, h = (a1 + b1, a2 + b2), multiply(f, g)
-            out[m] = out[m] + h if m in out else h
+        for m, s in (((a1 + 1, a2), e1), ((a1, a2 + 1), e2), ((a1, a2), d)):
+            if not s.is_zero():
+                h = multiply(f, s)
+                out[m] = out[m] + h if m in out else h
     return out
-
-
-def _jet_powers(x: dict, n: int) -> list:
-    """[None, x, x^2, ..., x^n] by _jet_mul; None is x^0 = 1."""
-    powers = [None]
-    for _ in range(n):
-        powers.append(_jet_mul(powers[-1], x))
-    return powers
 
 
 def hessian_norm_bound(jet: PowerFourierSeries, ctx: WeightedNormContext,

@@ -16,8 +16,9 @@ re-measured and reported.
 B, its cutoffs and the divisors stay fixed through a KAM level.  The
 level's DcSet comes from dc_from_exclusion(..., B, ...), which removes the
 resonance zones around lambda~ = lambda + [B]_theta, so the DC set and the
-solver agree on B by construction.  The level then moves onto the DC
-set's active points (restrict), where every solve, norm and row runs.  One
+solver agree on B by construction.  The DcSet holds only the grid points
+that survive the exclusion, with their indices; the level moves its series
+onto them (restrict_level), and every solve, norm and row runs there.  One
 SolveSetup per level, built from B and that DcSet, holds the B-equation's
 solution, the exponentials of B, the divisors l lambda~ - k alpha (from
 frac(k alpha), memoised on the ContinuedFraction) and ||S^{-1}||; every
@@ -27,7 +28,6 @@ DcSet.divisors tabulates the same divisors at the DC set's grid points.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -185,31 +185,26 @@ def resonance_zones(cf: ContinuedFraction, gamma: float, tau: float,
 @dataclass
 class DcSet:
     """Parameters lambda with || l (lambda + shift) - k alpha || >= gamma/(|k|+l)^tau
-    for 0 < |k| <= K, l = 1, 2, as a finite union of closed intervals."""
+    for |k| <= K (k = 0 included), l = 1, 2, as a finite union of closed
+    intervals.  The set holds only the grid points in its intervals, with
+    their indices on the grid it was built from."""
 
     cf: ContinuedFraction
     gamma: float
     tau: float
     K: int
     intervals: IntervalUnion
-    lambda_grid: np.ndarray
-    shift: np.ndarray  # [B]_theta per grid point (zeros when B = 0)
+    lambda_grid: np.ndarray  # the points in intervals
+    shift: np.ndarray  # [B]_theta per point (zeros when B = 0)
+    index: np.ndarray  # their indices on the grid the set was built from
     zones: list = field(default_factory=list)   # the zones removed
     exclusion_rows: list = field(default_factory=list)  # resonance slopes
     _table: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def active_mask(self) -> np.ndarray:
-        return self.intervals.contains(self.lambda_grid)
-
     def restrict_level(self, *series) -> tuple:
-        """(the indices of the active points on lambda_grid, this DC set
-        there, each of series there): a level moved onto its active points,
-        all on one new grid object."""
-        keep = np.flatnonzero(self.active_mask())
-        grid = self.lambda_grid[keep]
-        dc = dataclasses.replace(self, lambda_grid=grid,
-                                 shift=self.shift[keep])
-        return (keep, dc) + tuple(s.restrict(keep, grid) for s in series)
+        """Each of series, given on the grid the set was built from, at the
+        set's points, all on lambda_grid."""
+        return tuple(s.restrict(self.index, self.lambda_grid) for s in series)
 
     def omega(self) -> np.ndarray:
         return self.lambda_grid + self.shift
@@ -253,8 +248,9 @@ def dc_from_exclusion(cf: ContinuedFraction, gamma: float, tau: float, K: int,
     """The DC set of a level whose normal form is lambda + B: remove from
     domain (default the whole lambda range) every resonance zone of the
     shifted frequency lambda + [B]_theta with k_min <= |k| <= K, k = 0
-    included while k_min is 0.  B = None means B = 0.  The removed zones
-    and the resonance-slope rows are kept on the DcSet."""
+    included while k_min is 0.  B = None means B = 0.  The DcSet holds the
+    points of lambda_grid that survive, the removed zones and the
+    resonance-slope rows."""
     grid = np.asarray(lambda_grid, float)
     dom = IntervalUnion.full() if domain is None else domain
     shift = np.zeros(len(grid)) if B is None else np.real(B.average())
@@ -262,8 +258,10 @@ def dc_from_exclusion(cf: ContinuedFraction, gamma: float, tau: float, K: int,
     if k_min == 0:
         ks = [0] + ks
     zones, rows = resonance_zones(cf, gamma, tau, ks, dom, grid, shift)
-    return DcSet(cf=cf, gamma=gamma, tau=tau, K=K,
-                 intervals=dom.subtract(zones), lambda_grid=grid, shift=shift,
+    intervals = dom.subtract(zones)
+    index = np.flatnonzero(intervals.contains(grid))
+    return DcSet(cf=cf, gamma=gamma, tau=tau, K=K, intervals=intervals,
+                 lambda_grid=grid[index], shift=shift[index], index=index,
                  zones=zones, exclusion_rows=rows)
 
 

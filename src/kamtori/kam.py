@@ -487,7 +487,7 @@ class StepReport:
 
 def kam_step(state: KamState, sched: Schedule) -> tuple:
     """One outer step: exclusion, L sub-iterations, composition; returns
-    (new state, StepReport).  The level runs on the active points of its DC
+    (new state, StepReport).  The level runs on the points of its DC
     set alone, and the new state holds only those."""
     n = state.n
     rows: list = []
@@ -503,14 +503,14 @@ def kam_step(state: KamState, sched: Schedule) -> tuple:
     dc = hm.dc_from_exclusion(sched.cf, sched.gamma(n), sched.tau, sched.K(n),
                               state.lambda_grid, B, domain=state.omega,
                               k_min=sched.K(n - 3))
-    keep, dc, rho, B = dc.restrict_level(rho, B)
-    if len(keep) < 2:     # for the zone search and d/dlambda in |.|_O
+    if len(dc.index) < 2:     # for the zone search and d/dlambda in |.|_O
         raise ParameterExhausted(
             "parameter set exhausted at level %d (gamma=%.3g, band %d..%d, "
             "%d zones): lambda points left: %d, a level needs 2"
             % (n, sched.gamma(n), sched.K(n - 3), sched.K(n), len(dc.zones),
-               len(keep)))
-    state = state.restrict(keep, dc.lambda_grid)
+               len(dc.index)))
+    rho, B = dc.restrict_level(rho, B)
+    state = state.restrict(dc.index, dc.lambda_grid)
     grid = state.lambda_grid
     removed = state.omega.measure() - dc.intervals.measure()
     rows += dc.exclusion_rows

@@ -372,8 +372,7 @@ def small_divisor_scan(cf, levels) -> tuple:
     for j in levels:
         q_next, qbar_next = cf.q[j], cf.q[j + 1]
         dc = hm.dc_from_exclusion(cf, 0.01, 2.0, math.isqrt(qbar_next), lgrid)
-        rws = hm.certify_small_divisor(dc.restrict_level()[1], q_next,
-                                       qbar_next)
+        rws = hm.certify_small_divisor(dc, q_next, qbar_next)
         all_ok &= all(r.passed for r in rws)
         worst = min(worst, min(r.actual - r.bound for r in rws))
     return all_ok, worst
@@ -447,7 +446,8 @@ def homological_suite(seed: int = 0) -> list:
     dc_bad = hm.DcSet(cf=gm, gamma=0.01, tau=2.0, K=3,
                       intervals=hm.IntervalUnion(((lam_res[0] - 1e-3,
                                                    lam_res[0] + 1e-3),)),
-                      lambda_grid=lam_res, shift=np.zeros(1))
+                      lambda_grid=lam_res, shift=np.zeros(1),
+                      index=np.zeros(1, int))
     viol = not all(r.passed for r in dc_bad.certify())
     rows.append(CheckRow("resonant parameter detected", 1.0, float(viol),
                          viol, "lambda = alpha"))
@@ -481,7 +481,7 @@ def homological_suite(seed: int = 0) -> list:
         B = B.scale(0.5 * min(consts["eps0"] ** (1 / 3) / nB,
                               gamma**2 / (480 * math.pi**2 * q_pow) / tail))
         dc = hm.dc_from_exclusion(gm, gamma, tau, K, grid, B)
-        _, dc, B, b, u = dc.restrict_level(B, b, u)
+        B, b, u = dc.restrict_level(B, b, u)
         setup = hm.SolveSetup(B, dc, **consts)
         b = b.scale(0.3 * gamma**2 / (12.0 * q_pow)
                     / fr.norm_r(b, setup.ctx(r_tilde)))

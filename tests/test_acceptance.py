@@ -108,9 +108,9 @@ def test_criterion_05_solver_oracle():
             B = B.scale(0.5 * eps0 ** (1 / 3)
                         / max(fr.norm_r(B, ctxb), 1e-300))
             dc = hm.dc_from_exclusion(GM, gamma, tau, K, grid, B)
-            # the solve runs on the DC set's active points
-            keep, dc, B = dc.restrict_level(B)
-            assert len(keep)
+            # the solve runs on the DC set's points
+            [B] = dc.restrict_level(B)
+            assert len(dc.index)
             lgrid = dc.lambda_grid
             setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=q_next,
                                   qbar_n=qbar_n, r_b=r0, sigma=2e-4,

@@ -147,6 +147,21 @@ def test_solve_homological_cli(tmp_path, capsys):
     assert rows[0].startswith("check,")
 
 
+@pytest.mark.parametrize("npts", [1, 2])
+def test_short_config_grid_is_a_config_error(tmp_path, capsys, npts):
+    # both commands build the config grid by one function, with its check
+    grid = np.linspace(0.25, 0.75, npts)
+    fr.write_coeff_dump(tmp_path / "u.dump",
+                        fr.from_modes(grid, fr.SCALAR, {1: 1e-9}))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"lambda.grid_points": npts}))
+    for argv in (["solve-homological", "--input", str(tmp_path / "u.dump")],
+                 ["kam-run", "--out", str(tmp_path / "o")]):
+        assert run_cli(argv + ["--config", str(cfgfile)]) == 2
+        assert "lambda.grid_points must be at least 3" in \
+            capsys.readouterr().err
+
+
 def test_solve_homological_cli_shift_from_B(tmp_path, capsys):
     # B with a nonzero theta-mean: the DC set is built around lambda + [B]
     grid = np.linspace(0.25, 0.75, 17)
@@ -186,14 +201,13 @@ def test_solve_homological_cli_on_active_points(tmp_path, capsys):
     capsys.readouterr()
     cfg = cli.load_config(str(cfgfile))
     dc = hm.dc_from_exclusion(cli.build_alpha(cfg), 0.05, 2.0, 8, grid, B)
-    active = np.flatnonzero(dc.active_mask())
-    assert 0 < len(active) < len(grid)
+    assert 0 < len(dc.index) < len(grid)
     for path in (out, tmp_path / "delta.dump.er"):
         index = {int(line.split()[0]) for line in
                  path.read_text().splitlines()}
-        assert index <= set(active.tolist())
+        assert index <= set(dc.index.tolist())
     assert {int(line.split()[0]) for line in out.read_text().splitlines()} \
-        == set(active.tolist())
+        == set(dc.index.tolist())
 
 
 def test_norms_cli(tmp_path, capsys):

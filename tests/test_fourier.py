@@ -464,9 +464,9 @@ def test_jet_compose_products_do_not_grow_with_d_max(monkeypatch):
         calls.clear()
         jet.compose_affine(*e, *d)
         counts.append(len(calls))
-    # x1^2, x2^2 and x1 x2 take 9 products each, and each of the three
-    # coefficients multiplies its six monomials: no product by 1
-    assert counts == [45, 45]
+    # Horner's rule in x2 takes 3 + 9 products for f_02 x2^2 and 3 for
+    # f_11 x2, then in x1 3 + 9: no product by 1
+    assert counts == [27, 27]
 
 
 def test_jet_degree_guard():

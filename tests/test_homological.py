@@ -23,11 +23,6 @@ GM = cfr.golden_mean()
 rand_scalar = functools.partial(vf.rand_scalar, lam_linear=False)
 
 
-def active_part(dc, *series):
-    """dc and the series on dc's active points, as a KAM level keeps them."""
-    return list(dc.restrict_level(*series)[1:])
-
-
 # -- interval unions --------------------------------------------------------------
 
 
@@ -151,8 +146,17 @@ def test_dc_set_certifies():
     lgrid = np.linspace(0.25, 0.75, 101)
     dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 5, lgrid)
     assert dc.intervals.measure() > 0.4
-    [dc] = active_part(dc)
     assert all(r.passed for r in dc.certify())
+
+
+def test_dc_set_holds_only_its_points():
+    # straight from the exclusion, with no step that drops the excluded
+    # points: the k = 0, l = 2 zone around 1/2 holds a point of GRID
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
+    assert all(r.passed for r in dc.certify())
+    assert 0 < len(dc.index) < len(GRID)
+    assert dc.intervals.contains(dc.lambda_grid).all()
+    assert np.array_equal(GRID[dc.index], dc.lambda_grid)
 
 
 def test_dc_k0_l2_zone_around_half():
@@ -207,7 +211,7 @@ def test_resonant_lambda_detected():
     lam = np.array([GM.frac_k(1)])  # lambda = alpha mod 1: k=1, l=1 resonance
     dc = hm.DcSet(cf=GM, gamma=0.01, tau=2.0, K=3,
                   intervals=hm.IntervalUnion(((lam[0] - 1e-4, lam[0] + 1e-4),)),
-                  lambda_grid=lam, shift=np.zeros(1))
+                  lambda_grid=lam, shift=np.zeros(1), index=np.zeros(1, int))
     rows = dc.certify()
     assert not all(r.passed for r in rows)
     assert "k=1 l=1" in rows[0].detail
@@ -252,14 +256,14 @@ def divisor_rows_oracle(dc, k_max):
 def test_divisor_table_rows_match_loops(cf, tau):
     lgrid = np.linspace(0.25, 0.75, 101)
     B = fr.constant(lgrid, 0.004 * np.sin(7 * lgrid))    # [B]_theta only
-    [dc] = active_part(hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, B))
+    dc = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, B)
     dc_row = dc.certify()[0]
     sd_row = hm.certify_small_divisor(dc, 987, 1597, k_max=30)[0]
     assert (dc_row.actual, dc_row.detail) == divisor_rows_oracle(dc, 40)[0]
     assert (sd_row.actual, sd_row.detail.split(" case")[0]) == \
         divisor_rows_oracle(dc, 30)[1]
     # the other order: the k_max = 30 table is built first, then grown to K
-    [fresh] = active_part(hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, B))
+    fresh = hm.dc_from_exclusion(cf, 0.002, tau, 40, lgrid, B)
     assert hm.certify_small_divisor(fresh, 987, 1597, k_max=30) == [sd_row]
     assert fresh.certify() == [dc_row]
 
@@ -397,7 +401,7 @@ def make_setup(B, dc, eps0=1e-6, weight=ANALYTIC):
 
 
 def test_solver_diagonal_division_oracle():
-    [dc] = active_part(hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID))
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     grid = dc.lambda_grid
     zero = fr.zeros(grid)
     u = fr.from_modes(grid, fr.SCALAR, {1: 1e-9, -1: 1e-9, 3: 0.5e-9})
@@ -414,13 +418,14 @@ def test_solver_ignores_values_at_excluded_lambda():
     # mode 0 that u holds at the active points; on the active points alone
     # no trace of it is left
     dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
-    assert not dc.active_mask().all()
+    excluded = np.setdiff1d(np.arange(len(GRID)), dc.index)
+    assert len(excluded)
     data = np.zeros((2, len(GRID)), complex)
     data[0] = 1e-34
     clean = fr.FourierSeries(GRID, fr.SCALAR, np.array([0, 1]), data.copy())
-    data[1, np.flatnonzero(~dc.active_mask())[0]] = 1e-9
+    data[1, excluded[0]] = 1e-9
     u = fr.FourierSeries(GRID, fr.SCALAR, np.array([0, 1]), data)
-    dc, u, clean = active_part(dc, u, clean)
+    u, clean = dc.restrict_level(u, clean)
     assert u.support == clean.support == [0]
     assert np.array_equal(u.data, clean.data)
     zero = fr.zeros(dc.lambda_grid)
@@ -429,7 +434,7 @@ def test_solver_ignores_values_at_excluded_lambda():
 
 
 def test_solver_zero_rhs():
-    [dc] = active_part(hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID))
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     zero = fr.zeros(dc.lambda_grid)
     res = hm.solve_homological(zero, zero, 1, make_setup(zero, dc), R_TILDE)
     assert res.delta.is_zero()
@@ -445,8 +450,8 @@ def test_solver_dense_full_pivot_oracle(l):
         B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
         b = rand_scalar(rng, GRID, 4, scale=1e-3)
         u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
-        dca, B, b, u = active_part(dc, B, b, u)
-        setup = make_setup(B, dca)
+        B, b, u = dc.restrict_level(B, b, u)
+        setup = make_setup(B, dc)
         res = hm.solve_homological(b, u, l, setup, R_TILDE)
         worst, _ = vf.full_pivot_deviation(u, res, l, setup,
                                            range(0, len(setup.grid), 3))
@@ -471,7 +476,7 @@ def test_solver_neumann_full_pivot_oracle_K64(l):
     B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
-    dc, B, b, u = active_part(dc, B, b, u)
+    B, b, u = dc.restrict_level(B, b, u)
     assert len(dc.lambda_grid) >= 2
     setup = make_setup(B, dc)
     res = hm.solve_homological(b, u, l, setup, R_TILDE)
@@ -491,7 +496,7 @@ def test_solver_neumann_stops_at_roundoff():
         B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
         b = rand_scalar(rng, GRID, 4, scale=1e-3)
         u = rand_scalar(rng, GRID, K - 1, scale=1e-2)
-    dc, B, b, u = active_part(dc, B, b, u)
+    B, b, u = dc.restrict_level(B, b, u)
     setup = make_setup(B, dc)
     res = hm.solve_homological(b, u, 2, setup, R_TILDE)
     A, rhs, _ = vf.dense_system(u, res, 2, setup)
@@ -518,7 +523,7 @@ def test_solver_full_equation_residual_identity():
     B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 14, scale=1e-2)   # modes beyond K: nonzero tail
-    dc, B, b, u = active_part(dc, B, b, u)
+    B, b, u = dc.restrict_level(B, b, u)
     res = hm.solve_homological(b, u, 1, make_setup(B, dc), R_TILDE)
     assert not res.delta_er.is_zero()
     row = [r for r in res.rows if r.check.startswith("full residual")][0]
@@ -542,7 +547,7 @@ def assert_solved_past_hypotheses(res, setup, n_dense):
 
 
 def test_solver_reports_failed_preconditions():
-    [dc] = active_part(hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID))
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     grid = dc.lambda_grid
     setup = make_setup(fr.zeros(grid), dc)
     rng = np.random.default_rng(27)
@@ -553,7 +558,7 @@ def test_solver_reports_failed_preconditions():
 
 
 def test_solver_reports_failed_conditioning():
-    [dc] = active_part(hm.dc_from_exclusion(GM, 0.05, 2.0, 6, GRID))
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 6, GRID)
     grid = dc.lambda_grid
     setup = make_setup(fr.zeros(grid), dc, eps0=1e6)
     rng = np.random.default_rng(28)
@@ -651,7 +656,8 @@ def liouville_setup(K, rng, grid_points=33):
     # the setup and its grid, the active points of the DC set
     grid = np.linspace(0.25, 0.75, grid_points)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
-    dc, B = active_part(hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B), B)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
+    [B] = dc.restrict_level(B)
     return dc.lambda_grid, make_setup(B, dc)
 
 
@@ -700,7 +706,7 @@ def test_windowed_solve_reaches_the_clip():
     # K = 12: a right side at the edge of |k| < K and a btilde reaching 3
     # modes out; the window is clipped to |k| < K on its first step
     rng = np.random.default_rng(86)
-    [dc] = active_part(hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID))
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     grid = dc.lambda_grid
     setup = make_setup(fr.zeros(grid), dc)
     btilde = on_modes(rng, grid, [-3, -1, 2], 1e-3)
@@ -719,7 +725,7 @@ def test_windowed_solve_stalled_points():
     B = rand_scalar(rng, GRID, 12, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 8, scale=1e-2)
-    dc, B, b, u = active_part(dc, B, b, u)
+    B, b, u = dc.restrict_level(B, b, u)
     setup = make_setup(B, dc)
     btilde, utt, dom = solver_inputs(b, u, 2, setup)
     _, _, dense = windowed_vs_full(btilde, utt, setup, 2, dom)
@@ -729,7 +735,7 @@ def test_windowed_solve_stalled_points():
 def test_windowed_solve_without_modes_below_K():
     # a right side with no mode |k| < K: F = 0 with no step
     rng = np.random.default_rng(87)
-    [dc] = active_part(hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID))
+    dc = hm.dc_from_exclusion(GM, 0.05, 2.0, 12, GRID)
     grid = dc.lambda_grid
     setup = make_setup(fr.zeros(grid), dc)
     btilde = on_modes(rng, grid, [-1, 1], 1e-3)
@@ -804,7 +810,8 @@ def test_conditioning_matches_double_loop(K, r_tilde, modes, weight):
     rng = np.random.default_rng(60 + K)
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
-    dc, B = active_part(hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B), B)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
+    [B] = dc.restrict_level(B)
     grid = dc.lambda_grid
     assert len(grid) >= 2
     setup = make_setup(B, dc, weight=weight)
@@ -835,8 +842,8 @@ def test_conditioning_same_bits_shared_or_fresh_setup():
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
     b = rand_scalar(rng, grid, 4, scale=1e-3)
     u = rand_scalar(rng, grid, 11, scale=1e-2)
-    dc, B, b, u = active_part(hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid, B),
-                              B, b, u)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, 12, grid, B)
+    B, b, u = dc.restrict_level(B, b, u)
     setup = make_setup(B, dc)
     for l in (1, 2):
         res = hm.solve_homological(b, u, l, setup, R_TILDE)
@@ -853,7 +860,8 @@ def test_conditioning_working_set_is_linear_in_modes():
     K = 256
     grid = np.linspace(0.25, 0.75, 33)
     B = rand_scalar(rng, grid, 5, scale=0.002, real=True)
-    dc, B = active_part(hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B), B)
+    dc = hm.dc_from_exclusion(GM, 0.01, 2.0, K, grid, B)
+    [B] = dc.restrict_level(B)
     grid = dc.lambda_grid
     tracemalloc.start()
     try:
@@ -884,7 +892,7 @@ def test_solver_refuses_other_l():
     B = rand_scalar(rng, GRID, 5, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 8, scale=1e-2)
-    dc, B, b, u = active_part(dc, B, b, u)
+    B, b, u = dc.restrict_level(B, b, u)
     setup = make_setup(B, dc)
     hm.solve_homological(b, u, 2, setup, R_TILDE)
     # the width of a solve is its own; the level's setup is shared
@@ -899,7 +907,7 @@ def test_b_norms_measured_once_per_level():
     B = rand_scalar(rng, GRID, 12, scale=0.002, real=True)
     b = rand_scalar(rng, GRID, 4, scale=1e-3)
     u = rand_scalar(rng, GRID, 8, scale=1e-2)
-    dc, B, b, u = active_part(dc, B, b, u)
+    B, b, u = dc.restrict_level(B, b, u)
     setup = make_setup(B, dc)
     fresh = [hm.solve_homological(b, u, l, make_setup(B, dc), R_TILDE)
              for l in (1, 2)]

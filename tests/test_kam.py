@@ -99,7 +99,7 @@ def test_exclusion_closed_form_oracle():
         dc = hm.dc_from_exclusion(GM, sched.gamma(0), sched.tau, sched.K(0),
                                   grid, fr.constant(grid, shift))
         assert vf.exclusion_deviation(dc, shift) <= 1e-12, shift
-        [row] = dc.restrict_level()[1].certify()
+        [row] = dc.certify()
         assert row.passed, (shift, row)
 
 
@@ -166,7 +166,7 @@ def test_kam_step_keeps_the_active_points_on_one_grid():
     new, rep = kam.kam_step(state, make_sched(K_cap=32, L_cap=4))
     dc = hm.dc_from_exclusion(GM, make_sched().gamma(0), 2.0,
                               make_sched(K_cap=32).K(0), grid)
-    keep = np.flatnonzero(dc.active_mask())
+    keep = dc.index
     assert 2 <= len(keep) < len(grid)
     assert np.array_equal(new.lambda_index, keep)
     assert np.array_equal(new.lambda_grid, grid[keep])
@@ -234,9 +234,9 @@ def _level_pieces(grid, gamma=0.05, K=12, state=None):
     grid."""
     state = _blank_state(grid) if state is None else state
     rho, B, _, _ = hm.polar_decompose(state.V.entry(0, 0))
-    keep, dc, rho, B = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid,
-                                            B).restrict_level(rho, B)
-    state = state.restrict(keep, dc.lambda_grid)
+    dc = hm.dc_from_exclusion(GM, gamma, 2.0, K, grid, B)
+    rho, B = dc.restrict_level(rho, B)
+    state = state.restrict(dc.index, dc.lambda_grid)
     setup = hm.SolveSetup(B, dc, weight=ANALYTIC, q_next=89, qbar_n=8,
                           r_b=0.05, sigma=0.002, eps0=1e-6)
     return dc, kam._level_context(state, rho, setup)
