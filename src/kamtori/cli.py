@@ -9,6 +9,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
@@ -64,8 +65,10 @@ CONFIG_SCHEMA = {
 }
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Flat dotted-key JSON; unknown keys are rejected by name."""
+def load_config(path: str | None) -> dict:
+    """Flat dotted-key JSON object; unknown keys, values not of their key's
+    JSON type (9.7 or true for an int key) and values out of range are
+    rejected by name.  A str key takes any scalar."""
     cfg = {k: v for k, (_, v) in CONFIG_SCHEMA.items()}
     data = {}
     if path:
@@ -76,57 +79,70 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError("cannot read config: %s" % exc)
         except json.JSONDecodeError as exc:
             raise ConfigError("malformed config JSON: %s" % exc)
-    if overrides:
-        data.update(overrides)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     for key, value in data.items():
         if key not in CONFIG_SCHEMA:
             raise ConfigError("unknown config key %r" % key)
         typ, _ = CONFIG_SCHEMA[key]
         try:
-            if typ is bool and isinstance(value, bool):
-                cfg[key] = value
-            elif typ is bool:
-                cfg[key] = {"true": True, "false": False}[str(value).lower()]
-            elif typ is list:
-                cfg[key] = [int(x) for x in value]
-            else:
-                cfg[key] = typ(value)
-        except (TypeError, ValueError, KeyError):
+            new = [int(x) for x in value] if typ is list else typ(value)
+        except (TypeError, ValueError):
+            new = None
+        if new is None or typ is not str and (
+                new != value or isinstance(value, bool) != (typ is bool)):
             raise ConfigError("bad value for config key %r: %r" % (key, value))
+        cfg[key] = new
+    if min(cfg["schedule.L_cap"], cfg["schedule.K_cap"]) < 1 \
+            or cfg["run.n_max"] < 0:
+        raise ConfigError("schedule.L_cap and schedule.K_cap must be at "
+                          "least 1, run.n_max at least 0")
+    with _naming("schedule.r"):
+        if Fraction(cfg["schedule.r"]) <= 0:
+            raise ValueError("must be positive")
     return cfg
+
+
+@contextlib.contextmanager
+def _naming(source: str):
+    """Report a ValueError raised in the block as a ConfigError that names
+    the config keys or arguments it came from."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("%s: %s" % (source, exc)) from None
 
 
 def build_alpha(cfg: dict) -> cfr.ContinuedFraction:
     kind = cfg["alpha.kind"]
     prec = cfg["alpha.precision_bits"]
     depth = cfg["alpha.depth"]
-    if kind == "golden":
-        return cfr.golden_mean(prec_bits=prec, depth=depth)
-    if kind == "sqrt2m1":
-        return cfr.sqrt2_minus_1(prec_bits=prec, depth=min(depth, 60))
-    if kind == "decimal":
-        if not cfg["alpha.value"]:
-            raise ConfigError("alpha.kind=decimal requires alpha.value")
-        return cfr.expand(cfg["alpha.value"], max_depth=depth, prec_bits=prec)
-    if kind == "quotients":
-        if not cfg["alpha.quotients"]:
-            raise ConfigError("alpha.kind=quotients requires alpha.quotients")
-        return cfr.from_quotients(cfg["alpha.quotients"], prec_bits=prec,
-                                  pad_to=depth)
-    if kind == "liouville_pow10":
-        return cfr.from_quotients([10**k for k in range(1, 9)],
-                                  prec_bits=max(prec, 512), pad_to=depth)
-    if kind == "liouville_doubleexp":
-        return cfr.from_quotients([2 ** (2**k) for k in range(1, 8)],
-                                  prec_bits=max(prec, 1024), pad_to=depth)
+    need = {"decimal": "alpha.value", "quotients": "alpha.quotients"}.get(kind)
+    if need and not cfg[need]:
+        raise ConfigError("alpha.kind=%s requires %s" % (kind, need))
+    with _naming((need + " or " if need else "") + "alpha.precision_bits"):
+        if kind == "golden":
+            return cfr.golden_mean(prec_bits=prec, depth=depth)
+        if kind == "sqrt2m1":
+            return cfr.sqrt2_minus_1(prec_bits=prec, depth=min(depth, 60))
+        if kind == "decimal":
+            return cfr.expand(cfg["alpha.value"], max_depth=depth,
+                              prec_bits=prec)
+        if kind == "quotients":
+            return cfr.from_quotients(cfg["alpha.quotients"], prec_bits=prec,
+                                      pad_to=depth)
+        if kind == "liouville_pow10":
+            return cfr.from_quotients([10**k for k in range(1, 9)],
+                                      prec_bits=max(prec, 512), pad_to=depth)
+        if kind == "liouville_doubleexp":
+            return cfr.from_quotients([2 ** (2**k) for k in range(1, 8)],
+                                      prec_bits=max(prec, 1024), pad_to=depth)
     raise ConfigError("unknown alpha.kind %r" % kind)
 
 
 def build_weight(cfg: dict) -> wt.WeightFunction:
-    try:
+    with _naming("weight.family, weight.param"):
         return wt.WeightFunction(cfg["weight.family"], cfg["weight.param"])
-    except wt.ConfigurationError as exc:
-        raise ConfigError(str(exc))
 
 
 def build_grid(cfg: dict) -> np.ndarray:
@@ -141,23 +157,20 @@ def build_grid(cfg: dict) -> np.ndarray:
 def build_run(cfg: dict):
     cf = build_alpha(cfg)
     weight = build_weight(cfg)
-    bridges = cfr.select_bridges(cf, cfg["bridges.A"])
+    with _naming("bridges.A"):
+        bridges = cfr.select_bridges(cf, cfg["bridges.A"])
     T = cfg["schedule.T"] if cfg["schedule.T"] > 0 else None
-    try:
+    with _naming("bad schedule"):
         sched = kam.make_schedule(
             cf, bridges, weight, eps0=cfg["model.eps"],
             gamma0=cfg["schedule.gamma"], tau=cfg["schedule.tau"],
             s0=cfg["schedule.s"], r0=Fraction(cfg["schedule.r"]),
             c_const=cfg["schedule.c"], T_override=T,
             L_cap=cfg["schedule.L_cap"], K_cap=cfg["schedule.K_cap"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("bad schedule: %s" % exc)
     grid = build_grid(cfg)
-    try:
+    with _naming("model.preset"):
         spec = md.build_preset(cfg["model.preset"], cfg["model.eps"], cf, grid,
                                d_max=cfg["jet.d_max"], s_domain=cfg["schedule.s"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     return cf, weight, bridges, sched, spec
 
 
@@ -183,7 +196,6 @@ def _exit_from_rows(rows) -> int:
 def cmd_cfrac(args) -> int:
     cfg = load_config(args.config)
     if args.alpha:
-        cfg = dict(cfg)
         if args.alpha in ("golden", "sqrt2m1", "liouville_pow10",
                           "liouville_doubleexp"):
             cfg["alpha.kind"] = args.alpha
@@ -194,7 +206,8 @@ def cmd_cfrac(args) -> int:
     cf = build_alpha(cfg)
     sel = None
     if args.bridges is not None:
-        sel = cfr.select_bridges(cf, args.bridges)
+        with _naming("--bridges with --depth"):
+            sel = cfr.select_bridges(cf, args.bridges)
     print("k,a_k,q_k,selected_flag,Qbar_flag")
     for k in range(0, cf.depth + 1):
         a_k = cf.a[k] if k >= 1 else 0
@@ -210,10 +223,12 @@ def cmd_cfrac(args) -> int:
 
 def cmd_norms(args) -> int:
     cfg = load_config(args.config)
-    weight = build_weight(cfg)
-    cf, _, _, _, spec = build_run(cfg)
+    _, weight, _, _, spec = build_run(cfg)
+    with _naming("--widths"):
+        widths = [float(Fraction(x)) for x in args.widths.split(",")]
+        if min(widths) < 0:
+            raise ValueError("a width must be nonnegative")
     conj = md.conjugate_to_su11(spec)
-    widths = [float(Fraction(x)) for x in args.widths.split(",")]
     print("series,r,norm_r,analytic_norm")
     for name, series in (("U", conj.U), ("W", conj.W)):
         for r in widths:
@@ -224,19 +239,20 @@ def cmd_norms(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if min(args.K, args.q_next, args.qbar) < 1 or args.gamma <= 0 \
+            or min(args.r_tilde, args.sigma) < 0:
+        raise ConfigError("--K, --q-next and --qbar must be at least 1, "
+                          "--gamma positive, --r-tilde and --sigma at least 0")
     cfg = load_config(args.config)
     cf = build_alpha(cfg)
     weight = build_weight(cfg)
     grid = build_grid(cfg)
     try:
-        u = fr.read_coeff_dump(args.input, grid)
-    except OSError as exc:
+        u, B, b = (fr.read_coeff_dump(path, grid) if path else fr.zeros(grid)
+                   for path in (args.input, args.B_input, args.b_input))
+    except (OSError, ValueError) as exc:
         print("cannot read input dump: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    B = fr.read_coeff_dump(args.B_input, grid) if args.B_input \
-        else fr.zeros(grid)
-    b = fr.read_coeff_dump(args.b_input, grid) if args.b_input \
-        else fr.zeros(grid)
     dc = hm.dc_from_exclusion(cf, args.gamma, args.tau, args.K, grid, B)
     # the solve runs on the DC set's points alone
     u, B, b = dc.restrict_level(u, B, b)
@@ -440,10 +456,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except (kam.DepthError, cfr.PrecisionExhausted) as exc:
+    except (ConfigError, kam.DepthError, cfr.PrecisionExhausted) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 

@@ -33,8 +33,10 @@ Products are direct convolutions, never FFTs: an FFT product carries an
 error of about eps ||a|| ||b|| at every mode, which the weighted norms
 amplify on the small high modes, while a direct sum keeps each output
 coefficient within a few ulps of its own majorant sum_j |a_j| |b_{k-j}|.
-Sampling may use an FFT because its error is absolute, about
-log2(n) eps sum_k |f_k| per value, and no weighted norm reads a sample.
+The same holds for the homological solver's Toeplitz products, which sum
+over the coefficient's diagonals.  Sampling may use an FFT because its
+error is absolute, about log2(n) eps sum_k |f_k| per value, and no
+weighted norm reads a sample.
 
 After every algebra operation the rows below DROP_REL times the largest
 coefficient and the rows that are exactly zero are removed, which keeps
@@ -915,17 +917,24 @@ def write_coeff_dump(path, s: FourierSeries, lambda_index=None):
 
 
 def read_coeff_dump(path, lambda_grid) -> FourierSeries:
-    """The dumped series on lambda_grid; a point the dump omits reads 0."""
+    """The dumped series on lambda_grid; a point the dump omits reads 0.  A
+    malformed line raises ValueError naming the file and the line."""
     grid = np.asarray(lambda_grid, float)
     coeffs: dict = {}
     with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
+        for n, line in enumerate(fh, 1):
+            if not line.split():
                 continue
-            li, k = int(parts[0]), int(parts[1])
-            re, im = float(parts[2]), float(parts[3])
+            try:
+                li, k, re, im = line.split()
+                li, k, v = int(li), int(k), float(re) + 1j * float(im)
+                if not 0 <= li < len(grid):
+                    raise ValueError
+            except ValueError:
+                raise ValueError("%s line %d: not `lambda_index k re im` with "
+                                 "0 <= lambda_index < %d: %r" % (
+                                     path, n, len(grid), line.strip())) from None
             if k not in coeffs:
                 coeffs[k] = np.zeros(len(grid), complex)
-            coeffs[k][li] = re + 1j * im
+            coeffs[k][li] = v
     return from_modes(grid, SCALAR, coeffs)

@@ -7,9 +7,10 @@ Pipeline for the variable-coefficient equation
 kill the low modes of B through a difference equation (whose solution is a
 trigonometric polynomial with an explicit exponential bound), then solve the
 truncated conjugated equation, a diagonally dominant linear system, by its
-Neumann series: one FFT product per step for all lambda-grid points at
-once, over the modes the data reaches, and one dense solve at any point
-where the series does not converge.  Every bound the scheme relies on
+Neumann series: one product per step, summed over the diagonals of the
+coefficient (_diagonals) for all lambda-grid points at once and only on the
+modes the data reaches, and one dense solve at any point where the series
+does not converge.  Every bound the scheme relies on
 (small divisors, truncation tails, solution size, Neumann dominance) is
 re-measured and reported.
 
@@ -35,7 +36,6 @@ from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fourier as fr
 from .cfrac import ContinuedFraction
@@ -475,7 +475,7 @@ class SolveSetup:
     and no solve builds one but the dense fallback, for a point it solves:
     the conditioning check sums its matrix over btilde's diagonals
     (_conditioning), and the Neumann series runs on the modes its data
-    reaches (_solve_truncated)."""
+    reaches, its product summed over the same diagonals (_solve_truncated)."""
 
     def __init__(self, B: FourierSeries, dc: DcSet, *, weight: WeightFunction,
                  q_next: int, qbar_n: int, r_b: float, sigma: float,
@@ -663,40 +663,25 @@ def _conditioning(btilde: FourierSeries, setup: SolveSetup, l: int,
     largest row sum of the width-scaled Toeplitz matrix
     |btilde_{k1-k2}|_O exp(min(lw(k1) - lw(k2), 700)) over the n = 2K - 1
     modes |k| < K, lw(k) = Lambda(2 pi |k| r).  Row k1 sums over the
-    diagonals d = k1 - k2 that btilde holds, one block of fr.block_rows(n)
-    diagonals at a time: O(nnz n) work and no (n, n) array."""
+    diagonals d = k1 - k2 that btilde holds (_diagonals): O(nnz n) work and
+    no (n, n) array."""
     n = len(setup.ks)
     c_O = fr._row_max(btilde.data, btilde.lambda_grid)
-    held = (c_O != 0) & (np.abs(btilde.modes) < n)
-    ds, c_O = btilde.modes[held], c_O[held]
     lw = eval_lambda(setup.weight, 2 * math.pi * np.abs(setup.ks) * r_tilde)
-    # row n - d of the windows is lw(k1 - d) over the rows k1, and +inf
-    # where k1 - d leaves |k| < K, so that its exp(lw(k1) - inf) adds 0
-    inf = np.full(n, np.inf)
-    windows = sliding_window_view(np.concatenate((inf, lw, inf)), n)
     pe = np.zeros(n)
-    step = fr.block_rows(n)
-    for i0 in range(0, len(ds), step):
-        pe += _diagonal_sums(windows[n - ds[i0:i0 + step]], lw,
-                             c_O[i0:i0 + step])
+    for j, rows, cols in _diagonals(btilde.modes, n):
+        pe[rows] += c_O[j] * np.exp(np.minimum(lw[rows] - lw[cols], 700.0))
     return setup.terms(l).s_inv, float(pe.max())
 
 
-def _diagonal_sums(lw_k2: np.ndarray, lw: np.ndarray,
-                   c: np.ndarray) -> np.ndarray:
-    """sum_d c_d exp(min(lw(k1) - lw_k2[d, k1], 700)) per row k1, computed
-    in place, overwriting the block lw_k2."""
-    np.subtract(lw, lw_k2, out=lw_k2)
-    np.exp(np.minimum(lw_k2, 700.0, out=lw_k2), out=lw_k2)
-    lw_k2 *= c[:, None]
-    return lw_k2.sum(axis=0)
-
-
-def _toeplitz(c: np.ndarray, n: int) -> np.ndarray:
-    """The (n, n) Toeplitz matrix T[i, j] = c[i - j + n - 1] of the 2n - 1
-    values c (the modes 2 - 2K .. 2K - 2), as a read-only view: row i is
-    c[i + n - 1], ..., c[i], a reversed window of c."""
-    return sliding_window_view(c, n)[:, ::-1]
+def _diagonals(modes: np.ndarray, n: int):
+    """For each mode d of modes with |d| < n, (its index, rows, cols): the
+    slices of an n-mode window on which the Toeplitz matrix of the modes
+    sets T[k1, k1 - d] = c_d, so T[rows, cols] holds c_d on its diagonal."""
+    for j, d in enumerate(modes.tolist()):
+        if abs(d) < n:
+            yield (j, slice(max(d, 0), n + min(d, 0)),
+                   slice(max(-d, 0), n - max(d, 0)))
 
 
 def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
@@ -705,10 +690,9 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
     Neumann series F <- (U - P F) / S, all points at once, on the modes the
     data reaches: F starts on the window lo .. hi spanned by U's modes
     |k| < K, and each step widens the window by btilde's extreme modes,
-    clipped to |k| < K.  P F is the convolution by btilde cut to the
-    window, one batched FFT product per step, sized to the window; once
-    the window holds all n = 2K - 1 modes, that product has the arrays of
-    the full-width one.
+    clipped to |k| < K.  P F is the Toeplitz product by btilde cut to the
+    window, summed directly over btilde's diagonals (_diagonals), one slice
+    product per diagonal for all running points.
 
     A point stops when its step falls to a few ulps of max|F|.  A point
     whose step stops shrinking first, or that still runs after
@@ -724,7 +708,8 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
     near = btilde.truncate(n)
     bmodes, bdata = near.modes, near.data.T                # (L, nnz)
     lo, hi = int(u.modes[0]), int(u.modes[-1])
-    rhs = _zero_filled(u.modes - lo, u.data.T, hi - lo + 1)
+    rhs = np.zeros((len(diagonal), hi - lo + 1), complex)
+    rhs[:, u.modes - lo] = u.data.T
     x = rhs / diagonal[:, lo + K - 1:hi + K]
     rate = dom if dom < 0.5 else 0.5                       # NaN: 1/2
     cap = math.ceil(math.log(_EPS) / math.log(max(rate, 1e-300))) \
@@ -733,26 +718,19 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
     run = np.flatnonzero(bdata.any(axis=1))    # where P = 0, F = U / S
     grow = (min(int(bmodes[0]), 0), max(int(bmodes[-1]), 0)) if run.size \
         else (0, 0)
-    stuck, steps, bhat = [], 0, None
+    stuck, steps = [], 0
     while run.size and steps < cap:
         wider = max(lo + grow[0], 1 - K), min(hi + grow[1], K - 1)
-        if bhat is None or wider != (lo, hi):
+        if wider != (lo, hi):
             pad = ((0, 0), (lo - wider[0], wider[1] - hi))
             x, rhs = np.pad(x, pad), np.pad(rhs, pad)
             lo, hi = wider
-            w = hi - lo + 1
-            # btilde's modes |d| < w at d + w - 1: the linear convolution
-            # has 3w - 2 terms, and a cyclic one of length >= 2w - 1 wraps
-            # none of them onto the w wanted, w - 1 .. 2w - 2
-            nfft = 1 << (2 * w - 2).bit_length()
-            cut = np.abs(bmodes) < w
-            bhat = np.fft.fft(_zero_filled(bmodes[cut] + w - 1, bdata[:, cut],
-                                           2 * w - 1), nfft)
-        px = np.fft.fft(x[run], nfft)
-        px *= bhat[run]
-        px = np.fft.ifft(px, out=px)[:, w - 1:2 * w - 1]
+        xr, br = x[run], bdata[run]
+        px = np.zeros_like(xr)
+        for j, rows, cols in _diagonals(bmodes, hi - lo + 1):
+            px[:, rows] += br[:, j, None] * xr[:, cols]
         new = (rhs[run] - px) / diagonal[run, lo + K - 1:hi + K]
-        step = np.abs(new - x[run]).max(axis=1)
+        step = np.abs(new - xr).max(axis=1)
         x[run] = new
         steps += 1
         done = step <= _NEUMANN_TOL * np.abs(new).max(axis=1)
@@ -765,18 +743,12 @@ def _solve_truncated(btilde: FourierSeries, utt: FourierSeries,
         pad = ((0, 0), (lo + K - 1, K - 1 - hi))
         x, rhs = np.pad(x, pad), np.pad(rhs, pad)
         lo, hi = 1 - K, K - 1
-        diffs = _zero_filled(bmodes + n - 1, bdata[dense], 2 * n - 1)
-        for row, i in zip(diffs, dense):
-            M = _toeplitz(row, n).copy()
-            M[np.arange(n), np.arange(n)] += diagonal[i]
+        k = np.arange(n)
+        for i in dense:
+            M = np.diag(diagonal[i])
+            for j, rows, cols in _diagonals(bmodes, n):
+                M[k[rows], k[cols]] += bdata[i, j]
             x[i] = np.linalg.solve(M, rhs[i])
     return (fr._cleaned(setup.grid, fr.SCALAR, np.arange(lo, hi + 1),
                         np.ascontiguousarray(x.T)),
             steps, np.sort(dense))
-
-
-def _zero_filled(cols: np.ndarray, data: np.ndarray, width: int) -> np.ndarray:
-    """(m, width) complex zeros with data (m, len(cols)) at the columns cols."""
-    out = np.zeros((len(data), width), complex)
-    out[:, cols] = data
-    return out

@@ -62,6 +62,72 @@ def test_bad_config_value(tmp_path, capsys):
     assert "lambda.grid_points" in capsys.readouterr().err
 
 
+# (config, the key or phrase the message names): each exits 2 before a
+# level runs; at 9.7, true, "123" and -1 nothing used to refuse the value
+@pytest.mark.parametrize("config, named", [
+    ({"schedule.r": "-1/2"}, "schedule.r"),
+    ({"alpha.precision_bits": 64}, "alpha.precision_bits"),
+    ({"schedule.L_cap": 0}, "schedule.L_cap"),
+    ({"schedule.K_cap": 0}, "schedule.K_cap"),
+    ({"bridges.A": 0.5}, "bridges.A"),
+    ([1, 2], "JSON object"),
+    ({"lambda.grid_points": 9.7}, "lambda.grid_points"),
+    ({"run.n_max": True}, "run.n_max"),
+    ({"alpha.kind": "quotients", "alpha.quotients": "123"}, "alpha.quotients"),
+    ({"run.n_max": -1}, "run.n_max"),
+], ids=["r", "precision", "L_cap", "K_cap", "A", "list", "float-int",
+        "bool-int", "str-list", "n_max"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, config, named):
+    if isinstance(config, dict):
+        config = {"lambda.grid_points": 9, **config}
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps(config))
+    assert run_cli(["kam-run", "--config", str(cfgfile),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve-homological", "--input", "u.dump", "--K", "0"], "--K"),
+    (["solve-homological", "--input", "u.dump", "--r-tilde", "-1"],
+     "--r-tilde"),
+    (["solve-homological", "--input", "u.dump", "--q-next", "0"],
+     "--q-next"),
+    (["norms", "--widths", "abc"], "--widths"),
+    (["norms", "--widths=-1"], "--widths"),
+    (["cfrac", "--alpha", "1.5"], "alpha must lie in (0,1)"),
+    (["cfrac", "--depth", "0", "--bridges", "2"], "--depth"),
+], ids=["K", "r-tilde", "q-next", "widths-abc", "widths-negative",
+        "alpha", "depth"])
+def test_malformed_argument_exits_2(capsys, argv, named):
+    assert run_cli(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["0 0 abc 0.0", "99 0 0.1 0.0",
+                                  "-1 0 0.1 0.0"],
+                         ids=["not-a-number", "past-the-grid", "negative-index"])
+@pytest.mark.parametrize("flag", ["--input", "--B-input"])
+def test_malformed_dump_line_exits_2(tmp_path, capsys, line, flag):
+    # a -1 used to be read into the last grid point
+    grid = np.linspace(0.25, 0.75, 9)
+    fr.write_coeff_dump(tmp_path / "u.dump",
+                        fr.from_modes(grid, fr.SCALAR, {1: 1e-9}))
+    bad = tmp_path / "bad.dump"
+    bad.write_text("0 0 0.1 0.0\n" + line + "\n")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"lambda.grid_points": 9}))
+    inputs = {"--input": tmp_path / "u.dump", flag: bad}
+    argv = ["solve-homological", "--config", str(cfgfile)]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "%s line 2: not `lambda_index k re im` with 0 <= lambda_index " \
+        "< 9: %r" % (bad, line) in err
+
+
 def test_verify_weights_suite(capsys):
     code = run_cli(["verify", "--suite", "weights"])
     assert code == 0

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kamtori import cfrac as cfr
 from kamtori import fourier as fr
@@ -571,6 +572,12 @@ def test_solver_reports_failed_conditioning():
 # -- the windowed truncated solve against the full-window one ---------------------------------
 
 
+def toeplitz(c, n):
+    # the (n, n) Toeplitz matrix T[i, j] = c[i - j + n - 1] of the 2n - 1
+    # values c: row i is c[i + n - 1], ..., c[i], a reversed window of c
+    return sliding_window_view(c, n)[:, ::-1].copy()
+
+
 def full_window_solve(btilde, utt, setup, l, dom):
     # the Neumann solve over all n = 2K - 1 modes, one FFT of length
     # >= 2n - 1 per step, as it ran before the window: the oracle of the
@@ -608,7 +615,7 @@ def full_window_solve(btilde, utt, setup, l, dom):
         run = run[~done & shrinking]
     dense = np.concatenate(stuck + [run]).astype(int)
     for i in dense:
-        M = hm._toeplitz(diffs[i], n).copy()
+        M = toeplitz(diffs[i], n)
         M[np.arange(n), np.arange(n)] += sdiag[i]
         x[i] = np.linalg.solve(M, rhs[i])
     return (fr._cleaned(setup.grid, fr.SCALAR, setup.ks,
@@ -761,6 +768,63 @@ def test_windowed_solve_working_set():
         tracemalloc.stop()
     assert steps >= 2
     assert peak - start < 1.5 * 2**20
+
+
+def test_windowed_solve_takes_no_fft(monkeypatch):
+    # the test_windowed_solve_liouville_shape solve with every FFT made to
+    # raise: the Neumann step is a direct sum over btilde's diagonals
+    rng = np.random.default_rng(81)
+    grid, setup = liouville_setup(256, rng)
+    btilde = on_modes(rng, grid, range(-2, 3), 1e-4)
+    utt = on_modes(rng, grid, range(-3, 4), 1e-2)
+    dom = np.prod(hm._conditioning(btilde, setup, 1, R_TILDE))
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT in the truncated solve")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    _, steps, dense = hm._solve_truncated(btilde, utt, setup, 1, dom)
+    assert steps >= 3 and not dense.size
+
+
+def test_diagonals_spell_the_toeplitz_matrix():
+    # small-integer complex data, so every sum is exact in any order; modes
+    # with |d| >= n and a window narrower than their span
+    rng = np.random.default_rng(89)
+    n, npts = 5, 3
+    modes = np.array([-9, -5, -4, -2, 0, 1, 3, 4, 6, 12])
+    c = rng.integers(-9, 10, (npts, len(modes), 2)) @ [1, 1j]
+    x = rng.integers(-9, 10, (npts, n, 2)) @ [1, 1j]
+    S = rng.integers(1, 10, (npts, n, 2)) @ [1, 1j]
+    near = np.abs(modes) < n
+    full = np.zeros((npts, 2 * n - 1), complex)
+    full[:, modes[near] + n - 1] = c[:, near]
+    T = [toeplitz(row, n) for row in full]
+    # the Neumann step's slice sums
+    px = np.zeros_like(x)
+    for j, rows, cols in hm._diagonals(modes, n):
+        px[:, rows] += c[:, j, None] * x[:, cols]
+    for p in range(npts):
+        assert np.array_equal(px[p], T[p] @ x[p])
+    # the dense fallback's matrix
+    k = np.arange(n)
+    for p in range(npts):
+        M = np.diag(S[p])
+        for j, rows, cols in hm._diagonals(modes, n):
+            M[k[rows], k[cols]] += c[p, j]
+        assert np.array_equal(M, T[p] + np.diag(S[p]))
+    # the conditioning row's weighted row sums, clamped past 700
+    c_O = np.abs(c).max(axis=0)
+    lw = np.array([0.0, 800.0, 3.5, 1000.0, 2.0])
+    pe = np.zeros(n)
+    for j, rows, cols in hm._diagonals(modes, n):
+        pe[rows] += c_O[j] * np.exp(np.minimum(lw[rows] - lw[cols], 700.0))
+    full_O = np.zeros(2 * n - 1)
+    full_O[modes[near] + n - 1] = c_O[near]
+    ratio = np.exp(np.minimum(lw[:, None] - lw[None, :], 700.0))
+    np.testing.assert_allclose(pe, (toeplitz(full_O, n) * ratio).sum(axis=1),
+                               rtol=1e-15, atol=0)
 
 
 # -- the per-level solver object ----------------------------------------------------------
